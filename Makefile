@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-serve bench-serve-scale bench-hitrate bench-recovery bench-net bench-metascale alloc-check check
+.PHONY: all build vet test race bench bench-json bench-serve bench-serve-scale bench-hitrate bench-recovery bench-net bench-metascale alloc-check check-run check
 
 all: build
 
@@ -87,4 +87,10 @@ bench-metascale:
 alloc-check:
 	$(GO) test -run 'ZeroAllocs' ./internal/pfs/ ./internal/core/ ./internal/iotrace/ ./internal/kvstore/ ./internal/dmt/ ./internal/cdt/ ./internal/cachespace/ ./internal/netserve/ ./internal/bench/ -v
 
-check: vet build race bench
+# Test-selection guard: every -run regex in this Makefile and the CI
+# workflow must still select tests (a renamed test would otherwise leave
+# its step green while running nothing).
+check-run:
+	bash scripts/check-run-regexes.sh
+
+check: vet build check-run race bench

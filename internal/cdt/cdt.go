@@ -48,11 +48,17 @@ func WithArena(a *names.Arena) Option { return func(t *Table) { t.arena = a } }
 // Table is the Critical Data Table. Use New.
 type Table struct {
 	arena *names.Arena
-	files map[uint32]*extent.Map[Info]
-	// ids lists the files (arena ids) in first-added order; PendingFetches
-	// follows it instead of the map so the Rebuilder's fetch order is
-	// deterministic across runs.
-	ids      []uint32
+	// slots maps an arena id to its file slot. Slots are assigned in
+	// first-added order and never reused; maps, ids and changed are
+	// indexed by slot, and PendingFetches/Extents walk them in slot order
+	// instead of the map, so the Rebuilder's fetch order is deterministic
+	// across runs.
+	slots map[uint32]int32
+	maps  []*extent.Map[Info]
+	ids   []uint32
+	// changed marks slots whose entries moved since the last
+	// TakeChanged — the warm-restart snapshot rewrites only those.
+	changed  []bool
 	order    []fifoRef // insertion order, for bounded eviction
 	maxBytes int64
 	bytes    int64
@@ -69,7 +75,7 @@ type Table struct {
 }
 
 type fifoRef struct {
-	id  uint32
+	si  int32
 	off int64
 	len int64
 	seq uint64
@@ -78,7 +84,7 @@ type fifoRef struct {
 // New returns an empty table bounded to maxBytes of tracked data;
 // maxBytes <= 0 means unbounded.
 func New(maxBytes int64, opts ...Option) *Table {
-	t := &Table{files: make(map[uint32]*extent.Map[Info]), maxBytes: maxBytes}
+	t := &Table{slots: make(map[uint32]int32), maxBytes: maxBytes}
 	for _, o := range opts {
 		o(t)
 	}
@@ -103,14 +109,26 @@ func (t *Table) SetMaxBytes(maxBytes int64) {
 // MaxBytes returns the current table bound (<= 0 means unbounded).
 func (t *Table) MaxBytes() int64 { return t.maxBytes }
 
-// lookup resolves file's extent map without interning — nil if the
-// table has never tracked it. Allocation-free.
-func (t *Table) lookup(file string) *extent.Map[Info] {
+// lookup resolves file's slot without interning — -1 if the table has
+// never tracked it. Allocation-free.
+func (t *Table) lookup(file string) int32 {
 	id, ok := t.arena.Lookup(file)
 	if !ok {
-		return nil
+		return -1
 	}
-	return t.files[id]
+	si, ok := t.slots[id]
+	if !ok {
+		return -1
+	}
+	return si
+}
+
+// lookupMap is lookup returning the file's extent map (nil if untracked).
+func (t *Table) lookupMap(file string) *extent.Map[Info] {
+	if si := t.lookup(file); si >= 0 {
+		return t.maps[si]
+	}
+	return nil
 }
 
 // Add records [off, off+length) of file as critical. Re-adding an existing
@@ -119,7 +137,7 @@ func (t *Table) Add(file string, off, length int64, benefit time.Duration) {
 	if length <= 0 {
 		return
 	}
-	id, m := t.fileMap(file)
+	si, m := t.fileMap(file)
 	// Preserve an existing C_flag if the new range overlaps flagged data.
 	flag := false
 	t.ov = m.AppendOverlaps(t.ov[:0], off, length)
@@ -128,6 +146,11 @@ func (t *Table) Add(file string, off, length int64, benefit time.Duration) {
 			flag = true
 			break
 		}
+	}
+	// A refresh of exactly one existing entry with its benefit unchanged
+	// (the common re-Add) leaves every persisted field as it was.
+	if len(t.ov) != 1 || t.ov[0].Off != off || t.ov[0].Len != length || t.ov[0].Val.Benefit != benefit {
+		t.changed[si] = true
 	}
 	total, flaggedOv := t.overlapBytes(m, off, length)
 	t.bytes -= total
@@ -141,7 +164,7 @@ func (t *Table) Add(file string, off, length int64, benefit time.Duration) {
 	if t.maxBytes > 0 {
 		// The FIFO log only feeds evict(); an unbounded table would grow it
 		// forever without ever consuming it.
-		t.order = append(t.order, fifoRef{id: id, off: off, len: length, seq: t.seq})
+		t.order = append(t.order, fifoRef{si: si, off: off, len: length, seq: t.seq})
 		t.evict()
 	}
 }
@@ -149,7 +172,7 @@ func (t *Table) Add(file string, off, length int64, benefit time.Duration) {
 // Contains reports whether [off, off+length) is fully covered by critical
 // extents — the Algorithm 1 "req is in CDT" test.
 func (t *Table) Contains(file string, off, length int64) bool {
-	m := t.lookup(file)
+	m := t.lookupMap(file)
 	if m == nil {
 		return false
 	}
@@ -159,45 +182,43 @@ func (t *Table) Contains(file string, off, length int64) bool {
 // SetCFlag marks the overlapped critical parts of [off, off+length) for
 // lazy fetching (Algorithm 1, line 18).
 func (t *Table) SetCFlag(file string, off, length int64) {
-	m := t.lookup(file)
-	if m == nil {
-		return
-	}
-	t.ov = m.AppendOverlaps(t.ov[:0], off, length)
-	for _, e := range t.ov {
-		if !e.Val.CFlag {
-			v := e.Val
-			v.CFlag = true
-			m.Insert(e.Off, e.Len, v)
-			t.flagged += e.Len
-		}
-	}
+	t.setCFlag(file, off, length, true)
 }
 
 // ClearCFlag unmarks the overlapped parts of [off, off+length), after the
 // Rebuilder has fetched them (paper §III.F).
 func (t *Table) ClearCFlag(file string, off, length int64) {
-	m := t.lookup(file)
-	if m == nil {
+	t.setCFlag(file, off, length, false)
+}
+
+func (t *Table) setCFlag(file string, off, length int64, flag bool) {
+	si := t.lookup(file)
+	if si < 0 {
 		return
 	}
+	m := t.maps[si]
 	t.ov = m.AppendOverlaps(t.ov[:0], off, length)
 	for _, e := range t.ov {
-		if e.Val.CFlag {
-			v := e.Val
-			v.CFlag = false
-			m.Insert(e.Off, e.Len, v)
+		if e.Val.CFlag == flag {
+			continue
+		}
+		v := e.Val
+		v.CFlag = flag
+		m.Insert(e.Off, e.Len, v)
+		if flag {
+			t.flagged += e.Len
+		} else {
 			t.flagged -= e.Len
 		}
+		t.changed[si] = true
 	}
 }
 
 // PendingFetches returns up to max C_flag-marked ranges (all if max <= 0).
 func (t *Table) PendingFetches(max int) []Fetch {
 	var out []Fetch
-	for _, id := range t.ids {
-		m := t.files[id]
-		file := t.arena.Name(id)
+	for si, m := range t.maps {
+		file := t.arena.Name(t.ids[si])
 		m.Walk(func(e extent.Entry[Info]) bool {
 			if e.Val.CFlag {
 				out = append(out, Fetch{File: file, Off: e.Off, Len: e.Len, Benefit: e.Val.Benefit})
@@ -228,33 +249,43 @@ type Extent struct {
 // concurrency-equivalence tests.
 func (t *Table) Extents() []Extent {
 	var out []Extent
-	for _, id := range t.ids {
-		m := t.files[id]
-		file := t.arena.Name(id)
-		m.Walk(func(e extent.Entry[Info]) bool {
-			out = append(out, Extent{File: file, Off: e.Off, Len: e.Len, CFlag: e.Val.CFlag, Benefit: e.Val.Benefit})
-			return true
-		})
+	for si := range t.maps {
+		out = t.appendSlot(out, int32(si))
 	}
 	return out
 }
 
+// appendSlot appends slot si's tracked ranges in ascending offset order.
+func (t *Table) appendSlot(dst []Extent, si int32) []Extent {
+	file := t.arena.Name(t.ids[si])
+	t.maps[si].Walk(func(e extent.Entry[Info]) bool {
+		dst = append(dst, Extent{File: file, Off: e.Off, Len: e.Len, CFlag: e.Val.CFlag, Benefit: e.Val.Benefit})
+		return true
+	})
+	return dst
+}
+
 // Remove drops coverage of [off, off+length).
 func (t *Table) Remove(file string, off, length int64) {
-	m := t.lookup(file)
-	if m == nil {
+	si := t.lookup(file)
+	if si < 0 {
 		return
 	}
+	m := t.maps[si]
 	total, flaggedOv := t.overlapBytes(m, off, length)
+	if total == 0 {
+		return
+	}
 	t.bytes -= total
 	t.flagged -= flaggedOv
 	m.Delete(off, length)
+	t.changed[si] = true
 }
 
 // FileTracked reports whether any critical extent of file remains. Core
 // uses it to prune per-file bookkeeping once a file drops out of the table.
 func (t *Table) FileTracked(file string) bool {
-	m := t.lookup(file)
+	m := t.lookupMap(file)
 	return m != nil && m.Len() > 0
 }
 
@@ -272,7 +303,7 @@ func (t *Table) HasPending() bool { return t.flagged > 0 }
 // Entries returns the total extent count.
 func (t *Table) Entries() int {
 	n := 0
-	for _, m := range t.files {
+	for _, m := range t.maps {
 		n += m.Len()
 	}
 	return n
@@ -281,15 +312,20 @@ func (t *Table) Entries() int {
 // Evicted returns how many FIFO evictions the byte bound has forced.
 func (t *Table) Evicted() uint64 { return t.evicted }
 
-func (t *Table) fileMap(file string) (uint32, *extent.Map[Info]) {
+// fileMap interns file and returns its slot and extent map, creating
+// both on first use.
+func (t *Table) fileMap(file string) (int32, *extent.Map[Info]) {
 	id := t.arena.Intern(file)
-	m, ok := t.files[id]
-	if !ok {
-		m = extent.New[Info](nil)
-		t.files[id] = m
-		t.ids = append(t.ids, id)
+	if si, ok := t.slots[id]; ok {
+		return si, t.maps[si]
 	}
-	return id, m
+	si := int32(len(t.maps))
+	m := extent.New[Info](nil)
+	t.slots[id] = si
+	t.maps = append(t.maps, m)
+	t.ids = append(t.ids, id)
+	t.changed = append(t.changed, false)
+	return si, m
 }
 
 func (t *Table) evict() {
@@ -299,10 +335,7 @@ func (t *Table) evict() {
 	for t.bytes > t.maxBytes && len(t.order) > 0 {
 		ref := t.order[0]
 		t.order = t.order[1:]
-		m, ok := t.files[ref.id]
-		if !ok {
-			continue
-		}
+		m := t.maps[ref.si]
 		// Only evict parts still owned by this insertion (not overwritten
 		// by a newer Add).
 		for _, e := range m.Overlaps(ref.off, ref.len) {
@@ -313,6 +346,7 @@ func (t *Table) evict() {
 				}
 				m.Delete(e.Off, e.Len)
 				t.evicted++
+				t.changed[ref.si] = true
 			}
 		}
 	}

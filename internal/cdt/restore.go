@@ -14,18 +14,19 @@ func (t *Table) Restore(file string, off, length int64, cflag bool, benefit time
 	if length <= 0 {
 		return
 	}
-	id, m := t.fileMap(file)
+	si, m := t.fileMap(file)
 	total, flaggedOv := t.overlapBytes(m, off, length)
 	t.bytes -= total
 	t.flagged -= flaggedOv
 	t.seq++
 	m.Insert(off, length, Info{CFlag: cflag, Benefit: benefit, seq: t.seq})
+	t.changed[si] = true
 	t.bytes += length
 	if cflag {
 		t.flagged += length
 	}
 	if t.maxBytes > 0 {
-		t.order = append(t.order, fifoRef{id: id, off: off, len: length, seq: t.seq})
+		t.order = append(t.order, fifoRef{si: si, off: off, len: length, seq: t.seq})
 		t.evict()
 	}
 }

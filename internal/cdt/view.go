@@ -60,7 +60,7 @@ func appendMergedRuns(dst []Run, m *extent.Map[Info]) []Run {
 // run with the stripe mutex held.
 func (sh *cstripe) republish(file string) {
 	fr := emptyFileRuns
-	if m := sh.t.lookup(file); m != nil && m.Len() > 0 {
+	if m := sh.t.lookupMap(file); m != nil && m.Len() > 0 {
 		fr = &fileRuns{runs: appendMergedRuns(make([]Run, 0, m.Len()), m)}
 	}
 	v := sh.view.Load()
@@ -95,8 +95,8 @@ func (sh *cstripe) republish(file string) {
 func (sh *cstripe) republishAll() {
 	t := sh.t
 	files := make(map[string]*runSlot, len(t.ids))
-	for _, id := range t.ids {
-		m := t.files[id]
+	for si, id := range t.ids {
+		m := t.maps[si]
 		fr := emptyFileRuns
 		if m.Len() > 0 {
 			fr = &fileRuns{runs: appendMergedRuns(make([]Run, 0, m.Len()), m)}

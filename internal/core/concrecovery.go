@@ -208,7 +208,7 @@ func (c *Concurrent) snapshotTickConc() {
 	}
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
-	n, err := writeSnapshot(c.metaStore, c.dmt.DirtyExtents(0), c.dmt.CleanExtents(0), c.cdt.Extents(), c.snapEpoch.Load(), c.cacheCap)
+	n, err := c.snap.write(c.metaStore, c.dmt, c.cdt, c.snapEpoch.Load(), c.cacheCap)
 	if err != nil {
 		return
 	}

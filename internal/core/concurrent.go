@@ -182,8 +182,8 @@ type Concurrent struct {
 	// Warm-restart state (concrecovery.go). recovering gates admissions
 	// and Rebuilder fetches until every shard's pending clean extents
 	// drained; recoverLeft counts files still queued on the workers.
-	// snapMu serializes snapshot ticks; the counters mirror the
-	// sequential engine's warm-restart stats.
+	// snapMu serializes snapshot ticks and guards snap; the counters
+	// mirror the sequential engine's warm-restart stats.
 	metaStore    *kvstore.Store
 	recovering   atomic.Bool
 	recoverBatch int
@@ -193,6 +193,7 @@ type Concurrent struct {
 	timeToWarm   atomic.Int64
 	snapEpoch    atomic.Uint64
 	snapMu       sync.Mutex
+	snap         snapWriter
 
 	snapshots, snapshotRecords     atomic.Uint64
 	recoveredClean, recoveredDirty atomic.Uint64

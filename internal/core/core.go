@@ -203,6 +203,7 @@ type S4D struct {
 	recoverStart  time.Duration
 	recCrits      []staterec.Critical
 	snapEpoch     uint64
+	snap          snapWriter
 	snapTicker    *sim.Ticker
 
 	// hitsBuf/gapsBuf are the serve path's reusable DMT lookup buffers.

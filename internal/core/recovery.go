@@ -185,7 +185,7 @@ func (s *S4D) snapshotTick() {
 	if s.recovering || s.metaStore == nil {
 		return
 	}
-	n, err := writeSnapshot(s.metaStore, s.dmt.DirtyExtents(0), s.dmt.CleanExtents(0), s.cdt.Extents(), s.snapEpoch, s.cacheCap)
+	n, err := s.snap.write(s.metaStore, s.dmt, s.cdt, s.snapEpoch, s.cacheCap)
 	if err != nil {
 		return
 	}

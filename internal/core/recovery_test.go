@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"s4dcache/internal/cdt"
 	"s4dcache/internal/costmodel"
 	"s4dcache/internal/device"
 	"s4dcache/internal/dmt"
@@ -431,7 +432,8 @@ func TestRecoveryTortureCutsAndBitflips(t *testing.T) {
 		}
 		ops = append(ops, o)
 	}
-	if _, err := writeSnapshot(store, table.DirtyExtents(0), table.CleanExtents(0), nil, 1, 1<<30); err != nil {
+	var snap snapWriter
+	if _, err := snap.write(store, table, cdt.New(0), 1, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 
@@ -486,11 +488,11 @@ func TestRecoveryTortureCutsAndBitflips(t *testing.T) {
 		}
 	}
 
-	stride := len(walRaw)/500 + 1
-	cuts := 0
-	for cut := 0; cut <= len(walRaw); cut += stride {
+	// 501 evenly spaced cuts from empty to whole, however long the WAL.
+	const cuts = 500 + 1
+	for i := 0; i < cuts; i++ {
+		cut := i * len(walRaw) / (cuts - 1)
 		check(fmt.Sprintf("cut@%d", cut), walRaw[:cut])
-		cuts++
 	}
 	frng := rand.New(rand.NewSource(99))
 	flips := 500

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"s4dcache/internal/cdt"
 	"s4dcache/internal/dmt"
 	"s4dcache/internal/kvstore"
 )
@@ -89,7 +90,8 @@ func TestSpillTortureCutsAndBitflips(t *testing.T) {
 	if st := table.Stats(); st.Spills == 0 || st.FaultIns == 0 {
 		t.Fatalf("history never exercised the spill machinery: %+v", st)
 	}
-	if _, err := writeSnapshot(store, table.DirtyExtents(0), table.CleanExtents(0), nil, 1, 1<<30); err != nil {
+	var snap snapWriter
+	if _, err := snap.write(store, table, cdt.New(0), 1, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Flush(); err != nil {

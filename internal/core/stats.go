@@ -108,7 +108,8 @@ type Stats struct {
 
 	// Warm-restart counters (DESIGN.md §14). Snapshots counts residency
 	// images streamed to the metadata store; SnapshotRecords the sealed
-	// records they carried. Recovered* count extents re-admitted from the
+	// records they rewrote (only changed files' records are rewritten
+	// after an engine's first image). Recovered* count extents re-admitted from the
 	// durable image at restart (bytes across both). QuarantinedRecords
 	// counts persisted records rejected by verification — seal failures,
 	// unparseable payloads, adopt conflicts, and records the snapshot

@@ -94,12 +94,15 @@ type fileState struct {
 	state   uint8
 	clock   uint8 // second-chance bit: set on touch, cleared by the sweep
 	churned uint8 // log ops since last baseline (Compact skips clean files)
-	_       uint8
-	seg     extent.Seg
-	spillN  uint32 // extent count while spilled
-	_       uint32
-	bytes   int64 // mapped bytes of the file
-	dirty   int64 // mapped bytes with D_flag set
+	// unsnapped marks a mapping change the warm-restart snapshot has not
+	// yet taken (TakeChanged). Unlike churned, spilling leaves it set: a
+	// spill moves the extents, not the mapping.
+	unsnapped uint8
+	seg       extent.Seg
+	spillN    uint32 // extent count while spilled
+	_         uint32
+	bytes     int64 // mapped bytes of the file
+	dirty     int64 // mapped bytes with D_flag set
 }
 
 // fileStateBytes is the accounted per-file overhead: the fileState
@@ -564,10 +567,8 @@ func (t *Table) Compact() error {
 			return err
 		}
 	}
-	for _, k := range t.store.Keys(opPrefix) {
-		if err := t.store.Delete(k); err != nil {
-			return fmt.Errorf("dmt: compact: %w", err)
-		}
+	if err := t.store.DeletePrefix(opPrefix); err != nil {
+		return fmt.Errorf("dmt: compact: %w", err)
 	}
 	return t.store.Compact()
 }
@@ -657,6 +658,7 @@ func (t *Table) apply(op logOp) {
 	}
 	t.residentBytes += t.slab.SegBytes(fs.seg) - oldSeg
 	fs.churned = 1
+	fs.unsnapped = 1
 	fs.clock = 1
 }
 
@@ -787,6 +789,7 @@ func (t *Table) faultIn(si int32) {
 		t.mappedBytes -= fs.bytes
 		t.dirtyBytes -= fs.dirty
 		fs.bytes, fs.dirty = 0, 0
+		fs.unsnapped = 1
 		t.spillQuarantined++
 		if err := t.persist(logOp{kind: kindDelete, file: name, off: 0, length: clearLen}); err == nil {
 			_ = t.store.Delete(key)

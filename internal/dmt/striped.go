@@ -430,10 +430,8 @@ func (s *Striped) Compact() error {
 			}
 		}
 	}
-	for _, k := range s.store.Keys(opPrefix) {
-		if err := s.store.Delete(k); err != nil {
-			return fmt.Errorf("dmt: compact: %w", err)
-		}
+	if err := s.store.DeletePrefix(opPrefix); err != nil {
+		return fmt.Errorf("dmt: compact: %w", err)
 	}
 	return s.store.Compact()
 }

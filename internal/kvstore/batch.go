@@ -94,3 +94,26 @@ func (b *Batch) Commit() error {
 	b.count = 0
 	return nil
 }
+
+// deletePrefixBatch caps the deletes per batch in DeletePrefix, so one
+// sweep never produces an unbounded WAL record.
+const deletePrefixBatch = 256
+
+// DeletePrefix removes every key under prefix, committing the deletes
+// in bounded batches (one commit per batch, not per key). Each batch is
+// atomic; the sweep as a whole is not.
+func (s *Store) DeletePrefix(prefix string) error {
+	keys := s.Keys(prefix)
+	for len(keys) > 0 {
+		n := min(len(keys), deletePrefixBatch)
+		b := s.NewBatch()
+		for _, k := range keys[:n] {
+			b.Delete(k)
+		}
+		if err := b.Commit(); err != nil {
+			return err
+		}
+		keys = keys[n:]
+	}
+	return nil
+}

@@ -138,3 +138,26 @@ func TestBatchCompactionRoundTrip(t *testing.T) {
 		t.Fatalf("post-compact recovery: %d keys", s2.Len())
 	}
 }
+
+func TestDeletePrefixBatches(t *testing.T) {
+	s, _ := Open(NewMemBackend(), "dmt", Options{})
+	const n = 2*deletePrefixBatch + 7
+	for i := 0; i < n; i++ {
+		if err := s.Put(fmt.Sprintf("op|%05d", i), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put("keep", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	commits := s.Stats().GroupCommits
+	if err := s.DeletePrefix("op|"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().GroupCommits - commits; got != 3 {
+		t.Fatalf("DeletePrefix committed %d WAL frames for %d keys, want 3", got, n)
+	}
+	if s.Len() != 1 || len(s.Keys("op|")) != 0 {
+		t.Fatalf("store left %d keys (%d under the prefix)", s.Len(), len(s.Keys("op|")))
+	}
+}

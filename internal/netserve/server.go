@@ -444,8 +444,9 @@ func opString(op uint8) string {
 
 // dispatch admits one decoded request into the engine, or answers BUSY /
 // DRAINING without dispatching. Window accounting: a slot is held from
-// here until the response hits the socket (writeResponse), so the bound
-// covers the full server-side life of a request.
+// here until the writer is about to put the response on the socket
+// (writeResponse), so the bound covers the server-side life of a request
+// and a client never holds credit the server has not yet returned.
 func (c *sconn) dispatch(r *request) {
 	s := c.srv
 	s.requests.Add(1)
@@ -525,21 +526,30 @@ func (c *sconn) writeResponse(r *request, w io.Writer) {
 		Value:      r.value,
 		PayloadLen: uint32(payload),
 	})
+	// The window slot is released before the response can become
+	// visible: a client that reads it and spends the reclaimed credit at
+	// once must find the slot free on a reader running on another core.
+	// The global count drops only after the write, so Drain never closes
+	// a socket with a response still unwritten.
+	counted := r.counted
+	if counted {
+		c.inflight.Add(-1)
+	}
 	if _, err := w.Write(b); err != nil {
 		c.srv.writeErrors.Add(1)
 	}
-	counted := r.counted
 	c.release(r)
 	if counted {
-		c.inflight.Add(-1)
 		c.srv.global.Add(-1)
 		c.maybeFinish()
 	}
 }
 
 // maybeFinish closes the response channel once the reader has exited and
-// the last in-flight request has been written — the only state in which no
-// goroutine can still send on out. Exactly one caller wins the swap.
+// the last in-flight request has reached the writer — the only state in
+// which no goroutine can still send on out. The writer may still be
+// writing that last response; it drains the closed channel before it
+// closes the socket. Exactly one caller wins the swap.
 func (c *sconn) maybeFinish() {
 	if c.readerDone.Load() && c.inflight.Load() == 0 && !c.finished.Swap(true) {
 		close(c.out)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -471,6 +472,60 @@ func TestCreditTracking(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if st := srv.Stats(); st.Busy != 0 {
+		t.Fatalf("cooperative client drew %d BUSY responses", st.Busy)
+	}
+}
+
+// parkConn parks the server's writer inside its at-th Write, after the
+// bytes reached the socket, until release is closed.
+type parkConn struct {
+	net.Conn
+	at      int32
+	writes  atomic.Int32
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkConn) Write(b []byte) (int, error) {
+	n, err := p.Conn.Write(b)
+	if p.writes.Add(1) == p.at {
+		close(p.parked)
+		<-p.release
+	}
+	return n, err
+}
+
+// TestCreditReleasedBeforeResponse pins the window-slot ordering without
+// relying on the scheduler: the server's writer is parked inside Write
+// just after a response reached the socket, and the client — its one
+// credit back — sends the next request at once. The server must admit
+// it, not answer BUSY for a slot the client was already told is free.
+func TestCreditReleasedBeforeResponse(t *testing.T) {
+	eng := newStubEngine()
+	// Write 1 answers HELLO; write 2 is the first request's response.
+	park := &parkConn{at: 2, parked: make(chan struct{}), release: make(chan struct{})}
+	srv := startServer(t, netserve.Config{Engine: eng, Window: 1, WrapConn: func(c net.Conn, _ int) net.Conn {
+		park.Conn = c
+		return park
+	}})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(park.release) }) }
+	t.Cleanup(unpark) // before the server's Close, which waits for the writer
+	cl := dial(t, srv, netclient.Options{Tenant: "t"})
+	if err := cl.Write("f", 0, 4096, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-park.parked
+	call := cl.Go(netserve.OpWrite, "f", 4096, 4096, nil, nil)
+	// The reader decides while the writer is still parked: either the
+	// engine received the request or the server answered BUSY.
+	waitFor(t, func() bool { return srv.Stats().Busy > 0 || len(eng.bytesOf("t|f")) >= 8192 })
+	unpark()
+	<-call.Done
+	if call.Err != nil {
+		t.Fatalf("request after reclaimed credit: %v", call.Err)
+	}
 	if st := srv.Stats(); st.Busy != 0 {
 		t.Fatalf("cooperative client drew %d BUSY responses", st.Busy)
 	}

@@ -40,6 +40,9 @@ const (
 	// a cold file from memory and by log compaction; replay applies the
 	// record first and skips ops at or below its BaseSeq.
 	KindFileMap byte = 4
+	// KindBundle heads a snapshot bundle: the framed run of one file's
+	// Extent or Critical records (see AppendBundleHeader).
+	KindBundle byte = 5
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -80,8 +83,13 @@ type Meta struct {
 func seal(kind byte, payload []byte) []byte {
 	buf := make([]byte, 0, 1+len(payload)+4)
 	buf = append(buf, kind)
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	return closeSeal(append(buf, payload...), 0)
+}
+
+// closeSeal appends the CRC32C of dst[start:] — a kind byte and its
+// payload appended in place — sealing the record that begins at start.
+func closeSeal(dst []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
 // Unseal verifies a sealed record and returns its kind and payload.
@@ -114,19 +122,23 @@ func takeString(data []byte) (string, []byte, bool) {
 	return string(data[:n]), data[n:], true
 }
 
-// EncodeExtent seals one residency record.
-func EncodeExtent(e Extent) []byte {
-	payload := make([]byte, 0, 4+len(e.File)+8*3+1)
-	payload = appendString(payload, e.File)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(e.Off))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(e.Len))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(e.CacheOff))
-	if e.Dirty {
-		payload = append(payload, 1)
-	} else {
-		payload = append(payload, 0)
+// AppendExtent appends one sealed residency record to dst.
+func AppendExtent(dst []byte, e Extent) []byte {
+	start := len(dst)
+	dst = append(dst, KindExtent)
+	dst = appendString(dst, e.File)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Off))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Len))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.CacheOff))
+	dst = appendBool(dst, e.Dirty)
+	return closeSeal(dst, start)
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
 	}
-	return seal(KindExtent, payload)
+	return append(dst, 0)
 }
 
 // DecodeExtent unseals and parses a residency record.
@@ -155,19 +167,16 @@ func DecodeExtent(data []byte) (Extent, error) {
 	return e, nil
 }
 
-// EncodeCritical seals one CDT record.
-func EncodeCritical(c Critical) []byte {
-	payload := make([]byte, 0, 4+len(c.File)+8*3+1)
-	payload = appendString(payload, c.File)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(c.Off))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(c.Len))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(c.Benefit))
-	if c.CFlag {
-		payload = append(payload, 1)
-	} else {
-		payload = append(payload, 0)
-	}
-	return seal(KindCritical, payload)
+// AppendCritical appends one sealed CDT record to dst.
+func AppendCritical(dst []byte, c Critical) []byte {
+	start := len(dst)
+	dst = append(dst, KindCritical)
+	dst = appendString(dst, c.File)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Off))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Len))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Benefit))
+	dst = appendBool(dst, c.CFlag)
+	return closeSeal(dst, start)
 }
 
 // DecodeCritical unseals and parses a CDT record.

@@ -12,7 +12,7 @@ func TestExtentRoundtrip(t *testing.T) {
 		{File: "/scratch/ior.out.0", Off: 1 << 40, Len: 1 << 20, CacheOff: 7 << 30, Dirty: true},
 		{File: "", Off: 4096, Len: 512, CacheOff: 0, Dirty: false},
 	} {
-		got, err := DecodeExtent(EncodeExtent(e))
+		got, err := DecodeExtent(AppendExtent(nil, e))
 		if err != nil {
 			t.Fatalf("roundtrip %+v: %v", e, err)
 		}
@@ -27,7 +27,7 @@ func TestCriticalRoundtrip(t *testing.T) {
 		{File: "f", Off: 0, Len: 1, CFlag: false, Benefit: 0},
 		{File: "hot", Off: 1 << 33, Len: 65536, CFlag: true, Benefit: 950 * time.Microsecond},
 	} {
-		got, err := DecodeCritical(EncodeCritical(c))
+		got, err := DecodeCritical(AppendCritical(nil, c))
 		if err != nil {
 			t.Fatalf("roundtrip %+v: %v", c, err)
 		}
@@ -54,8 +54,8 @@ func TestMetaRoundtrip(t *testing.T) {
 // can decode to a plausible-but-wrong value.
 func TestEveryBitFlipDetected(t *testing.T) {
 	recs := [][]byte{
-		EncodeExtent(Extent{File: "victim", Off: 4096, Len: 8192, CacheOff: 1 << 20, Dirty: true}),
-		EncodeCritical(Critical{File: "victim", Off: 0, Len: 4096, CFlag: true, Benefit: time.Millisecond}),
+		AppendExtent(nil, Extent{File: "victim", Off: 4096, Len: 8192, CacheOff: 1 << 20, Dirty: true}),
+		AppendCritical(nil, Critical{File: "victim", Off: 0, Len: 4096, CFlag: true, Benefit: time.Millisecond}),
 		EncodeMeta(Meta{Epoch: 7, Extents: 3, Criticals: 1, CapacityBytes: 1 << 30}),
 	}
 	decoders := []func([]byte) error{
@@ -77,7 +77,7 @@ func TestEveryBitFlipDetected(t *testing.T) {
 }
 
 func TestKindMismatchRejected(t *testing.T) {
-	rec := EncodeExtent(Extent{File: "f", Off: 0, Len: 1})
+	rec := AppendExtent(nil, Extent{File: "f", Off: 0, Len: 1})
 	if _, err := DecodeCritical(rec); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("extent decoded as critical: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestKindMismatchRejected(t *testing.T) {
 }
 
 func TestTruncationRejected(t *testing.T) {
-	rec := EncodeExtent(Extent{File: "some-file", Off: 10, Len: 20, CacheOff: 30})
+	rec := AppendExtent(nil, Extent{File: "some-file", Off: 10, Len: 20, CacheOff: 30})
 	for n := 0; n < len(rec); n++ {
 		if _, err := DecodeExtent(rec[:n]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation to %d bytes went undetected: %v", n, err)
@@ -100,8 +100,8 @@ func TestTruncationRejected(t *testing.T) {
 // exhaustively by TestEveryBitFlipDetected).
 func FuzzUnseal(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeExtent(Extent{File: "seed", Off: 1, Len: 2, CacheOff: 3, Dirty: true}))
-	f.Add(EncodeCritical(Critical{File: "seed", Off: 1, Len: 2, CFlag: true, Benefit: 3}))
+	f.Add(AppendExtent(nil, Extent{File: "seed", Off: 1, Len: 2, CacheOff: 3, Dirty: true}))
+	f.Add(AppendCritical(nil, Critical{File: "seed", Off: 1, Len: 2, CFlag: true, Benefit: 3}))
 	f.Add(EncodeMeta(Meta{Epoch: 1, Extents: 2, Criticals: 3, CapacityBytes: 4}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, err := Unseal(data)
