@@ -10,11 +10,10 @@ import (
 // style: each power-of-two octave of nanoseconds is split into histSub
 // linear sub-buckets, giving a bounded relative error of 1/histSub
 // (~3.1%) across the full range of time.Duration. Recording touches one
-// atomic counter — 0 allocs/op, safe from any number of goroutines — so a
-// single histogram can be shared by hundreds of bench clients (the serve
-// families all do). Percentiles are computed by a bucket walk at report
-// time; the reported value is the bucket's upper bound, so quantiles are
-// conservative (never under-reported).
+// atomic counter — 0 allocs/op, safe from any number of goroutines.
+// Percentiles are computed by a bucket walk at report time; the reported
+// value is the bucket's upper bound, so quantiles are conservative (never
+// under-reported).
 type LatencyHist struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -155,6 +154,3 @@ func (h *LatencyHist) Merge(other *LatencyHist) {
 		}
 	}
 }
-
-// micros renders a duration as float microseconds for the JSON reports.
-func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

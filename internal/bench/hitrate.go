@@ -191,15 +191,18 @@ func runHitRateCell(cfg Config, policy string, w hitWorkload) (hitCell, core.Sta
 	return cell, st, nil
 }
 
-// hitRow is one labelled lab measurement.
-type hitRow struct {
-	workload, policy string
-	cell             hitCell
-}
-
-// collectHitRate runs the full policy × workload sweep and returns the
-// labelled cells (table rendering and the JSON report share it).
-func collectHitRate(cfg Config) ([]hitRow, error) {
+// runHitRate regenerates the hit-rate lab table: every cache policy
+// against every workload family, reporting read hit rate, evictions,
+// dirty writebacks, gate rejections, ghost readmissions and request
+// throughput. The workloads and the protocol (write, drain, read ×2)
+// are identical across policies, so the columns compare directly.
+func runHitRate(cfg Config) (*Table, error) {
+	t := &Table{
+		ID:    "hitrate",
+		Title: "Cache policy hit-rate lab (write, drain, read ×2; eager fetch)",
+		Columns: []string{"workload", "policy", "hit-rate", "evictions",
+			"writebacks", "rejected", "ghost-hits", "ops/s"},
+	}
 	workloads := hitRateWorkloads(cfg)
 	policies := hitRatePolicies()
 	var cells []Cell[hitCell]
@@ -219,36 +222,9 @@ func collectHitRate(cfg Config) ([]hitRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]hitRow, 0, len(res))
-	i := 0
-	for _, w := range workloads {
-		for _, p := range policies {
-			rows = append(rows, hitRow{workload: w.name, policy: p, cell: res[i]})
-			i++
-		}
-	}
-	return rows, nil
-}
-
-// runHitRate regenerates the hit-rate lab table: every cache policy
-// against every workload family, reporting read hit rate, evictions,
-// dirty writebacks, gate rejections, ghost readmissions and request
-// throughput. The workloads and the protocol (write, drain, read ×2)
-// are identical across policies, so the columns compare directly.
-func runHitRate(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "hitrate",
-		Title: "Cache policy hit-rate lab (write, drain, read ×2; eager fetch)",
-		Columns: []string{"workload", "policy", "hit-rate", "evictions",
-			"writebacks", "rejected", "ghost-hits", "ops/s"},
-	}
-	rows, err := collectHitRate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		c := r.cell
-		t.AddRow(r.workload, r.policy, fmt.Sprintf("%.1f%%", c.hitRate*100),
+	for i, c := range res {
+		w, p := workloads[i/len(policies)], policies[i%len(policies)]
+		t.AddRow(w.name, p, fmt.Sprintf("%.1f%%", c.hitRate*100),
 			fmt.Sprintf("%d", c.evictions), fmt.Sprintf("%d", c.writebacks),
 			fmt.Sprintf("%d", c.rejected), fmt.Sprintf("%d", c.ghostHits),
 			fmt.Sprintf("%.0f", c.opsPerSec))
@@ -393,15 +369,18 @@ func runShiftCell(cfg Config, policy string, adaptive bool) (shiftCell, error) {
 	return cell, nil
 }
 
-// shiftRow is one labelled shift-bench measurement.
-type shiftRow struct {
-	label string
-	cell  shiftCell
-}
-
-// collectShift runs every static policy plus the adaptive engine over
-// the shifting workload and returns the labelled cells.
-func collectShift(cfg Config) ([]shiftRow, error) {
+// runHitRateShift regenerates the adaptive-vs-static table: every static
+// policy plus the adaptive engine on the same shifting workload. The
+// acceptance bar is the bottom row matching or beating every static row
+// overall: adaptation must buy the write-burst absorption of clean-LRU
+// and the scan resistance of the gated policies in one run.
+func runHitRateShift(cfg Config) (*Table, error) {
+	t := &Table{
+		ID:    "hitrate-shift",
+		Title: "Shifting workload: cache traffic share per phase, static vs adaptive",
+		Columns: []string{"policy", "P0 write-burst", "P1 zipf-A", "P2 scan-B",
+			"P3 zipf-A", "P4 write-C", "overall", "swaps"},
+	}
 	type row struct {
 		label    string
 		policy   string
@@ -425,31 +404,8 @@ func collectShift(cfg Config) ([]shiftRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]shiftRow, len(rows))
 	for i, r := range rows {
-		out[i] = shiftRow{label: r.label, cell: res[i]}
-	}
-	return out, nil
-}
-
-// runHitRateShift regenerates the adaptive-vs-static table: every static
-// policy plus the adaptive engine on the same shifting workload. The
-// acceptance bar is the bottom row matching or beating every static row
-// overall: adaptation must buy the write-burst absorption of clean-LRU
-// and the scan resistance of the gated policies in one run.
-func runHitRateShift(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "hitrate-shift",
-		Title: "Shifting workload: cache traffic share per phase, static vs adaptive",
-		Columns: []string{"policy", "P0 write-burst", "P1 zipf-A", "P2 scan-B",
-			"P3 zipf-A", "P4 write-C", "overall", "swaps"},
-	}
-	rows, err := collectShift(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		c := r.cell
+		c := res[i]
 		t.AddRow(r.label,
 			fmt.Sprintf("%.1f%%", c.phases[0]*100), fmt.Sprintf("%.1f%%", c.phases[1]*100),
 			fmt.Sprintf("%.1f%%", c.phases[2]*100), fmt.Sprintf("%.1f%%", c.phases[3]*100),

@@ -193,7 +193,7 @@ type recoveryRow struct {
 }
 
 // collectRecovery runs every restart scenario and returns the labelled
-// cells (table rendering and the JSON report share it).
+// cells (the table renders them; TestRecoveryBench checks them).
 func collectRecovery(cfg Config) ([]recoveryRow, error) {
 	modes := recoveryModes()
 	cells := make([]Cell[recoveryCell], 0, len(modes))

@@ -33,10 +33,9 @@ type WallParams struct {
 	PersistMeta bool
 	// Payload serves functional mode (payload bytes cross the wire).
 	Payload bool
-	// Window / MaxInFlight / WrapConn pass through to netserve.Config.
-	Window      int
-	MaxInFlight int
-	WrapConn    func(c net.Conn, id int) net.Conn
+	// Window / WrapConn pass through to netserve.Config.
+	Window   int
+	WrapConn func(c net.Conn, id int) net.Conn
 }
 
 func (p WallParams) withDefaults() WallParams {
@@ -148,12 +147,11 @@ func (tb *WallTestbed) buildEngine(warm bool) error {
 // listener's port may take a moment to free after a crash).
 func (tb *WallTestbed) serve(addr string) error {
 	cfg := netserve.Config{
-		Engine:      tb.Eng,
-		Addr:        addr,
-		Window:      tb.params.Window,
-		MaxInFlight: tb.params.MaxInFlight,
-		Payload:     tb.params.Payload,
-		WrapConn:    tb.params.WrapConn,
+		Engine:   tb.Eng,
+		Addr:     addr,
+		Window:   tb.params.Window,
+		Payload:  tb.params.Payload,
+		WrapConn: tb.params.WrapConn,
 	}
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {

@@ -19,7 +19,7 @@ func newPerfTestbed(t *testing.T) *testbed {
 	return newPerfTestbedCfg(t, nil)
 }
 
-func newPerfTestbedCfg(t *testing.T, mutate func(*Config)) *testbed {
+func newPerfTestbedCfg(t testing.TB, mutate func(*Config)) *testbed {
 	t.Helper()
 	eng := sim.NewEngine()
 	mk := func(label string, servers int, dev func(i int) device.Device) *pfs.FS {
@@ -127,6 +127,22 @@ func TestReadCacheHitZeroAllocs(t *testing.T) {
 	issue()
 	if got := testing.AllocsPerRun(100, issue); got != 0 {
 		t.Fatalf("steady-state Read allocates %v per op, want 0", got)
+	}
+}
+
+// BenchmarkWritePerf measures the performance-mode write path over a
+// 4MB working set of 16KB requests from four ranks, each run to
+// completion: identify, DMT lookup or admission, CPFS fan-out.
+func BenchmarkWritePerf(b *testing.B) {
+	tb := newPerfTestbedCfg(b, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%256) * (16 << 10)
+		if err := tb.s4d.Write(i%4, "f", off, 16<<10, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		tb.eng.Run()
 	}
 }
 

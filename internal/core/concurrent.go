@@ -74,10 +74,6 @@ type ConcurrentConfig struct {
 	// Faulty enables the degraded-mode checks on the serve path from the
 	// start (required when servers may crash before the first failure).
 	Faulty bool
-	// LockedReads forces reads through the stripe-locked path, disabling
-	// the epoch-view fast path — the contention baseline of the serve
-	// scaling benchmarks. Leave false in production use.
-	LockedReads bool
 	// CachePolicy selects the cache-space eviction/admission policy by
 	// name (cachespace.PolicyNames), applied to every shard region.
 	// Empty means the clean-LRU default.
@@ -130,7 +126,7 @@ type Concurrent struct {
 	model       costmodel.Params
 	policy      AdmissionPolicy
 	faulty      atomic.Bool
-	lockedReads bool
+	lockedReads bool // bypass readFast; set only by tests, before any request
 
 	shards []cshard
 	dmt    *dmt.Striped
@@ -340,7 +336,6 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		cpfs:         cfg.CPFS,
 		model:        cfg.Model,
 		policy:       cfg.Policy,
-		lockedReads:  cfg.LockedReads,
 		shards:       make([]cshard, cfg.Concurrency),
 		cdt:          cdt.NewStriped(cfg.CDTMaxBytes, cdt.WithArena(arena)),
 		space:        space,

@@ -51,7 +51,6 @@ func newEpochTestbed(t *testing.T, shards int, capacity int64, lockedReads bool)
 		CacheCapacity: capacity,
 		Concurrency:   shards,
 		Policy:        PolicyAll,
-		LockedReads:   lockedReads,
 		// A running Rebuilder keeps flushing dirty extents clean, so
 		// undersized caches actually evict (dirty space is never reclaimed)
 		// — the churn test's precondition.
@@ -61,11 +60,12 @@ func newEpochTestbed(t *testing.T, shards int, capacity int64, lockedReads bool)
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
+	eng.lockedReads = lockedReads
 	return &concTestbed{clock: clock, opfs: opfs, cpfs: cpfs, eng: eng}
 }
 
 // TestConcurrentEpochVsLockedReads runs one seeded write-then-read
-// workload on two engines — epoch fast path and the LockedReads baseline —
+// workload on two engines — epoch fast path and the stripe-locked baseline —
 // and requires byte-identical read-backs plus identical hit accounting.
 // The fast path is an implementation of the same routing, not a different
 // policy; any divergence in what got served from cache is a bug.

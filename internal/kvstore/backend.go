@@ -140,7 +140,10 @@ func (d *DelayBackend) Append(name string, data []byte) error {
 	return d.Backend.Append(name, data)
 }
 
-// DirBackend stores files under an OS directory.
+// DirBackend stores files under an OS directory. Every mutation is
+// durable when it returns: Append syncs the file, Replace syncs the new
+// contents before renaming them into place, and Replace and Remove sync
+// the directory so the rename or unlink itself survives a power cut.
 type DirBackend struct {
 	dir string
 }
@@ -166,12 +169,7 @@ func (d *DirBackend) ReadAll(name string) ([]byte, error) {
 
 // Append implements Backend.
 func (d *DirBackend) Append(name string, data []byte) error {
-	f, err := os.OpenFile(d.path(name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("kvstore: open wal: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write(data); err != nil {
+	if err := writeSynced(d.path(name), os.O_APPEND, data); err != nil {
 		return fmt.Errorf("kvstore: append wal: %w", err)
 	}
 	return nil
@@ -180,13 +178,13 @@ func (d *DirBackend) Append(name string, data []byte) error {
 // Replace implements Backend.
 func (d *DirBackend) Replace(name string, data []byte) error {
 	tmp := d.path(name) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeSynced(tmp, os.O_TRUNC, data); err != nil {
 		return fmt.Errorf("kvstore: write snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, d.path(name)); err != nil {
 		return fmt.Errorf("kvstore: replace snapshot: %w", err)
 	}
-	return nil
+	return d.syncDir()
 }
 
 // Remove implements Backend.
@@ -195,7 +193,43 @@ func (d *DirBackend) Remove(name string) error {
 	if os.IsNotExist(err) {
 		return nil
 	}
+	if err != nil {
+		return err
+	}
+	return d.syncDir()
+}
+
+// writeSynced writes data to path, opened with flag (plus create and
+// write-only), and syncs the file before closing it.
+func writeSynced(path string, flag int, data []byte) error {
+	f, err := os.OpenFile(path, flag|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	return err
+}
+
+// syncDir makes the directory's entries — a rename or an unlink — durable.
+func (d *DirBackend) syncDir() error {
+	f, err := os.Open(d.dir)
+	if err != nil {
+		return fmt.Errorf("kvstore: open backend dir: %w", err)
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("kvstore: sync backend dir: %w", err)
+	}
+	return nil
 }
 
 func (d *DirBackend) path(name string) string { return filepath.Join(d.dir, name) }

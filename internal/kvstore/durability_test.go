@@ -158,3 +158,66 @@ func minInt(a, b int) int {
 	}
 	return b
 }
+
+// TestDirBackendSyncEveryReopen runs the durable store on a real
+// directory: SyncEvery commits (file sync per append), a compaction
+// (synced snapshot renamed into place, WAL reset), more commits and a
+// delete, then Close and reopen from the same directory with exactly the
+// committed contents.
+func TestDirBackendSyncEveryReopen(t *testing.T) {
+	dir := t.TempDir()
+	b, err := NewDirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(b, "dmt", Options{Sync: SyncEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string][]byte)
+	put := func(k string, v []byte) {
+		t.Helper()
+		if err := s.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	for i := 0; i < 40; i++ {
+		put(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 10+i))
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 30; i < 60; i++ {
+		put(fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("after-compact-%d", i)))
+	}
+	if err := s.Delete("k05"); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, "k05")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b2, err := NewDirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(b2, "dmt", Options{Sync: SyncEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string][]byte)
+	s2.Scan("", func(k string, v []byte) bool {
+		got[k] = append([]byte(nil), v...)
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("reopened store has %d keys, want %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if !bytes.Equal(got[k], v) {
+			t.Fatalf("key %q: got %q, want %q", k, got[k], v)
+		}
+	}
+}

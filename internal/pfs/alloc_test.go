@@ -10,7 +10,7 @@ import (
 
 // newPerfFS builds a performance-mode (metadata-only) FS for allocation
 // measurement.
-func newPerfFS(t *testing.T) (*sim.Engine, *FS) {
+func newPerfFS(t testing.TB) (*sim.Engine, *FS) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fs, err := New(Config{
@@ -64,6 +64,40 @@ func TestReadPerfModeZeroAllocs(t *testing.T) {
 	issue()
 	if got := testing.AllocsPerRun(100, issue); got != 0 {
 		t.Fatalf("perf-mode Read allocates %v per op, want 0", got)
+	}
+}
+
+// BenchmarkWritePerf measures one 256KB performance-mode write fanned
+// over the 8-server layout and run to completion.
+func BenchmarkWritePerf(b *testing.B) {
+	eng, fs := newPerfFS(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%1024) * (256 << 10)
+		if err := fs.Write("f", off, 256<<10, sim.PriorityHigh, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+	}
+}
+
+// BenchmarkReadPerf measures one 256KB performance-mode read of a
+// previously written 256MB file.
+func BenchmarkReadPerf(b *testing.B) {
+	eng, fs := newPerfFS(b)
+	if err := fs.Write("f", 0, 256<<20, sim.PriorityHigh, nil, nil); err != nil {
+		b.Fatal(err)
+	}
+	eng.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%1024) * (256 << 10)
+		if err := fs.Read("f", off, 256<<10, sim.PriorityHigh, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
 	}
 }
 
