@@ -16,6 +16,7 @@
 package netclient
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -80,8 +81,10 @@ type Call struct {
 func (c *Call) Latency() time.Duration { return time.Since(c.t0) }
 
 // Client is one tenant session over one TCP connection. Safe for
-// concurrent use: any number of goroutines may issue calls; a single
-// reader goroutine matches completions by id.
+// concurrent use: any number of goroutines may issue calls. Per
+// connection, a single writer goroutine sends every frame queued since
+// its last write in one socket write, and a single reader goroutine
+// matches completions by id.
 type Client struct {
 	opts    Options
 	addr    string
@@ -90,7 +93,7 @@ type Client struct {
 
 	credits chan struct{} // nil when credit tracking is disabled
 
-	mu      sync.Mutex // guards conn state, pending, nextID, sending
+	mu      sync.Mutex // guards everything below
 	nc      net.Conn
 	lost    bool
 	closed  bool
@@ -99,8 +102,20 @@ type Client struct {
 	nextID  uint64
 	pending map[uint64]*Call
 
-	wbuf []byte // send scratch, guarded by mu (sends serialize on it)
+	// queue holds the encoded frames the writer has not taken yet; spare
+	// is the buffer the writer last wrote, handed back for reuse. kick
+	// wakes the writer when queue stops being empty; room wakes callers
+	// waiting for a full queue to be taken. Both also fire when the
+	// connection goes down.
+	queue, spare []byte
+	kick, room   sync.Cond
+	hdr          [netserve.ReqHdrLen]byte // send's header scratch
 }
+
+// bufSize sizes the response read buffer and bounds the send queue: a
+// caller waits while bufSize bytes are queued, so one write carries at
+// most bufSize bytes plus one frame.
+const bufSize = 64 << 10
 
 // Dial connects and handshakes the tenant namespace.
 func Dial(addr string, opts Options) (*Client, error) {
@@ -114,14 +129,16 @@ func Dial(addr string, opts Options) (*Client, error) {
 		opts.DialTimeout = 5 * time.Second
 	}
 	c := &Client{opts: opts, addr: addr, pending: make(map[uint64]*Call)}
+	c.kick.L = &c.mu
+	c.room.L = &c.mu
 	if err := c.connect(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// connect dials, handshakes, and starts the reader. Caller must not hold
-// mu.
+// connect dials, handshakes, and starts the reader and writer. Caller
+// must not hold mu.
 func (c *Client) connect() error {
 	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 	if err != nil {
@@ -164,6 +181,12 @@ func (c *Client) connect() error {
 	nc.SetDeadline(time.Time{})
 
 	c.mu.Lock()
+	if c.closed {
+		// Close ran during the handshake: start no reader or writer.
+		c.mu.Unlock()
+		nc.Close()
+		return ErrConnClosed
+	}
 	c.nc = nc
 	c.lost = false
 	c.gen++
@@ -188,6 +211,7 @@ func (c *Client) connect() error {
 	}
 
 	go c.readLoop(nc, gen)
+	go c.writeLoop(nc, gen)
 	return nil
 }
 
@@ -197,10 +221,12 @@ func (c *Client) Window() int { return c.window }
 // PayloadMode reports whether the server carries data bytes on the wire.
 func (c *Client) PayloadMode() bool { return c.payload }
 
-// Go issues one asynchronous request. The returned call completes on its
+// Go issues one asynchronous request: it queues the encoded frame for the
+// connection's writer and returns. The returned call completes on its
 // Done channel; data (writes) and buf (reads) stay caller-owned and must
 // not be mutated until then. Credit tracking blocks here until a slot
-// frees; a lost connection fails fast with ErrConnClosed.
+// frees, as does a full send queue; a lost connection fails fast with
+// ErrConnClosed.
 func (c *Client) Go(op uint8, file string, off, size int64, data, buf []byte) *Call {
 	call := &Call{Op: op, File: file, Off: off, Size: size, Done: make(chan *Call, 1), data: data, buf: buf}
 	if op != netserve.OpWrite && op != netserve.OpRead {
@@ -235,13 +261,19 @@ func (c *Client) releaseCredit() {
 	}
 }
 
-// send registers the call and writes its frame. Serialized on mu so frames
-// never interleave.
+// send registers the call and appends its frame to the send queue,
+// waking the writer if the queue was empty.
 func (c *Client) send(call *Call) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || c.lost || c.nc == nil {
-		return ErrConnClosed
+	for {
+		if c.closed || c.lost || c.nc == nil {
+			return ErrConnClosed
+		}
+		if len(c.queue) < bufSize {
+			break
+		}
+		c.room.Wait()
 	}
 	c.nextID++
 	id := c.nextID
@@ -251,12 +283,7 @@ func (c *Client) send(call *Call) error {
 		flags = netserve.FlagPayload
 		carried = call.Size
 	}
-	need := int64(netserve.ReqHdrLen+len(call.File)) + carried
-	if int64(cap(c.wbuf)) < need {
-		c.wbuf = make([]byte, need)
-	}
-	b := c.wbuf[:need]
-	netserve.PutReqHeader(b, netserve.ReqHeader{
+	netserve.PutReqHeader(c.hdr[:], netserve.ReqHeader{
 		ID:      id,
 		Op:      call.Op,
 		Flags:   flags,
@@ -264,30 +291,70 @@ func (c *Client) send(call *Call) error {
 		Off:     call.Off,
 		Size:    call.Size,
 	})
-	copy(b[netserve.ReqHdrLen:], call.File)
-	if carried > 0 {
-		copy(b[netserve.ReqHdrLen+len(call.File):], call.data[:carried])
-	}
+	wasEmpty := len(c.queue) == 0
+	c.queue = append(c.queue, c.hdr[:]...)
+	c.queue = append(c.queue, call.File...)
+	c.queue = append(c.queue, call.data[:carried]...)
 	c.pending[id] = call
 	call.t0 = time.Now()
-	if _, err := c.nc.Write(b); err != nil {
-		delete(c.pending, id)
-		c.failConnLocked()
-		return ErrConnClosed
+	if wasEmpty {
+		c.kick.Signal()
 	}
 	return nil
 }
 
+// writeLoop sends the queued frames of connection generation gen: each
+// pass takes the whole queue and writes it in a single Write, so frames
+// queued while a write is in progress leave together in the next one. A
+// failed write fails the connection — every pending call, queued or
+// already sent, completes with ErrConnClosed. The loop exits when the
+// connection goes down or is replaced.
+func (c *Client) writeLoop(nc net.Conn, gen int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		for len(c.queue) == 0 && gen == c.gen && !c.lost {
+			c.kick.Wait()
+		}
+		if gen != c.gen || c.lost {
+			return
+		}
+		b := c.queue
+		c.queue, c.spare = c.spare[:0], nil
+		c.room.Broadcast()
+		c.mu.Unlock()
+		_, err := nc.Write(b)
+		c.mu.Lock()
+		if err != nil && gen == c.gen {
+			c.failConnLocked()
+		}
+		if gen != c.gen || c.lost {
+			return
+		}
+		// A buffer a large frame grew past twice the bound is dropped
+		// rather than kept for the life of the connection.
+		if cap(b) <= 2*bufSize {
+			c.spare = b[:0]
+		}
+	}
+}
+
 // readLoop matches responses to pending calls until the connection dies.
-// gen guards against a stale reader (pre-Reconnect) touching the new
-// session's state.
+// It reads through a bufio.Reader, so one socket read delivers a
+// response's header and payload and any later responses the kernel
+// already holds. gen guards against a stale reader (pre-Reconnect)
+// touching the new session's state.
 func (c *Client) readLoop(nc net.Conn, gen int) {
+	br := bufio.NewReaderSize(nc, bufSize)
 	var hdr [netserve.RespHdrLen]byte
 	for {
-		if _, err := io.ReadFull(nc, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			break
 		}
 		h := netserve.ParseRespHeader(hdr[:])
+		if h.PayloadLen > netserve.MaxPayload {
+			break // no server sends this: the stream cannot be trusted
+		}
 		c.mu.Lock()
 		if gen != c.gen {
 			c.mu.Unlock()
@@ -296,21 +363,28 @@ func (c *Client) readLoop(nc net.Conn, gen int) {
 		call := c.pending[h.ID]
 		delete(c.pending, h.ID)
 		c.mu.Unlock()
+		var rerr error
 		if h.PayloadLen > 0 {
 			// Read payload into the call's buffer; drain it when the call is
 			// gone (stale id) or the buffer is too small — framing must hold.
 			if call != nil && int(h.PayloadLen) <= len(call.buf) {
-				if _, err := io.ReadFull(nc, call.buf[:h.PayloadLen]); err != nil {
-					break
-				}
-			} else if _, err := io.CopyN(io.Discard, nc, int64(h.PayloadLen)); err != nil {
-				break
+				_, rerr = io.ReadFull(br, call.buf[:h.PayloadLen])
+			} else {
+				_, rerr = br.Discard(int(h.PayloadLen))
 			}
 		}
 		if call != nil {
 			call.Err = statusErr(h.Status)
+			if rerr != nil {
+				// The call has left pending, so failing the connection
+				// below would not reach it.
+				call.Err = ErrConnClosed
+			}
 			c.releaseCredit()
 			call.Done <- call
+		}
+		if rerr != nil {
+			break
 		}
 	}
 	c.mu.Lock()
@@ -320,8 +394,9 @@ func (c *Client) readLoop(nc net.Conn, gen int) {
 	c.mu.Unlock()
 }
 
-// failConnLocked marks the connection lost and fails every pending call
-// with ErrConnClosed, returning their credits. Caller holds mu.
+// failConnLocked marks the connection lost, drops the unsent queue and
+// both send buffers, and fails every pending call with ErrConnClosed,
+// returning their credits. Caller holds mu.
 func (c *Client) failConnLocked() {
 	if c.lost {
 		return
@@ -330,6 +405,9 @@ func (c *Client) failConnLocked() {
 	if c.nc != nil {
 		c.nc.Close()
 	}
+	c.queue, c.spare = nil, nil
+	c.kick.Broadcast()
+	c.room.Broadcast()
 	for id, call := range c.pending {
 		delete(c.pending, id)
 		call.Err = ErrConnClosed

@@ -54,6 +54,18 @@ type Stats struct {
 	BadRequests uint64
 	IOErrors    uint64
 	InFlight    int64
+	// Writes counts socket write calls: one per response, HELLO's
+	// included.
+	Writes uint64
+	// WriteErrors counts failed socket writes (the responses they carried
+	// are lost with the connection).
+	WriteErrors uint64
+	// ProtocolAborts counts connections closed on an undecodable frame.
+	ProtocolAborts uint64
+	// HelloAccepts counts completed tenant handshakes.
+	HelloAccepts uint64
+	// PayloadRequests counts writes that carried their data bytes.
+	PayloadRequests uint64
 }
 
 // Server is the TCP frontend. One goroutine accepts; each connection runs
@@ -76,7 +88,8 @@ type Server struct {
 	accepted, requests            atomic.Uint64
 	busy, drained                 atomic.Uint64
 	badRequests, ioErrors         atomic.Uint64
-	writeErrors, protocolAborts   atomic.Uint64
+	writes, writeErrors           atomic.Uint64
+	protocolAborts                atomic.Uint64
 	helloAccepts, payloadRequests atomic.Uint64
 }
 
@@ -121,6 +134,12 @@ func (s *Server) Stats() Stats {
 		BadRequests: s.badRequests.Load(),
 		IOErrors:    s.ioErrors.Load(),
 		InFlight:    s.global.Load(),
+
+		Writes:          s.writes.Load(),
+		WriteErrors:     s.writeErrors.Load(),
+		ProtocolAborts:  s.protocolAborts.Load(),
+		HelloAccepts:    s.helloAccepts.Load(),
+		PayloadRequests: s.payloadRequests.Load(),
 	}
 }
 
@@ -182,7 +201,9 @@ wait:
 // Close shuts the server down abruptly: the listener and every connection
 // close immediately — the crash half of the crash/drain torture. In-flight
 // engine completions are still drained internally (their responses go to
-// closed sockets and are discarded).
+// closed sockets and are discarded). A request read between the start of
+// Close and its socket's close is dropped unanswered: DRAINING is the
+// graceful-shutdown reply, and a crash must look like one to the client.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -451,6 +472,12 @@ func (c *sconn) dispatch(r *request) {
 	s := c.srv
 	s.requests.Add(1)
 	if s.draining.Load() {
+		// Close sets closed before draining, so a crash is never mistaken
+		// for a drain here.
+		if s.closed.Load() {
+			c.release(r)
+			return
+		}
 		s.drained.Add(1)
 		c.respond(r, StatusDraining)
 		return
@@ -535,6 +562,7 @@ func (c *sconn) writeResponse(r *request, w io.Writer) {
 	if counted {
 		c.inflight.Add(-1)
 	}
+	c.srv.writes.Add(1)
 	if _, err := w.Write(b); err != nil {
 		c.srv.writeErrors.Add(1)
 	}

@@ -27,6 +27,9 @@ type stubEngine struct {
 	gate     chan struct{} // non-nil: completions wait for a token
 	gateOnly string        // non-empty: only this (namespaced) file is gated
 	delay    time.Duration
+	// completed counts completion callbacks that have returned: the
+	// server has queued their responses for its writer.
+	completed atomic.Int64
 }
 
 func newStubEngine() *stubEngine { return &stubEngine{files: make(map[string][]byte)} }
@@ -56,6 +59,7 @@ func (e *stubEngine) complete(file string, done func(error)) {
 			time.Sleep(delay)
 		}
 		done(nil)
+		e.completed.Add(1)
 	}()
 }
 
@@ -528,6 +532,179 @@ func TestCreditReleasedBeforeResponse(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Busy != 0 {
 		t.Fatalf("cooperative client drew %d BUSY responses", st.Busy)
+	}
+}
+
+// TestDrainWaitsForQueuedResponses parks the server's writer inside the
+// write carrying one response while n more complete: a Drain started
+// meanwhile must not return before every one of them has been written,
+// one socket write each (Stats.Writes).
+func TestDrainWaitsForQueuedResponses(t *testing.T) {
+	const n = 5
+	eng := newStubEngine()
+	// Write 1 answers HELLO; write 2 carries the first response.
+	park := &parkConn{at: 2, parked: make(chan struct{}), release: make(chan struct{})}
+	srv := startServer(t, netserve.Config{Engine: eng, Window: 8, WrapConn: func(c net.Conn, _ int) net.Conn {
+		park.Conn = c
+		return park
+	}})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(park.release) }) }
+	t.Cleanup(unpark)
+	cl := dial(t, srv, netclient.Options{Tenant: "t"})
+
+	first := cl.Go(netserve.OpWrite, "f", 0, 4096, nil, nil)
+	<-park.parked
+	var calls []*netclient.Call
+	for i := 1; i <= n; i++ {
+		calls = append(calls, cl.Go(netserve.OpWrite, "f", int64(i)*4096, 4096, nil, nil))
+	}
+	waitFor(t, func() bool { return eng.completed.Load() == n+1 })
+
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(context.Background()) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) with %d responses unwritten", err, n)
+	case <-time.After(20 * time.Millisecond):
+	}
+	unpark()
+	for _, c := range append(calls, first) {
+		<-c.Done
+		if c.Err != nil {
+			t.Fatalf("call: %v", c.Err)
+		}
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got := park.writes.Load(); got != n+2 {
+		t.Fatalf("Drain returned after %d writes, want %d", got, n+2)
+	}
+	if st := srv.Stats(); st.Writes != n+2 || st.Requests != n+1 {
+		t.Fatalf("stats writes=%d requests=%d, want %d and %d", st.Writes, st.Requests, n+2, n+1)
+	}
+}
+
+// closeParkConn parks the first Close — the one Server.Close makes — before
+// the socket closes, and closes dispatched once the server's reader, having
+// read bytes while Close was parked, asks for more: the frame those bytes
+// carried has then been dispatched.
+type closeParkConn struct {
+	net.Conn
+	once       sync.Once
+	closing    chan struct{}
+	release    chan struct{}
+	got        atomic.Bool
+	dispatched chan struct{}
+	dispOnce   sync.Once
+}
+
+func (p *closeParkConn) Close() error {
+	first := false
+	p.once.Do(func() { first = true })
+	if first {
+		close(p.closing)
+		<-p.release
+	}
+	return p.Conn.Close()
+}
+
+func (p *closeParkConn) Read(b []byte) (int, error) {
+	if p.got.Load() {
+		p.dispOnce.Do(func() { close(p.dispatched) })
+	}
+	n, err := p.Conn.Read(b)
+	select {
+	case <-p.closing:
+		if n > 0 {
+			p.got.Store(true)
+		}
+	default:
+	}
+	return n, err
+}
+
+// TestCloseNeverAnswersDraining pins the crash half of shutdown: a request
+// the server reads after Close began, before its socket closed, is dropped
+// unanswered — the client sees the connection die (ErrConnClosed), never
+// the DRAINING reply reserved for a graceful Drain.
+func TestCloseNeverAnswersDraining(t *testing.T) {
+	park := &closeParkConn{closing: make(chan struct{}), release: make(chan struct{}), dispatched: make(chan struct{})}
+	srv := startServer(t, netserve.Config{Engine: newStubEngine(), WrapConn: func(c net.Conn, _ int) net.Conn {
+		park.Conn = c
+		return park
+	}})
+	cl := dial(t, srv, netclient.Options{Tenant: "t"})
+
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	<-park.closing
+	call := cl.Go(netserve.OpWrite, "f", 0, 4096, nil, nil)
+	<-park.dispatched
+	close(park.release)
+	<-closed
+	<-call.Done
+	if !errors.Is(call.Err, netclient.ErrConnClosed) {
+		t.Fatalf("request read during Close: got %v, want ErrConnClosed", call.Err)
+	}
+	if st := srv.Stats(); st.Requests != 1 || st.Drained != 0 || st.InFlight != 0 {
+		t.Fatalf("stats requests=%d drained=%d inflight=%d, want 1/0/0", st.Requests, st.Drained, st.InFlight)
+	}
+}
+
+// failConn fails every Write after the first (the HELLO response).
+type failConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (f *failConn) Write(b []byte) (int, error) {
+	if f.writes.Add(1) > 1 {
+		return 0, errors.New("injected write failure")
+	}
+	return f.Conn.Write(b)
+}
+
+// TestStatsSurfaceWireCounters checks the wire counters Stats exposes:
+// handshakes, payload-carrying writes, socket writes, failed writes and
+// protocol aborts.
+func TestStatsSurfaceWireCounters(t *testing.T) {
+	srv := startServer(t, netserve.Config{Engine: newStubEngine(), Payload: true})
+	cl := dial(t, srv, netclient.Options{Tenant: "t"})
+	if err := cl.Write("f", 0, 4, []byte("abcd")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Read("f", 0, 4, make([]byte, 4)); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.HelloAccepts != 1 || st.PayloadRequests != 1 || st.Writes != 3 || st.WriteErrors != 0 || st.ProtocolAborts != 0 {
+		t.Fatalf("after hello+write+read: %+v", st)
+	}
+
+	// An undecodable frame aborts its connection.
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var b [netserve.ReqHdrLen + 1]byte
+	netserve.PutReqHeader(b[:], netserve.ReqHeader{ID: 1, Op: netserve.OpWrite, NameLen: 1, Size: 4096})
+	if _, err := nc.Write(b[:]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return srv.Stats().ProtocolAborts == 1 })
+
+	// A failed socket write is counted, not fatal to the server.
+	fsrv := startServer(t, netserve.Config{Engine: newStubEngine(), WrapConn: func(c net.Conn, _ int) net.Conn {
+		return &failConn{Conn: c}
+	}})
+	fcl := dial(t, fsrv, netclient.Options{Tenant: "t"})
+	fcl.Go(netserve.OpWrite, "f", 0, 4096, nil, nil)
+	waitFor(t, func() bool { return fsrv.Stats().WriteErrors == 1 })
+	if st := fsrv.Stats(); st.Writes != 2 || st.HelloAccepts != 1 {
+		t.Fatalf("failed-write server: %+v", st)
 	}
 }
 
