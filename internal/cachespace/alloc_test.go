@@ -141,3 +141,30 @@ func TestRejectionErrIsFixed(t *testing.T) {
 		t.Fatalf("rejections not the fixed sentinel: %v / %v", err1, err2)
 	}
 }
+
+// BenchmarkAllocateFull measures 8 KiB clean allocations into a full
+// manager of 8k 8 KiB units: every allocation reclaims the least
+// recently used unit and takes its space back through first fit.
+func BenchmarkAllocateFull(b *testing.B) {
+	const unitB, units = 8 << 10, 8 << 10
+	m, err := New(unitB * units)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var (
+		frags   []Fragment
+		evicted []Evicted
+	)
+	for i := int64(0); i < units; i++ {
+		if frags, evicted, err = m.AllocateInto(frags[:0], evicted[:0], unitB, Owner{File: "seed", FileOff: i * unitB}, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if frags, evicted, err = m.AllocateInto(frags[:0], evicted[:0], unitB, Owner{File: "in", FileOff: int64(i) * unitB}, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

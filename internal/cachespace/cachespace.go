@@ -70,6 +70,12 @@ type Manager struct {
 	dirtyB   int64
 	seq      uint64
 
+	// lowWater is a first-fit hint: every byte below it is allocated, so
+	// no free gap starts before it. FreeRange lowers it; takeFree raises
+	// it to the end of the last fragment it takes and starts its gap walk
+	// there, instead of rescanning the used map from offset 0.
+	lowWater int64
+
 	// policy owns the queue of reclaim candidates and the admission
 	// gate. Candidates are lazily invalidated: every transition that
 	// creates or refreshes clean space (allocate-clean, MarkClean, Touch
@@ -257,6 +263,7 @@ func (m *Manager) FreeRange(cacheOff, length int64) {
 	}
 	m.accountRemoval(cacheOff, length)
 	m.used.Delete(cacheOff, length)
+	m.lowWater = min(m.lowWater, cacheOff)
 }
 
 // MarkClean clears the dirty state of allocated fragments overlapping
@@ -453,18 +460,14 @@ func (m *Manager) reclaim(out []Evicted, need int64, incoming Owner) ([]Evicted,
 }
 
 // takeFree allocates size bytes from the free gaps (first fit, scattered),
-// appending to frags.
+// appending to frags. The gap walk starts at the low-water offset and
+// stops at the gap that completes the request, so it returns exactly the
+// gaps a scan from offset 0 would use.
 func (m *Manager) takeFree(frags []Fragment, size int64, owner Owner, dirty bool) []Fragment {
 	var taken int64
-	m.gaps = m.used.AppendGaps(m.gaps[:0], 0, m.capacity)
+	m.gaps = m.used.AppendGapsUpTo(m.gaps[:0], m.lowWater, m.capacity-m.lowWater, size)
 	for _, g := range m.gaps {
-		if taken >= size {
-			break
-		}
-		n := g.Len
-		if remaining := size - taken; n > remaining {
-			n = remaining
-		}
+		n := min(g.Len, size-taken)
 		fragOwner := Owner{File: owner.File, FileOff: owner.FileOff + taken}
 		seq := m.nextSeq()
 		m.used.Insert(g.Off, n, unit{owner: fragOwner, dirty: dirty, seq: seq})
@@ -477,6 +480,7 @@ func (m *Manager) takeFree(frags []Fragment, size int64, owner Owner, dirty bool
 		}
 		frags = append(frags, Fragment{CacheOff: g.Off, Len: n})
 		taken += n
+		m.lowWater = g.Off + n
 	}
 	return frags
 }

@@ -258,3 +258,25 @@ func TestServeZeroAllocsWithSnapshotting(t *testing.T) {
 		t.Fatalf("steady-state Read with snapshotting allocates %v per op, want 0", got)
 	}
 }
+
+// TestFlushBufferOnlyWhenPayloadStored pins the Rebuilder's payload
+// buffer to functional mode: with metadata-only stores on both sides the
+// flush/fetch buffer is nil, and a backend that does not report the
+// capability is assumed to keep bytes.
+func TestFlushBufferOnlyWhenPayloadStored(t *testing.T) {
+	if buf := newPerfTestbed(t).s4d.flushBuffer(4096); buf != nil {
+		t.Fatalf("performance mode: flush buffer of %d bytes, want nil", len(buf))
+	}
+	if buf := newTestbed(t, nil).s4d.flushBuffer(4096); len(buf) != 4096 {
+		t.Fatalf("functional mode: flush buffer of %d bytes, want 4096", len(buf))
+	}
+	for _, functional := range []bool{false, true} {
+		tb := newConcTestbed(t, 2, functional, false)
+		if got := tb.eng.flushBuf(4096) != nil; got != functional {
+			t.Fatalf("concurrent, functional=%v: buffer allocated=%v", functional, got)
+		}
+		if !storesPayload(struct{ Backend }{tb.opfs}) {
+			t.Fatal("a backend without StoresPayload must be assumed to store payload")
+		}
+	}
+}

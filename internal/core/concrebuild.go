@@ -160,6 +160,12 @@ func (c *Concurrent) pruneEpochsConc() {
 			delete(sh.fileEpoch, id)
 			c.epochsPruned.Add(1)
 		}
+		for id, w := range sh.writing {
+			if w.Load() == 0 {
+				// No write holds it: new ones start under mu.
+				delete(sh.writing, id)
+			}
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -202,11 +208,17 @@ func (c *Concurrent) flushOne(file string, off, length, cacheOff int64) {
 	fid := c.arena.Intern(file)
 	sh.mu.Lock()
 	epoch := sh.fileEpoch[fid]
+	busy := sh.writing[fid] != nil && sh.writing[fid].Load() > 0
 	sh.mu.Unlock()
+	if busy {
+		// A client write's bytes may not have reached cacheOff yet.
+		c.flushRetries.Add(1)
+		return
+	}
 	// Dirty space is never reclaimed and dirty mappings only move through
 	// this worker (per-file ordering), so cacheOff stays valid for the
 	// whole flight unless the epoch check fails.
-	buf := flushBuf(length)
+	buf := c.flushBuf(length)
 	done := make(chan struct{})
 	err := c.cpfs.Read(CacheFileName, cacheOff, length, sim.PriorityLow, buf, func(rerr error) {
 		if rerr != nil {
@@ -298,7 +310,7 @@ func (c *Concurrent) fetchGapConc(sh *cshard, shardIdx int, file string, off, le
 	epoch := sh.fileEpoch[fid]
 	sh.mu.Unlock()
 
-	buf := flushBuf(length)
+	buf := c.flushBuf(length)
 	done := make(chan struct{})
 	abort := func() {
 		for _, fr := range frags {
@@ -350,12 +362,12 @@ func (c *Concurrent) fetchGapConc(sh *cshard, shardIdx int, file string, off, le
 	<-done
 }
 
-// flushBuf returns a payload buffer for Rebuilder data movement, sized as
-// the sequential engine's flushBuffer.
-func flushBuf(length int64) []byte {
-	const maxBuf = 16 << 20
-	if length <= 0 || length > maxBuf {
+// flushBuf returns a payload buffer for Rebuilder data movement when a
+// backend stores real bytes, nil otherwise — the sequential engine's
+// flushBuffer.
+func (c *Concurrent) flushBuf(length int64) []byte {
+	if !c.payload {
 		return nil
 	}
-	return make([]byte, length)
+	return payloadBuf(length)
 }

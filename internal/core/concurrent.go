@@ -35,6 +35,19 @@ var (
 	_ Backend = (*pfs.WallFS)(nil)
 )
 
+// payloadStorer is the optional Backend capability *pfs.FS and
+// *pfs.WallFS report: whether payload bytes are kept at all.
+type payloadStorer interface {
+	StoresPayload() bool
+}
+
+// storesPayload reports whether b keeps payload bytes. A backend that
+// does not say is assumed to.
+func storesPayload(b Backend) bool {
+	p, ok := b.(payloadStorer)
+	return !ok || p.StoresPayload()
+}
+
 // ConcurrentConfig assembles a Concurrent engine.
 type ConcurrentConfig struct {
 	// Clock supplies time and timers; sim.NewWallClock for real
@@ -123,6 +136,7 @@ type Concurrent struct {
 	clock       sim.Clock
 	opfs        Backend
 	cpfs        Backend
+	payload     bool // a backend stores payload bytes: the Rebuilder moves them
 	model       costmodel.Params
 	policy      AdmissionPolicy
 	faulty      atomic.Bool
@@ -219,6 +233,13 @@ type cshard struct {
 	// fileEpoch is keyed by the shared arena's dense file id, like the
 	// sequential engine's map.
 	fileEpoch map[uint32]uint64
+	// writing counts each file's client writes in flight, from their
+	// epoch bump to the completion of their last segment (conJoin drops
+	// the count lock-free). The Rebuilder does not flush a file with
+	// writes in flight: wall-clock sub-requests complete in any order, so
+	// its cache read could run before a write's bytes land and carry the
+	// space's previous owner's bytes to the DServers.
+	writing map[uint32]*atomic.Int32
 	// pending holds this shard's recovered clean extents awaiting
 	// re-admission; non-nil only during warm recovery, mutated only under
 	// mu (writer supersedes and the recovery worker's adopts).
@@ -334,6 +355,7 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		clock:        cfg.Clock,
 		opfs:         cfg.OPFS,
 		cpfs:         cfg.CPFS,
+		payload:      storesPayload(cfg.OPFS) || storesPayload(cfg.CPFS),
 		model:        cfg.Model,
 		policy:       cfg.Policy,
 		shards:       make([]cshard, cfg.Concurrency),
@@ -383,6 +405,7 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		sh := &c.shards[i]
 		sh.tracker = costmodel.NewTracker()
 		sh.fileEpoch = make(map[uint32]uint64)
+		sh.writing = make(map[uint32]*atomic.Int32)
 		if cfg.Policy == PolicyLocality {
 			sh.locality = newLocalityTracker(0, 0)
 		}
@@ -494,11 +517,12 @@ func (c *Concurrent) shard(file string) (*cshard, int) {
 // (sub) may run on any goroutine; the request's done callback always fires
 // asynchronously via the clock so no caller lock is held when it runs.
 type conJoin struct {
-	c    *Concurrent
-	n    atomic.Int32
-	mu   sync.Mutex
-	err  error
-	done func(error)
+	c       *Concurrent
+	n       atomic.Int32
+	mu      sync.Mutex
+	err     error
+	done    func(error)
+	writing *atomic.Int32 // a write's in-flight count, dropped at completion
 }
 
 func (j *conJoin) sub(err error) {
@@ -510,6 +534,9 @@ func (j *conJoin) sub(err error) {
 		j.mu.Unlock()
 	}
 	if j.n.Add(-1) == 0 {
+		if j.writing != nil {
+			j.writing.Add(-1)
+		}
 		j.mu.Lock()
 		err := j.err
 		j.mu.Unlock()
@@ -577,7 +604,13 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 	defer sh.mu.Unlock()
 	sh.stats.writes.Add(1)
 	sh.stats.bytesWritten.Add(size)
-	sh.fileEpoch[c.arena.Intern(file)]++
+	fid := c.arena.Intern(file)
+	sh.fileEpoch[fid]++
+	writing := sh.writing[fid]
+	if writing == nil {
+		writing = new(atomic.Int32)
+		sh.writing[fid] = writing
+	}
 	if c.recovering.Load() {
 		// The write's bytes supersede any still-queued recovered extents
 		// it overlaps (durably, so a crash mid-recovery cannot resurrect
@@ -589,8 +622,9 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 
 	sh.hitsBuf, sh.gapsBuf = c.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
 	hits, gaps := sh.hitsBuf, sh.gapsBuf
-	j := &conJoin{c: c, done: done}
+	j := &conJoin{c: c, done: done, writing: writing}
 	j.n.Store(int32(len(hits) + len(gaps)))
+	writing.Add(1)
 
 	faulty := c.faulty.Load()
 	for _, h := range hits {
@@ -599,6 +633,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 			// it — unmap and fail the segment over to the DServers.
 			sh.stats.failovers.Add(1)
 			if err := c.dmt.Delete(file, h.Off, h.Len); err != nil {
+				writing.Add(-1) // abandoned: the join never completes
 				return fmt.Errorf("core: failover unmap: %w", err)
 			}
 			c.space.FreeRange(h.CacheOff, h.Len)
@@ -615,6 +650,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 		// in-flight destination cannot be evicted by another shard's
 		// allocation (regions are per-shard) or this shard's (serialized).
 		if err := c.dmt.SetDirty(file, h.Off, h.Len); err != nil {
+			writing.Add(-1) // abandoned: the join never completes
 			return fmt.Errorf("core: set dirty: %w", err)
 		}
 		c.space.MarkDirty(h.CacheOff, h.Len)

@@ -128,14 +128,20 @@ func (s *S4D) flushExtent(file string, off, length, cacheOff int64, join *sim.Jo
 	}
 }
 
-// flushBuffer returns a payload buffer when the CPFS is functional (stores
-// real bytes), nil otherwise.
+// flushBuffer returns a payload buffer when the OPFS or CPFS stores real
+// bytes (functional mode), nil otherwise: pfs accepts nil payloads, and a
+// buffer would only be gathered and scattered for nothing.
 func (s *S4D) flushBuffer(length int64) []byte {
-	// Payload movement is only meaningful in functional mode; pfs accepts
-	// nil payloads in performance mode. A buffer is always safe, but for
-	// very large performance-mode experiments it would waste memory, so
-	// cap it: metadata-only runs use multi-GB extents rarely; functional
-	// tests use small ones.
+	if !s.opfs.StoresPayload() && !s.cpfs.StoresPayload() {
+		return nil
+	}
+	return payloadBuf(length)
+}
+
+// payloadBuf returns a length-byte Rebuilder payload buffer, or nil past
+// 16 MiB: metadata-only runs use multi-GB extents rarely, functional tests
+// use small ones, and a buffer that large would only waste memory.
+func payloadBuf(length int64) []byte {
 	const maxBuf = 16 << 20
 	if length <= 0 || length > maxBuf {
 		return nil

@@ -10,7 +10,10 @@
 // bytes must advance its cache offset by delta).
 package extent
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Entry is one extent and its payload.
 type Entry[V any] struct {
@@ -62,62 +65,74 @@ func (m *Map[V]) Insert(off, length int64, val V) {
 	if length <= 0 {
 		return
 	}
-	m.Delete(off, length)
-	i := m.lowerBound(off)
-	m.entries = append(m.entries, Entry[V]{})
-	copy(m.entries[i+1:], m.entries[i:])
-	m.entries[i] = Entry[V]{Off: off, Len: length, Val: val}
+	m.overwrite(off, off+length, &Entry[V]{Off: off, Len: length, Val: val})
 }
 
 // Delete removes coverage of [off, off+length), splitting boundary extents.
-// Only the intersecting window [i, j) is touched: the boundary entries are
-// trimmed (at most two survivors) and the window is replaced with a single
-// in-place splice, so cost is O(log n + moved), not a full rebuild.
 func (m *Map[V]) Delete(off, length int64) {
-	if length <= 0 || len(m.entries) == 0 {
+	if length <= 0 {
 		return
 	}
-	end := off + length
-	i := m.firstIntersecting(off)
-	if i == len(m.entries) || m.entries[i].Off >= end {
-		return
-	}
-	// j is the end of the intersecting window: the first entry at or after
-	// i whose Off is past the deleted range.
-	j := i + sort.Search(len(m.entries)-i, func(k int) bool { return m.entries[i+k].Off >= end })
-	var keep [2]Entry[V]
-	nk := 0
-	if first := m.entries[i]; first.Off < off {
-		// Overlap at the first entry's tail: keep the head.
-		first.Len = off - first.Off
-		keep[nk] = first
-		nk++
-	}
-	if last := m.entries[j-1]; last.End() > end {
-		// Overlap at the last entry's head: keep the advanced tail.
-		keep[nk] = Entry[V]{Off: end, Len: last.End() - end, Val: m.split(last.Val, end-last.Off)}
-		nk++
-	}
-	m.splice(i, j, keep[:nk])
+	m.overwrite(off, off+length, nil)
 }
 
-// splice replaces entries[i:j) with repl (at most two entries).
+// overwrite replaces the coverage of [off, end) with ins (nil deletes).
+// The intersecting window [i, j) is found once and replaced with at most
+// three entries (the kept head, ins, the split tail) in a single splice,
+// so the tail moves once, by the net size change: O(log n + moved), and
+// an exact re-insert of one entry moves nothing.
+func (m *Map[V]) overwrite(off, end int64, ins *Entry[V]) {
+	i, j := m.window(off, end)
+	if i == j && ins == nil {
+		return
+	}
+	var repl [3]Entry[V]
+	n := 0
+	if i < j && m.entries[i].Off < off {
+		// Overlap at the first entry's tail: keep the head.
+		first := m.entries[i]
+		first.Len = off - first.Off
+		repl[n] = first
+		n++
+	}
+	if ins != nil {
+		repl[n] = *ins
+		n++
+	}
+	if last := j - 1; i < j && m.entries[last].End() > end {
+		// Overlap at the last entry's head: keep the advanced tail.
+		e := m.entries[last]
+		repl[n] = Entry[V]{Off: end, Len: e.End() - end, Val: m.split(e.Val, end-e.Off)}
+		n++
+	}
+	m.splice(i, j, repl[:n])
+}
+
+// window returns the entries intersecting [off, end) as the index range
+// [i, j). When none intersect, i == j is where an extent at off belongs.
+func (m *Map[V]) window(off, end int64) (i, j int) {
+	i = m.firstIntersecting(off)
+	j = i + sort.Search(len(m.entries)-i, func(k int) bool { return m.entries[i+k].Off >= end })
+	return i, j
+}
+
+// splice replaces entries[i:j) with repl, moving the tail entries[j:]
+// at most once.
 func (m *Map[V]) splice(i, j int, repl []Entry[V]) {
-	switch d := len(repl) - (j - i); {
+	d := len(repl) - (j - i)
+	switch {
 	case d < 0:
-		copy(m.entries[i:], repl)
 		n := i + len(repl) + copy(m.entries[i+len(repl):], m.entries[j:])
 		for k := n; k < len(m.entries); k++ {
 			m.entries[k] = Entry[V]{} // release payloads for GC
 		}
 		m.entries = m.entries[:n]
-	case d == 0:
-		copy(m.entries[i:j], repl)
-	default: // d == 1: one entry split into head + tail
-		m.entries = append(m.entries, Entry[V]{})
-		copy(m.entries[j+1:], m.entries[j:])
-		copy(m.entries[i:], repl)
+	case d > 0:
+		n := len(m.entries)
+		m.entries = slices.Grow(m.entries, d)[:n+d]
+		copy(m.entries[j+d:], m.entries[j:n])
 	}
+	copy(m.entries[i:], repl)
 }
 
 // Overlaps returns the entries intersecting [off, off+length), in offset
@@ -181,24 +196,33 @@ func (m *Map[V]) Gaps(off, length int64) []Gap {
 // and returns the extended slice. See AppendOverlaps for the scratch-buffer
 // contract.
 func (m *Map[V]) AppendGaps(dst []Gap, off, length int64) []Gap {
+	return m.AppendGapsUpTo(dst, off, length, length)
+}
+
+// AppendGapsUpTo is AppendGaps that stops as soon as the appended gaps
+// total at least need bytes: the bounded walk of a first-fit allocator,
+// which never looks past the gap that completes its request.
+func (m *Map[V]) AppendGapsUpTo(dst []Gap, off, length, need int64) []Gap {
 	if length <= 0 {
 		return dst
 	}
 	end := off + length
 	pos := off
-	for i := m.firstIntersecting(off); i < len(m.entries); i++ {
+	var got int64
+	for i := m.firstIntersecting(off); i < len(m.entries) && got < need; i++ {
 		e := m.entries[i]
 		if e.Off >= end {
 			break
 		}
 		if e.Off > pos {
 			dst = append(dst, Gap{Off: pos, Len: e.Off - pos})
+			got += e.Off - pos
 		}
 		if e.End() > pos {
 			pos = e.End()
 		}
 	}
-	if pos < end {
+	if pos < end && got < need {
 		dst = append(dst, Gap{Off: pos, Len: end - pos})
 	}
 	return dst
@@ -235,11 +259,6 @@ func (m *Map[V]) Walk(fn func(Entry[V]) bool) {
 
 // Clear removes all extents.
 func (m *Map[V]) Clear() { m.entries = m.entries[:0] }
-
-// lowerBound returns the index of the first entry with Off >= off.
-func (m *Map[V]) lowerBound(off int64) int {
-	return sort.Search(len(m.entries), func(i int) bool { return m.entries[i].Off >= off })
-}
 
 // firstIntersecting returns the index of the first entry whose End > off.
 func (m *Map[V]) firstIntersecting(off int64) int {

@@ -91,3 +91,30 @@ func BenchmarkGaps10k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInsertSame10k measures an exact re-insert of an entry near the
+// front of a 10k-extent map — the CDT re-Add and cachespace Touch restamp
+// pattern, and the worst position for a splice that moves the tail.
+func BenchmarkInsertSame10k(b *testing.B) {
+	m := populate(10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Insert(int64(i%16)*8192, 4096, int64(i))
+	}
+}
+
+// BenchmarkSlabInsertSame10k is BenchmarkInsertSame10k for a packed
+// segment — the DMT setDirty/SetClean pattern.
+func BenchmarkSlabInsertSame10k(b *testing.B) {
+	s := NewSlab()
+	var g Seg
+	for i := 0; i < 10_000; i++ {
+		s.Insert(&g, int64(i)*8192, 4096, uint64(i), posSplit)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Insert(&g, int64(i%16)*8192, 4096, uint64(i), posSplit)
+	}
+}

@@ -237,23 +237,6 @@ func (s *Slab) set(g Seg, i uint32, off int64, length uint32, val uint64) {
 	c.vals[g.start+i] = val
 }
 
-// lowerBound returns the index of the first entry of g with Off >= off.
-// Manual binary search: sort.Search's closure would allocate on the
-// zero-alloc serve path.
-func (s *Slab) lowerBound(g Seg, off int64) uint32 {
-	offs, _, _ := s.View(g)
-	lo, hi := 0, len(offs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if offs[mid] >= off {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return uint32(lo)
-}
-
 // FirstIntersecting returns the index of the first entry of g whose end
 // exceeds off — where any scan of [off, ...) starts.
 func (s *Slab) FirstIntersecting(g Seg, off int64) int {
@@ -271,9 +254,9 @@ func (s *Slab) FirstIntersecting(g Seg, off int64) int {
 }
 
 // Insert sets [off, off+length) to val in g, overwriting overlapped
-// parts of existing extents — Map.Insert for packed segments. Ranges
-// longer than maxExtentLen are stored as adjacent pieces with val
-// advanced through split.
+// parts of existing extents — Map.Insert for packed segments, with the
+// same single splice. Ranges longer than maxExtentLen are stored as
+// adjacent pieces with val advanced through split.
 func (s *Slab) Insert(g *Seg, off, length int64, val uint64, split SplitFunc64) {
 	for length > maxExtentLen {
 		s.Insert(g, off, maxExtentLen, val, split)
@@ -284,79 +267,88 @@ func (s *Slab) Insert(g *Seg, off, length int64, val uint64, split SplitFunc64) 
 	if length <= 0 {
 		return
 	}
-	s.Delete(g, off, length, split)
-	i := s.lowerBound(*g, off)
-	s.insertAt(g, i, off, uint32(length), val)
-}
-
-// insertAt opens one slot at index i and writes the entry.
-func (s *Slab) insertAt(g *Seg, i uint32, off int64, length uint32, val uint64) {
-	if g.n < g.cap {
-		s.shiftRight(g, i, 1)
-	} else {
-		newCap := g.cap * 2
-		if newCap == 0 {
-			newCap = 1
-		}
-		s.grow(g, newCap, i, 1)
-	}
-	s.set(*g, i, off, length, val)
+	s.overwrite(g, off, off+length, &slot{off: off, len: uint32(length), val: val}, split)
 }
 
 // Delete removes coverage of [off, off+length) from g, splitting
 // boundary extents — Map.Delete for packed segments.
 func (s *Slab) Delete(g *Seg, off, length int64, split SplitFunc64) {
-	if length <= 0 || g.n == 0 {
+	if length <= 0 {
 		return
 	}
-	end := off + length
+	s.overwrite(g, off, off+length, nil, split)
+}
+
+// overwrite replaces the coverage of [off, end) in g with ins (nil
+// deletes) — Map.overwrite for packed segments.
+func (s *Slab) overwrite(g *Seg, off, end int64, ins *slot, split SplitFunc64) {
+	i, j := s.window(*g, off, end)
+	if i == j && ins == nil {
+		return
+	}
 	offs, lens, vals := s.View(*g)
-	i := s.FirstIntersecting(*g, off)
-	if i == len(offs) || offs[i] >= end {
-		return
+	var repl [3]slot
+	n := 0
+	if i < j && offs[i] < off {
+		// Overlap at the first entry's tail: keep the head.
+		repl[n] = slot{off: offs[i], len: uint32(off - offs[i]), val: vals[i]}
+		n++
 	}
-	// j is the end of the intersecting window: first entry at or past end.
-	j := i
+	if ins != nil {
+		repl[n] = *ins
+		n++
+	}
+	if last := j - 1; i < j {
+		if lastEnd := offs[last] + int64(lens[last]); lastEnd > end {
+			// Overlap at the last entry's head: keep the advanced tail.
+			repl[n] = slot{off: end, len: uint32(lastEnd - end), val: split(vals[last], end-offs[last])}
+			n++
+		}
+	}
+	s.splice(g, uint32(i), uint32(j), repl[:n])
+}
+
+// slot is one packed extent written by a splice.
+type slot struct {
+	off int64
+	len uint32
+	val uint64
+}
+
+// window returns the entries of g intersecting [off, end) as the index
+// range [i, j). When none intersect, i == j is where an extent at off
+// belongs.
+func (s *Slab) window(g Seg, off, end int64) (i, j int) {
+	offs, _, _ := s.View(g)
+	i = s.FirstIntersecting(g, off)
+	j = i
 	for j < len(offs) && offs[j] < end {
 		j++
 	}
-	var kOff [2]int64
-	var kLen [2]uint32
-	var kVal [2]uint64
-	nk := uint32(0)
-	if offs[i] < off {
-		// Overlap at the first entry's tail: keep the head.
-		kOff[nk], kLen[nk], kVal[nk] = offs[i], uint32(off-offs[i]), vals[i]
-		nk++
+	return i, j
+}
+
+// splice replaces entries [i, j) of g with repl, moving the tail [j, n)
+// at most once.
+func (s *Slab) splice(g *Seg, i, j uint32, repl []slot) {
+	nr := uint32(len(repl))
+	switch win := j - i; {
+	case nr < win:
+		s.shiftLeft(g, i+nr, win-nr)
+	case nr > win:
+		d := nr - win
+		if g.n+d <= g.cap {
+			s.shiftRight(g, j, d)
+			break
+		}
+		c := max(2*g.cap, 1)
+		for g.n+d > c {
+			c *= 2
+		}
+		s.grow(g, c, j, d)
 	}
-	if lastEnd := offs[j-1] + int64(lens[j-1]); lastEnd > end {
-		// Overlap at the last entry's head: keep the advanced tail.
-		kOff[nk], kLen[nk], kVal[nk] = end, uint32(lastEnd-end), split(vals[j-1], end-offs[j-1])
-		nk++
-	}
-	win := uint32(j - i)
-	switch {
-	case nk < win:
-		for k := uint32(0); k < nk; k++ {
-			s.set(*g, uint32(i)+k, kOff[k], kLen[k], kVal[k])
-		}
-		s.shiftLeft(g, uint32(i)+nk, win-nk)
-	case nk == win:
-		for k := uint32(0); k < nk; k++ {
-			s.set(*g, uint32(i)+k, kOff[k], kLen[k], kVal[k])
-		}
-	default: // nk == 2, win == 1: one entry split into head + tail
-		if g.n < g.cap {
-			s.shiftRight(g, uint32(j), 1)
-		} else {
-			newCap := g.cap * 2
-			if newCap == 0 {
-				newCap = 1
-			}
-			s.grow(g, newCap, uint32(j), 1)
-		}
-		s.set(*g, uint32(i), kOff[0], kLen[0], kVal[0])
-		s.set(*g, uint32(i)+1, kOff[1], kLen[1], kVal[1])
+	for k, e := range repl {
+		s.set(*g, i+uint32(k), e.off, e.len, e.val)
 	}
 }
 

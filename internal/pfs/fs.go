@@ -72,6 +72,7 @@ type FS struct {
 	trace   TraceFunc
 	onState StateFunc
 	faulty  bool
+	payload bool // some server's store keeps payload bytes
 
 	// subsBuf is the reusable fan-out buffer of issue(). Serve calls never
 	// nest (sub-request completions run from engine events, never from
@@ -202,7 +203,11 @@ func New(cfg Config) (*FS, error) {
 	}
 	fs.servers = make([]*Server, cfg.Layout.Servers)
 	for i := range fs.servers {
-		fs.servers[i] = NewServer(i, cfg.Engine, cfg.NewDevice(i), newStore(i), cfg.Net)
+		st := newStore(i)
+		if _, null := st.(*chunkstore.Null); !null {
+			fs.payload = true
+		}
+		fs.servers[i] = NewServer(i, cfg.Engine, cfg.NewDevice(i), st, cfg.Net)
 	}
 	if cfg.Faults != nil {
 		fs.faulty = true
@@ -247,6 +252,11 @@ func (fs *FS) SetStateHook(fn StateFunc) { fs.onState = fn }
 
 // Faulty reports whether a fault plan is installed on this instance.
 func (fs *FS) Faulty() bool { return fs.faulty }
+
+// StoresPayload reports whether any server keeps payload bytes. When none
+// does (metadata-only Null stores), callers may pass nil payload buffers:
+// service times and the FS's byte counters are the same either way.
+func (fs *FS) StoresPayload() bool { return fs.payload }
 
 // ServerIsDown reports whether server id is currently crashed.
 func (fs *FS) ServerIsDown(id int) bool { return fs.servers[id].Down() }

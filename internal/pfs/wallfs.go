@@ -111,6 +111,10 @@ func NewWallFS(cfg WallConfig) (*WallFS, error) {
 // Label returns the instance label.
 func (w *WallFS) Label() string { return w.label }
 
+// StoresPayload reports whether the instance keeps payload bytes
+// (functional mode); see FS.StoresPayload.
+func (w *WallFS) StoresPayload() bool { return w.functional }
+
 // Layout returns the striping function.
 func (w *WallFS) Layout() Layout { return w.layout }
 
