@@ -35,12 +35,14 @@ bench-metascale:
 
 # Just the allocation-regression tests: pins the performance-mode serve
 # and identify paths, the metadata store's durable commit path, the
-# striped-table dirty/pending counters, the packed-extent lookup and
-# resident-budget spill bookkeeping, every cache policy's
-# touch/eviction paths, the latency histogram's record path, and the
-# network server's decode→dispatch→encode request path, at 0 allocs/op.
+# striped-table dirty/pending counters and criticality check, the
+# packed-extent lookup and resident-budget spill bookkeeping, every cache
+# policy's touch/eviction paths, the latency histogram's record path,
+# and the network server's decode→dispatch→encode request path, at 0
+# allocs/op; and the concurrent engine's covered read hit at its
+# measured count (join + completion closure).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs' ./internal/pfs/ ./internal/core/ ./internal/iotrace/ ./internal/kvstore/ ./internal/dmt/ ./internal/cdt/ ./internal/cachespace/ ./internal/netserve/ ./internal/bench/ -v
+	$(GO) test -run 'ZeroAllocs|TestConcurrentReadHitAllocs' ./internal/pfs/ ./internal/core/ ./internal/iotrace/ ./internal/kvstore/ ./internal/dmt/ ./internal/cdt/ ./internal/cachespace/ ./internal/netserve/ ./internal/bench/ -v
 
 # Test-selection guard: every -run regex in this Makefile and the CI
 # workflow must still select tests (a renamed test would otherwise leave

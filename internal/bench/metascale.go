@@ -144,8 +144,7 @@ type legacyMapping struct {
 // per-file pointer-held interval maps plus the duplicate name slice:
 // the pre-PR striped table also published a per-file epoch view — an
 // immutable []extent.Entry copy behind a slot pointer — for the
-// lock-free serve path, so an honest resident comparison carries that
-// layer on both sides (the packed rows report theirs as ViewBytes).
+// lock-free serve path, which the legacy rows keep carrying.
 type legacyMeta struct {
 	files map[string]*extent.Map[legacyMapping]
 	names []string
@@ -175,7 +174,7 @@ func buildLegacy(names []string, extPerFile int) *legacyMeta {
 		}
 		lm.files[name] = m
 		lm.names = append(lm.names, name)
-		// Publish the file's epoch view exactly as the pre-PR republish
+		// Publish the file's epoch view exactly as the pre-PR striped table
 		// did: a fresh exact-capacity entry copy behind a slot pointer.
 		ents := m.AppendEntries(make([]extent.Entry[legacyMapping], 0, m.Len()))
 		lm.views[name] = &legacyFileSlot{ext: &legacyFileExtents{entries: ents}}
@@ -212,24 +211,20 @@ type MetaScaleRow struct {
 	// means unbounded.
 	BudgetFrac  float64 `json:"budget_frac"`
 	BudgetBytes int64   `json:"budget_bytes"`
-	// ResidentBytes/MemoryBytes/ArenaBytes/ViewBytes are the table's
+	// ResidentBytes/MemoryBytes/ArenaBytes are the table's
 	// accounting (packed rows); legacy rows report their own accounting
 	// under MemoryBytes and the heap delta under ResidentBytes
 	// (everything is resident there).
 	ResidentBytes int64 `json:"resident_bytes"`
 	MemoryBytes   int64 `json:"memory_bytes"`
 	ArenaBytes    int64 `json:"arena_bytes"`
-	// ViewBytes is the published epoch-view layer of packed rows — the
-	// lock-free read path's resident price, which the budget shrinks
-	// along with the slab (spilled files collapse to a shared sentinel).
-	ViewBytes int64 `json:"view_bytes"`
 	// HeapDeltaBytes is the live-heap growth of the build, measured via
 	// forced-GC MemStats captures. Budget cells include the in-memory
 	// spill store (the stand-in for the SSD), so their resident truth is
 	// ResidentPerExtent, not this.
 	HeapDeltaBytes int64 `json:"heap_delta_bytes"`
 	// ResidentPerExtent is resident RAM per mapped extent:
-	// (MemoryBytes+ArenaBytes+ViewBytes)/Extents for packed rows,
+	// (MemoryBytes+ArenaBytes)/Extents for packed rows,
 	// heap/Extents for legacy (its own accounting undercounts map
 	// overheads; the unbounded packed row's heap delta cross-checks that
 	// the packed accounting and the heap agree). VsLegacy is the legacy
@@ -375,14 +370,12 @@ func packedCell(names []string, extPerFile, lookups int, budgetFrac float64, bud
 
 	extents := len(names) * extPerFile
 	arenaBytes := tbl.Arena().Bytes()
-	viewBytes := tbl.ViewBytes()
-	resident := st.MemoryBytes + arenaBytes + viewBytes
+	resident := st.MemoryBytes + arenaBytes
 	md := memDelta(before, after)
 	row := MetaScaleRow{
 		Repr: "packed", Files: len(names), Extents: extents,
 		BudgetFrac: budgetFrac, BudgetBytes: budgetBytes,
 		ResidentBytes: st.ResidentBytes, MemoryBytes: st.MemoryBytes, ArenaBytes: arenaBytes,
-		ViewBytes:         viewBytes,
 		HeapDeltaBytes:    md.heapDelta(),
 		ResidentPerExtent: float64(resident) / float64(extents),
 		HeapPerExtent:     float64(md.heapDelta()) / float64(extents),
@@ -604,7 +597,7 @@ func runMetaScale(cfg Config) (*Table, error) {
 		if r.BudgetBytes > 0 {
 			budget = fmt.Sprintf("%.0f%%", r.BudgetFrac*100)
 		}
-		perExt := float64(r.MemoryBytes+r.ArenaBytes+r.ViewBytes) / float64(r.Extents)
+		perExt := float64(r.MemoryBytes+r.ArenaBytes) / float64(r.Extents)
 		resident := r.ResidentBytes
 		if r.Repr == "legacy" {
 			// The legacy row's accounting resident bytes are its interval

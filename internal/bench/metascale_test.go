@@ -44,7 +44,7 @@ func TestMetaScaleSmoke(t *testing.T) {
 		}
 	}
 	// The methodology cross-check: the unbounded packed row's accounting
-	// (slab + file state + arena + views) must agree with its forced-GC
+	// (slab + file state + arena) must agree with its forced-GC
 	// heap delta — that agreement is what lets the budget rows report
 	// accounting while their heap deltas carry the in-memory spill store.
 	if legacy.HeapPerExtent <= 0 || unbounded.HeapPerExtent <= 0 {

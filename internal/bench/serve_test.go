@@ -184,9 +184,9 @@ func newScaleEngine(t *testing.T) *core.Concurrent {
 
 // TestServeScaleSmoke is the multicore regression gate: 8 clients running
 // a read-heavy (95/5) mix over the preloaded working set must not serve
-// fewer ops/s at GOMAXPROCS=4 than at GOMAXPROCS=1 — if the lock-free
-// read path ever reintroduces a serialization point, adding cores makes
-// aggregate throughput collapse. Single-core hosts skip: with one CPU the
+// fewer ops/s at GOMAXPROCS=4 than at GOMAXPROCS=1 — if the read path
+// ever serializes across shards (one shared lock or one shared write per
+// request), adding cores makes aggregate throughput collapse. Single-core hosts skip: with one CPU the
 // sweep measures scheduler interleaving, not parallelism.
 func TestServeScaleSmoke(t *testing.T) {
 	if testing.Short() {

@@ -102,10 +102,9 @@ type Manager struct {
 	// evict, when set, runs for every fragment reclaim is about to evict,
 	// before the fragment's bytes rejoin the free pool. The concurrent
 	// engine installs a hook that unmaps the fragment's DMT range, making
-	// unmap-before-free a manager invariant: lock-free readers that loaded
-	// a stale view can never pin-and-read bytes that were recycled to a
-	// new owner, because the unmap publishes (under this manager's lock)
-	// before the space is reusable, and readers revalidate after pinning.
+	// unmap-before-free a manager invariant: the unmap lands (under this
+	// manager's lock) before the space is reusable, so no DMT lookup can
+	// return a mapping to bytes recycled to a new owner.
 	// Returning false vetoes the eviction (the mapping could not be
 	// dropped); the fragment is set aside like pinned space. Nil — the
 	// sequential simulator — keeps reclaim byte-identical.

@@ -31,21 +31,9 @@ func (t *Table) Restore(file string, off, length int64, cflag bool, benefit time
 	}
 }
 
-// Restore installs one recovered critical extent into file's stripe and
-// republishes its coverage view (plus the whole stripe if the bounded FIFO
-// evicted on the way in).
+// Restore installs one recovered critical extent into file's stripe.
 func (s *Striped) Restore(file string, off, length int64, cflag bool, benefit time.Duration) {
-	if length <= 0 {
-		return
-	}
-	sh := &s.stripes[stripeIndex(file)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	evicted := sh.t.Evicted()
-	sh.t.Restore(file, off, length, cflag, benefit)
-	if sh.t.Evicted() != evicted {
-		sh.republishAll()
-	} else {
-		sh.republish(file)
-	}
+	t, mu := s.stripe(file)
+	defer mu.Unlock()
+	t.Restore(file, off, length, cflag, benefit)
 }

@@ -2,7 +2,6 @@ package cdt
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"s4dcache/internal/names"
@@ -34,16 +33,12 @@ type Striped struct {
 	stripes [numStripes]cstripe
 }
 
-// cstripe is one lock stripe: the live sub-table behind its writer mutex
-// plus the published coverage view readers load lock-free (view.go).
-// Padded so neighbouring stripes don't false-share a cache line.
+// cstripe is one lock stripe: a sub-table behind its mutex. Padded so
+// neighbouring stripes don't false-share a cache line.
 type cstripe struct {
 	mu sync.Mutex
 	t  *Table
-	// view/version as in dmt.dstripe: stored under mu, loaded lock-free.
-	view    atomic.Pointer[cstripeView]
-	version atomic.Uint64
-	_       [64]byte
+	_  [64]byte
 }
 
 // NewStriped returns an empty concurrent table bounded to maxBytes of
@@ -79,8 +74,7 @@ func (s *Striped) Arena() *names.Arena { return s.stripes[0].t.arena }
 
 // SetMaxBytes adjusts the aggregate table bound live; maxBytes <= 0
 // means unbounded. The bound is ceiling-split across stripes as in
-// NewStriped. Stripes whose eviction drops coverage republish their
-// views before the new bound is visible to readers.
+// NewStriped.
 func (s *Striped) SetMaxBytes(maxBytes int64) {
 	per := maxBytes
 	if maxBytes > 0 {
@@ -89,11 +83,7 @@ func (s *Striped) SetMaxBytes(maxBytes int64) {
 	for i := range s.stripes {
 		sh := &s.stripes[i]
 		sh.mu.Lock()
-		evicted := sh.t.Evicted()
 		sh.t.SetMaxBytes(per)
-		if sh.t.Evicted() != evicted {
-			sh.republishAll()
-		}
 		sh.mu.Unlock()
 	}
 }
@@ -118,28 +108,11 @@ func (s *Striped) stripe(file string) (*Table, *sync.Mutex) {
 	return sh.t, &sh.mu
 }
 
-// Add records [off, off+length) of file as critical, as Table.Add. The
-// stripe's coverage view republishes only when coverage can have changed:
-// a benefit refresh of an already-covered range (the hot case — every
-// critical request re-Adds its range) leaves the published runs as they
-// are, and a bounded table's FIFO eviction — which may drop coverage of
-// other files in the stripe — triggers a full stripe republish.
+// Add records [off, off+length) of file as critical, as Table.Add.
 func (s *Striped) Add(file string, off, length int64, benefit time.Duration) {
-	if length <= 0 {
-		return
-	}
-	sh := &s.stripes[stripeIndex(file)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	covered := sh.t.Contains(file, off, length)
-	evicted := sh.t.Evicted()
-	sh.t.Add(file, off, length, benefit)
-	switch {
-	case sh.t.Evicted() != evicted:
-		sh.republishAll()
-	case !covered:
-		sh.republish(file)
-	}
+	t, mu := s.stripe(file)
+	defer mu.Unlock()
+	t.Add(file, off, length, benefit)
 }
 
 // Contains reports whether [off, off+length) is fully covered.
@@ -150,8 +123,7 @@ func (s *Striped) Contains(file string, off, length int64) bool {
 }
 
 // SetCFlag marks the overlapped critical parts of the range for lazy
-// fetching. Flags are payload, not coverage: the published view needs no
-// republish.
+// fetching.
 func (s *Striped) SetCFlag(file string, off, length int64) {
 	t, mu := s.stripe(file)
 	defer mu.Unlock()
@@ -185,14 +157,11 @@ func (s *Striped) PendingFetches(max int) []Fetch {
 	return out
 }
 
-// Remove drops coverage of [off, off+length), republishing the file's
-// published runs before the stripe mutex is released.
+// Remove drops coverage of [off, off+length).
 func (s *Striped) Remove(file string, off, length int64) {
-	sh := &s.stripes[stripeIndex(file)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.t.Remove(file, off, length)
-	sh.republish(file)
+	t, mu := s.stripe(file)
+	defer mu.Unlock()
+	t.Remove(file, off, length)
 }
 
 // FileTracked reports whether any critical extent of file remains.

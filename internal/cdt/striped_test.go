@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -155,5 +156,117 @@ func TestStripedConcurrent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStripedAddRefreshAndEvict checks the striped Add on both of its
+// table-changing paths: a benefit-refreshing re-Add of covered ranges
+// leaves coverage and tracked bytes as they were while a growing Add
+// extends them, and over a bounded stripe the FIFO eviction drops the
+// oldest run while the newest stays covered.
+func TestStripedAddRefreshAndEvict(t *testing.T) {
+	s := NewStriped(0)
+	file := "hot.dat"
+	s.Add(file, 0, 4096, time.Millisecond)
+	for i := 0; i < 100; i++ {
+		s.Add(file, 0, 4096, time.Duration(i)*time.Microsecond)
+		s.Add(file, 512, 1024, time.Millisecond)
+	}
+	if s.Bytes() != 4096 || !s.Contains(file, 0, 4096) || s.Contains(file, 0, 4097) {
+		t.Fatalf("refresh Adds changed coverage: %d bytes tracked", s.Bytes())
+	}
+	s.Add(file, 4096, 100, time.Millisecond)
+	if !s.Contains(file, 0, 4196) {
+		t.Fatal("grown coverage not visible")
+	}
+
+	// A bound of one 4 KiB run per stripe: a second run of the same file
+	// (same stripe) evicts the first.
+	b := NewStriped(4096 * numStripes)
+	file = "evict.dat"
+	b.Add(file, 0, 4096, time.Millisecond)
+	if !b.Contains(file, 0, 4096) {
+		t.Fatal("initial coverage missing")
+	}
+	b.Add(file, 4096, 4096, time.Millisecond)
+	if b.Evicted() == 0 {
+		t.Fatal("expected a FIFO eviction")
+	}
+	if b.Contains(file, 0, 1) {
+		t.Fatal("evicted run still covered")
+	}
+	if !b.Contains(file, 4096, 4096) {
+		t.Fatal("surviving run not covered")
+	}
+}
+
+// TestStripedConcurrentHolePunch runs readers against a writer that
+// punches a hole into a file's coverage and fills it again (run under
+// -race in CI). Whatever the interleaving, the coverage on both sides of
+// the hole never disappears.
+func TestStripedConcurrentHolePunch(t *testing.T) {
+	s := NewStriped(0)
+	const (
+		file    = "runs.dat"
+		fileLen = int64(8192)
+		holeOff = int64(3072)
+		holeLen = int64(1024)
+	)
+	s.Add(file, 0, fileLen, time.Millisecond)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // writer
+		defer wg.Done()
+		for !stop.Load() {
+			s.Remove(file, holeOff, holeLen)
+			s.Add(file, holeOff, holeLen, time.Millisecond)
+		}
+	}()
+
+	readers := 4
+	errs := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if !s.Contains(file, 0, holeOff) || !s.Contains(file, holeOff+holeLen, fileLen-holeOff-holeLen) {
+					errs <- "coverage outside the hole disappeared"
+					return
+				}
+			}
+		}()
+	}
+
+	time.Sleep(200 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
+	}
+}
+
+// TestStripedContainsZeroAllocs pins the striped criticality check — the
+// concurrent read path's question for every miss segment — at zero
+// allocations per operation (`make alloc-check`).
+func TestStripedContainsZeroAllocs(t *testing.T) {
+	s := NewStriped(0)
+	file := "alloc.dat"
+	for off := int64(0); off < 8192; off += 1024 {
+		s.Add(file, off, 512, time.Millisecond) // gapped: many runs
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if !s.Contains(file, 2048, 512) {
+			t.Fatal("coverage missing")
+		}
+		if s.Contains(file, 2048, 1024) {
+			t.Fatal("hole reported covered")
+		}
+	}); n != 0 {
+		t.Fatalf("Contains allocates %v/op, want 0", n)
 	}
 }

@@ -280,3 +280,48 @@ func TestFlushBufferOnlyWhenPayloadStored(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentReadHitAllocs pins the allocation count of a covered read
+// hit on the concurrent engine: a perf-mode 16-shard Concurrent on the
+// virtual-time engine, re-reading one critical range that is cached and
+// tracked in the CDT. Identify, the DMT lookup and the CDT re-Add are
+// allocation-free; the two allocations left are the request's join and
+// the cache segment's completion closure.
+func TestConcurrentReadHitAllocs(t *testing.T) {
+	const maxAllocs = 2
+	tb := newPerfTestbed(t)
+	eng, err := NewConcurrent(ConcurrentConfig{
+		Clock:         tb.eng,
+		OPFS:          tb.opfs,
+		CPFS:          tb.cpfs,
+		Model:         tb.s4d.model,
+		CacheCapacity: 64 << 20,
+		Concurrency:   16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Write(0, "f", 1<<30, 16<<10, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	tb.eng.Run()
+	issue := func() {
+		if err := eng.Read(0, "f", 1<<30, 16<<10, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		tb.eng.Run()
+	}
+	issue()
+	if !eng.CDT().Contains("f", 1<<30, 16<<10) || !eng.DMT().Contains("f", 1<<30, 16<<10) {
+		t.Fatal("read range is not a covered cache hit")
+	}
+	got := testing.AllocsPerRun(100, issue)
+	if st := eng.Stats(); st.SegReadsCache < 100 || st.SegReadsDisk != 0 {
+		t.Fatalf("reads were not cache hits: %d cache / %d disk segments", st.SegReadsCache, st.SegReadsDisk)
+	}
+	t.Logf("covered concurrent read hit: %v allocs/op", got)
+	if got > maxAllocs {
+		t.Fatalf("covered concurrent read hit allocates %v per op, want <= %d", got, maxAllocs)
+	}
+}

@@ -14,9 +14,9 @@ import (
 // benefit mass and a linear-counting working-set estimate — and every
 // AdaptivePeriod the engine snapshots the window, picks the cache
 // policy best matched to it, and retunes the criticality threshold and
-// CDT bound. All Note state is atomic so the concurrent engine's
-// lock-free read path can feed it without the shard mutex, and Note
-// performs no heap allocation (pinned by the core alloc-check tests).
+// CDT bound. All Note state is atomic so the concurrent engine's shards
+// can feed it without a shared mutex, and Note performs no heap
+// allocation (pinned by the core alloc-check tests).
 
 const (
 	// chzWords sizes the working-set bitmap: 512 words = 32 Ki bits.

@@ -298,6 +298,15 @@ func (c *Concurrent) fetchGapConc(sh *cshard, shardIdx int, file string, off, le
 		sh.mu.Unlock()
 		return
 	}
+	fid := c.arena.Intern(file)
+	if w := sh.writing[fid]; w != nil && w.Load() > 0 {
+		// A client write that started before the epoch capture may not
+		// have reached the DServers yet: the read below could cache the
+		// bytes it replaces. Retry next cycle, as flushOne does.
+		c.fetchRetries.Add(1)
+		sh.mu.Unlock()
+		return
+	}
 	// Eviction victims are unmapped by the cachespace eviction hook, under
 	// the region mutex (unmap-before-free, DESIGN.md §12).
 	frags, _, err := c.space.Allocate(shardIdx, length, cachespace.Owner{File: file, FileOff: off}, true)
@@ -306,7 +315,6 @@ func (c *Concurrent) fetchGapConc(sh *cshard, shardIdx int, file string, off, le
 		sh.mu.Unlock()
 		return
 	}
-	fid := c.arena.Intern(file)
 	epoch := sh.fileEpoch[fid]
 	sh.mu.Unlock()
 

@@ -123,24 +123,22 @@ type ConcurrentConfig struct {
 // charges metadata I/O; those ablations stay on the deterministic
 // sequential engine.
 //
-// Lock order (documented in DESIGN.md §12): core shard mutex → shard
-// tracker mutex → cachespace region mutex → striped table stripe mutex →
-// kvstore shard mutex. Leaf mutexes (deferred-read list, degraded map,
-// join error slots) are taken below all of these. No path holds two shard
-// mutexes or two region mutexes at once. The region → stripe edge exists
-// only inside the cachespace eviction hook, which unmaps a victim's DMT
-// range under the region mutex before its bytes rejoin the free pool —
-// the invariant the lock-free read path's pin-then-revalidate protocol
-// relies on (readFast).
+// Every read and write runs under its shard mutex, identify included.
+// Lock order (DESIGN.md §12): core shard mutex → cachespace region mutex
+// → striped table stripe mutex → kvstore shard mutex. Leaf mutexes
+// (deferred-read list, degraded map, join error slots) are taken below
+// all of these. No path holds two shard mutexes or two region mutexes at
+// once. The region → stripe edge exists only inside the cachespace
+// eviction hook, which unmaps a victim's DMT range under the region
+// mutex before its bytes rejoin the free pool (unmap-before-free).
 type Concurrent struct {
-	clock       sim.Clock
-	opfs        Backend
-	cpfs        Backend
-	payload     bool // a backend stores payload bytes: the Rebuilder moves them
-	model       costmodel.Params
-	policy      AdmissionPolicy
-	faulty      atomic.Bool
-	lockedReads bool // bypass readFast; set only by tests, before any request
+	clock   sim.Clock
+	opfs    Backend
+	cpfs    Backend
+	payload bool // a backend stores payload bytes: the Rebuilder moves them
+	model   costmodel.Params
+	policy  AdmissionPolicy
+	faulty  atomic.Bool
 
 	shards []cshard
 	dmt    *dmt.Striped
@@ -154,8 +152,8 @@ type Concurrent struct {
 	metaFaultIns atomic.Uint64
 
 	// Adaptive policy engine (characterizer.go). admitNanos is the live
-	// criticality threshold in nanoseconds, loaded lock-free by the
-	// epoch read fast path; the adaptTick goroutine is its only writer.
+	// criticality threshold in nanoseconds: the adaptTick goroutine is its
+	// only writer and runs outside every shard mutex, so it is atomic.
 	cacheCap                int64
 	baseCDTMax              int64
 	admitNanos              atomic.Int64
@@ -215,21 +213,15 @@ type Concurrent struct {
 	cdtRestored                    atomic.Uint64
 }
 
-// cshard is one serve lane. Writers and degraded-mode paths serialize on
-// mu; the epoch read fast path never takes it — identify state has its
-// own trackerMu (acquired below mu, so the locked paths can nest it), and
-// the serve counters are atomics updated lock-free from both paths. The
-// trailing padding keeps neighbouring shards' mutexes and counters on
-// separate cache lines.
+// cshard is one serve lane. Reads, writes and degraded-mode paths
+// serialize on mu, which also guards the cost-model tracker and locality
+// state identify mutates. The serve counters are atomics so Stats can
+// snapshot without quiescing. The trailing padding keeps neighbouring
+// shards' mutexes and counters on separate cache lines.
 type cshard struct {
-	mu sync.Mutex
-	// trackerMu guards the cost-model tracker and locality state, which
-	// mutate on every identify — the only identify state the lock-free
-	// read path must still serialize. Acquired below mu, above the region
-	// and stripe mutexes.
-	trackerMu sync.Mutex
-	tracker   *costmodel.Tracker
-	locality  *localityTracker
+	mu       sync.Mutex
+	tracker  *costmodel.Tracker
+	locality *localityTracker
 	// fileEpoch is keyed by the shared arena's dense file id, like the
 	// sequential engine's map.
 	fileEpoch map[uint32]uint64
@@ -252,8 +244,7 @@ type cshard struct {
 	_          [64]byte
 }
 
-// cstats is the per-shard serve counter block: padded atomic counters, so
-// the lock-free read path can account without the shard mutex and Stats
+// cstats is the per-shard serve counter block: atomic counters, so Stats
 // can snapshot without quiescing. Field meanings as core.Stats.
 type cstats struct {
 	reads, writes           atomic.Uint64
@@ -395,9 +386,8 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 	c.admitNanos.Store(int64(cfg.Model.CriticalThreshold))
 	c.faulty.Store(cfg.Faulty)
 	// Unmap-before-free: every eviction drops its DMT mapping under the
-	// region mutex, before the bytes rejoin the free pool. The epoch read
-	// path's pin-then-revalidate protocol depends on this ordering; the
-	// locked paths no longer unmap eviction victims themselves.
+	// region mutex, before the bytes rejoin the free pool, so no lookup
+	// can return a mapping to space another owner has been given.
 	space.SetEvictHook(func(owner cachespace.Owner, cacheOff, length int64) bool {
 		return c.dmt.Delete(owner.File, owner.FileOff, length) == nil
 	})
@@ -452,8 +442,8 @@ func (c *Concurrent) armAdapt(period time.Duration) {
 // adaptTick is one adaptation step of the concurrent engine: the
 // sharded twin of S4D.adaptTick. Policy swaps go through
 // Sharded.SetPolicy (per-region locks, live under traffic — the swap
-// torture test's path); the threshold is published through admitNanos
-// so the lock-free read path picks it up without a mutex.
+// torture test's path); the threshold is published through admitNanos,
+// which serve paths load under their shard mutex.
 func (c *Concurrent) adaptTick() {
 	c.adaptTicks.Add(1)
 	prof := c.chz.SnapshotReset()
@@ -693,13 +683,6 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 // Read intercepts an application read of file[off, off+size) by rank. Safe
 // to call from any goroutine. In-flight cache hits pin their ranges so
 // reclaim cannot hand the bytes to another owner mid-read.
-//
-// Fault-free engines serve reads through the epoch fast path: counters
-// are atomics, identify serializes only on the shard's tracker mutex, and
-// the DMT/CDT lookups traverse the stripes' published views — a read-only
-// serve never blocks on the shard mutex or a stripe writer. A torn
-// revalidation (the mapping moved between the view load and the pin)
-// falls back to the stripe-locked path, reusing the identify result.
 func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, done func(error)) error {
 	if err := checkRange(off, size, buf); err != nil {
 		return err
@@ -709,109 +692,13 @@ func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, do
 		return nil
 	}
 	sh, _ := c.shard(file)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	sh.stats.reads.Add(1)
 	sh.stats.bytesRead.Add(size)
 
 	benefit := c.identify(sh, rank, file, off, size, false)
 
-	if !c.lockedReads && !c.faulty.Load() && c.readFast(sh, file, off, size, buf, done, benefit) {
-		return nil
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c.readLocked(sh, file, off, size, buf, done, benefit)
-	return nil
-}
-
-// readScratch is the fast read path's pooled lookup buffer pair: the path
-// holds no shard mutex, so the per-shard scratch buffers are off limits.
-type readScratch struct {
-	hits []dmt.Hit
-	gaps []extent.Gap
-}
-
-var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
-
-// readFast serves one read entirely from the published epoch views:
-// lock-free view lookup, pin, revalidate against a fresh view load, then
-// issue. Returns false — without having issued anything — if any hit
-// fails revalidation; the caller retries under the shard mutex.
-//
-// Soundness of pin-then-revalidate: evictions unmap their DMT range
-// under the region mutex before the space is freed (the eviction hook),
-// and Pin acquires that same region mutex. So once a hit is pinned, a
-// revalidation against the then-current view proves the mapping was live
-// at pin time, and the pin blocks any later reclaim of those bytes until
-// the read completes.
-func (c *Concurrent) readFast(sh *cshard, file string, off, size int64, buf []byte, done func(error), benefit time.Duration) bool {
-	sc := readScratchPool.Get().(*readScratch)
-	hits, gaps, ok := c.dmt.ViewLookup(sc.hits[:0], sc.gaps[:0], file, off, size)
-	if !ok {
-		// The file's metadata is spilled: fall back to the locked path,
-		// which faults it in under the stripe mutex.
-		sc.hits, sc.gaps = hits, gaps
-		readScratchPool.Put(sc)
-		return false
-	}
-	// Pin and revalidate every hit before issuing any segment: a torn
-	// batch (some segments issued fast, the rest re-looked-up locked)
-	// could double-serve parts of the request.
-	for i, h := range hits {
-		c.space.Pin(h.CacheOff, h.Len)
-		if !c.dmt.ViewMappedAt(file, h.Off, h.Len, h.CacheOff) {
-			for _, p := range hits[:i+1] {
-				c.space.Unpin(p.CacheOff, p.Len)
-			}
-			sc.hits, sc.gaps = hits, gaps
-			readScratchPool.Put(sc)
-			return false
-		}
-	}
-	j := &conJoin{c: c, done: done}
-	j.n.Store(int32(len(hits) + len(gaps)))
-	for _, h := range hits {
-		sh.stats.segReadsCache.Add(1)
-		sh.stats.bytesReadCache.Add(h.Len)
-		c.space.Touch(h.CacheOff, h.Len)
-		seg := slice(buf, off, h.Off, h.Len)
-		h := h
-		cb := func(err error) {
-			c.space.Unpin(h.CacheOff, h.Len)
-			if err == nil || !c.faulty.Load() {
-				j.sub(err)
-				return
-			}
-			// A crash raced the in-flight read (faulty flipped after issue):
-			// resolve through the degraded-mode rerouter, as the locked path
-			// would.
-			c.readFailedConc(err, file, h.Off, h.Len, seg, j.sub)
-		}
-		if err := c.cpfs.Read(CacheFileName, h.CacheOff, h.Len, sim.PriorityHigh, seg, cb); err != nil {
-			c.space.Unpin(h.CacheOff, h.Len)
-			j.sub(err)
-		}
-	}
-	for _, g := range gaps {
-		if benefit > c.threshold() || c.cdt.ViewContains(file, g.Off, g.Len) {
-			// Always lazy: mark for the Rebuilder (Algorithm 1, line 18).
-			c.cdt.SetCFlag(file, g.Off, g.Len)
-			sh.stats.lazyMarks.Add(1)
-		}
-		sh.stats.segReadsDisk.Add(1)
-		sh.stats.bytesReadDisk.Add(g.Len)
-		if err := c.opfs.Read(file, g.Off, g.Len, sim.PriorityHigh, slice(buf, off, g.Off, g.Len), j.sub); err != nil {
-			j.sub(err)
-		}
-	}
-	sc.hits, sc.gaps = hits, gaps
-	readScratchPool.Put(sc)
-	return true
-}
-
-// readLocked is the stripe-locked read body — the faulty-mode path and
-// the fast path's fallback. Caller holds the shard mutex; request-level
-// counters and identify have already run.
-func (c *Concurrent) readLocked(sh *cshard, file string, off, size int64, buf []byte, done func(error), benefit time.Duration) {
 	sh.hitsBuf, sh.gapsBuf = c.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
 	hits, gaps := sh.hitsBuf, sh.gapsBuf
 	j := &conJoin{c: c, done: done}
@@ -837,6 +724,8 @@ func (c *Concurrent) readLocked(sh *cshard, file string, off, size int64, buf []
 				j.sub(err)
 				return
 			}
+			// A crash raced the in-flight read (faulty may flip after
+			// issue): resolve through the degraded-mode rerouter.
 			c.readFailedConc(err, file, h.Off, h.Len, seg, j.sub)
 		}
 		if err := c.cpfs.Read(CacheFileName, h.CacheOff, h.Len, sim.PriorityHigh, seg, cb); err != nil {
@@ -857,34 +746,28 @@ func (c *Concurrent) readLocked(sh *cshard, file string, off, size int64, buf []
 			j.sub(err)
 		}
 	}
+	return nil
 }
 
 // identify runs the Data Identifier on the shard's tracker. Cost-model
 // state is keyed by (file, rank) and files map to exactly one shard, so
 // per-shard trackers produce the same decisions as one global tracker.
-// Serializes only on the shard's tracker mutex (never the shard mutex):
-// the epoch read fast path calls it lock-free, and the locked write path
-// nests it below mu. The CDT Add serializes on the target stripe's own
-// mutex.
+// Caller holds the shard mutex, which guards the tracker; the CDT Add
+// serializes on the target stripe's own mutex below it.
 func (c *Concurrent) identify(sh *cshard, rank int, file string, off, size int64, write bool) time.Duration {
 	sh.stats.identified.Add(1)
 	if c.policy == PolicyLocality {
-		sh.trackerMu.Lock()
-		hot := sh.locality.Touch(file, off, size)
-		sh.trackerMu.Unlock()
-		if hot {
+		if sh.locality.Touch(file, off, size) {
 			sh.stats.critical.Add(1)
 			c.cdt.Add(file, off, size, 0)
 			return time.Nanosecond
 		}
 		return 0
 	}
-	sh.trackerMu.Lock()
 	dist := sh.tracker.Observe(costmodel.StreamKey{File: file, Rank: rank}, off, size)
-	sh.trackerMu.Unlock()
 	benefit := c.model.Benefit(costmodel.Request{Offset: off, Size: size, Distance: dist})
 	if c.chz != nil {
-		// Atomic accumulation — safe from the lock-free read path.
+		// Atomic accumulation: shards note concurrently.
 		c.chz.Note(write, dist, file, off, size, benefit)
 	}
 	if benefit > c.threshold() {

@@ -348,3 +348,70 @@ func TestConcurrentRejectedBySequentialNew(t *testing.T) {
 		t.Fatal("New accepted Concurrency=4")
 	}
 }
+
+// TestConcurrentReadEvictionChurn hammers the read path while the cache
+// is too small for the working set, so allocations continuously evict
+// mappings of files other clients are reading. Run under -race this is
+// the eviction-race oracle: every read must return either bytes the owner
+// wrote or zeroes (never another file's recycled bytes), with evictions
+// provably occurring.
+func TestConcurrentReadEvictionChurn(t *testing.T) {
+	const (
+		clients  = 4
+		fileSize = int64(256 << 10)
+		ops      = 120
+	)
+	tb := newConcTestbedCfg(t, clients, true, false, func(cfg *ConcurrentConfig) {
+		// Capacity holds about half the combined working set, per-shard
+		// regions.
+		cfg.CacheCapacity = clients * fileSize / 2
+		cfg.Policy = PolicyAll
+		// A running Rebuilder keeps flushing dirty extents clean, so the
+		// undersized cache actually evicts (dirty space is never
+		// reclaimed).
+		cfg.RebuildPeriod = 2 * time.Millisecond
+	})
+	images := make([][]byte, clients)
+	var wg sync.WaitGroup
+	for cl := 0; cl < clients; cl++ {
+		img := make([]byte, fileSize)
+		rand.New(rand.NewSource(int64(500 + cl))).Read(img)
+		images[cl] = img
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			file := eqFile(cl)
+			rng := rand.New(rand.NewSource(int64(600 + cl)))
+			await(t, func(done func(error)) error {
+				return tb.eng.Write(cl, file, 0, fileSize, images[cl], done)
+			})
+			for i := 0; i < ops; i++ {
+				off := rng.Int63n(fileSize - 16<<10)
+				size := int64(1<<10) + rng.Int63n(15<<10)
+				if rng.Intn(4) == 0 {
+					// Rewrite to keep allocation (and thus eviction) pressure up.
+					await(t, func(done func(error)) error {
+						return tb.eng.Write(cl, file, off, size, images[cl][off:off+size], done)
+					})
+					continue
+				}
+				buf := make([]byte, size)
+				await(t, func(done func(error)) error {
+					return tb.eng.Read(cl, file, off, size, buf, done)
+				})
+				img := images[cl]
+				for j := range buf {
+					if buf[j] != img[off+int64(j)] && buf[j] != 0 {
+						t.Errorf("client %d off %d+%d: read byte %d, want %d or 0 — foreign bytes served",
+							cl, off, j, buf[j], img[off+int64(j)])
+						return
+					}
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+	if tb.eng.Space().Evictions() == 0 {
+		t.Fatal("no evictions occurred; churn test exercises nothing")
+	}
+}

@@ -165,10 +165,9 @@ type Table struct {
 	// sequence they supersede.
 	lastSeq func() uint64
 
-	budget     int64
-	spillRead  func(name string, data []byte) []byte
-	faultIO    func(extents int)
-	onResident func(name string) // striped epoch-view republish hook
+	budget    int64
+	spillRead func(name string, data []byte) []byte
+	faultIO   func(extents int)
 
 	// sdHits is the reusable scratch of the set-dirty path. Not live
 	// across any call that could re-enter the table.
@@ -751,9 +750,6 @@ func (t *Table) spillFile(si int32) {
 	fs.churned = 0
 	t.spilledFiles++
 	t.spills++
-	if t.onResident != nil {
-		t.onResident(name)
-	}
 }
 
 // faultIn decodes slot si's baseline record back into the slab. A
@@ -794,18 +790,12 @@ func (t *Table) faultIn(si int32) {
 		if err := t.persist(logOp{kind: kindDelete, file: name, off: 0, length: clearLen}); err == nil {
 			_ = t.store.Delete(key)
 		}
-		if t.onResident != nil {
-			t.onResident(name)
-		}
 		return
 	}
 	t.residentBytes += t.slab.SegBytes(fs.seg)
 	t.faultIns++
 	if t.faultIO != nil {
 		t.faultIO(n)
-	}
-	if t.onResident != nil {
-		t.onResident(name)
 	}
 }
 

@@ -158,8 +158,7 @@ func (t *Table) Restore(file string, off, length, cacheOff int64, dirty bool) {
 }
 
 // NewStripedPersisted is NewPersisted for the concurrent table: attached to
-// store, numbering after seq, nothing replayed, every stripe view published
-// empty.
+// store, numbering after seq, nothing replayed.
 func NewStripedPersisted(store *kvstore.Store, seq uint64, opts ...Option) (*Striped, error) {
 	if store == nil {
 		return nil, fmt.Errorf("dmt: store is required")
@@ -170,15 +169,11 @@ func NewStripedPersisted(store *kvstore.Store, seq uint64, opts ...Option) (*Str
 		s.stripes[i].t.store = store
 	}
 	s.seq.Store(seq)
-	for i := range s.stripes {
-		s.stripes[i].republishAll()
-	}
 	return s, nil
 }
 
-// Restore applies an insert to file's stripe without persisting, and
-// republishes the stripe's epoch view so lock-free readers see the
-// recovered mapping. Same durability contract as Table.Restore.
+// Restore applies an insert to file's stripe without persisting, under the
+// stripe mutex. Same durability contract as Table.Restore.
 func (s *Striped) Restore(file string, off, length, cacheOff int64, dirty bool) {
 	if length <= 0 {
 		return
@@ -188,7 +183,6 @@ func (s *Striped) Restore(file string, off, length, cacheOff int64, dirty bool) 
 	defer sh.mu.Unlock()
 	sh.t.apply(logOp{kind: kindInsert, file: file, off: off, length: length, cacheOff: cacheOff, dirty: dirty})
 	sh.t.enforceBudget(-1)
-	sh.republish(file)
 }
 
 // encodeOp serializes one log op: kind byte, length-prefixed file name,

@@ -267,11 +267,10 @@ func TestSpillQuarantineThenMiss(t *testing.T) {
 	}
 }
 
-// TestStripedSpillViews pins the §12 epoch-view interaction: ViewLookup
-// on a spilled file reports !ok (the spilled sentinel) so the lock-free
-// read path falls back to the locked path, and after the locked lookup
-// faults the file in, the republished view serves it lock-free again.
-func TestStripedSpillViews(t *testing.T) {
+// TestStripedSpillFaultIn checks that a striped table under a resident
+// budget spills files, and that a locked lookup of a spilled file faults
+// it back in and returns its mapping.
+func TestStripedSpillFaultIn(t *testing.T) {
 	st := spillStore(t)
 	tbl, err := OpenStriped(st, WithMetaBudget(300))
 	if err != nil {
@@ -285,29 +284,13 @@ func TestStripedSpillViews(t *testing.T) {
 	if tbl.Stats().SpilledFiles == 0 {
 		t.Fatal("nothing spilled")
 	}
-	var sentinels int
 	for i := 0; i < 32; i++ {
-		hits, gaps, ok := tbl.ViewLookup(nil, nil, spillName(i), 0, 4096)
-		if !ok {
-			sentinels++
-			// Locked path faults in…
-			lh, lg := tbl.Lookup(spillName(i), 0, 4096)
-			if len(lh) != 1 || len(lg) != 0 {
-				t.Fatalf("file %d: locked fault-in lookup: %v %v", i, lh, lg)
-			}
-			// …and the republished view serves the file lock-free.
-			vh, vg, vok := tbl.ViewLookup(nil, nil, spillName(i), 0, 4096)
-			if !vok || len(vh) != 1 || len(vg) != 0 {
-				t.Fatalf("file %d: view after fault-in: ok=%v hits=%v gaps=%v", i, vok, vh, vg)
-			}
-			continue
-		}
-		if len(hits) != 1 || len(gaps) != 0 {
-			t.Fatalf("file %d: resident view: %v %v", i, hits, gaps)
+		if h, g := tbl.Lookup(spillName(i), 0, 4096); len(h) != 1 || len(g) != 0 || h[0].CacheOff != int64(i)*4096 {
+			t.Fatalf("file %d: lookup: hits=%v gaps=%v", i, h, g)
 		}
 	}
-	if sentinels == 0 {
-		t.Fatal("no view ever reported the spilled sentinel")
+	if tbl.Stats().FaultIns == 0 {
+		t.Fatal("no lookup faulted a spilled file in")
 	}
 }
 

@@ -34,9 +34,9 @@ func stripeIndex(file string) uint32 {
 // one persist-log sequence (an atomic counter injected via Table.nextSeq),
 // so log keys stay globally unique and replay order is well defined. They
 // also share one name arena, and a MetaBudget divides evenly across
-// stripes — each stripe's clock spills independently under its own lock,
-// republishing the file's epoch view as a spilled sentinel so the
-// lock-free read path never observes a half-spilled file.
+// stripes — each stripe's clock spills independently under its own lock.
+// Every read and write of a stripe holds its mutex, so no caller observes
+// a half-applied batch or a half-spilled file.
 //
 // The simulator core keeps the plain Table — its cross-file scan order
 // (first-mapped) drives the deterministic Rebuilder schedule. Striped is
@@ -47,27 +47,16 @@ type Striped struct {
 	seq     atomic.Uint64
 	store   *kvstore.Store
 	arena   *names.Arena
-	// slots is the published epoch-view index: an immutable slot array
-	// addressed by arena id (view.go). Writers publish through their
-	// file's stable slot; the array itself is only swapped when it grows
-	// (slotMu serializes growth across stripes).
-	slots  atomic.Pointer[[]*fileSlot]
-	slotMu sync.Mutex
 }
 
-// dstripe is one lock stripe: the live sub-table behind its writer mutex
-// plus the published epoch view readers traverse lock-free (view.go). The
-// trailing padding keeps neighbouring stripes' mutexes and view pointers
-// on separate cache lines — adjacent array elements would otherwise false-
-// share under multicore serve load.
+// dstripe is one lock stripe: a sub-table behind its mutex. The trailing
+// padding keeps neighbouring stripes' mutexes on separate cache lines —
+// adjacent array elements would otherwise false-share under multicore
+// serve load.
 type dstripe struct {
 	mu sync.Mutex
 	t  *Table
-	s  *Striped // parent, for the shared view slot array
-	// version counts this stripe's view publications (the torn-read
-	// oracle). Writers add with the mutex held; readers only load.
-	version atomic.Uint64
-	_       [64]byte
+	_  [64]byte
 }
 
 // NewStriped returns a memory-only concurrent table.
@@ -80,8 +69,6 @@ func NewStriped(opts ...Option) *Striped {
 		c.arena = names.NewArena()
 	}
 	s := &Striped{arena: c.arena}
-	empty := make([]*fileSlot, 0)
-	s.slots.Store(&empty)
 	// The budget divides evenly; each stripe enforces its share under its
 	// own lock, so no cross-stripe coordination rides the serve path.
 	sc := c
@@ -89,16 +76,10 @@ func NewStriped(opts ...Option) *Striped {
 		sc.budget = (c.budget + numStripes - 1) / numStripes
 	}
 	for i := range s.stripes {
-		sh := &s.stripes[i]
-		sh.s = s
 		t := newTable(sc)
 		t.nextSeq = s.nextSeq
 		t.lastSeq = s.seq.Load
-		// Spill and fault-in republish through the stripe so lock-free
-		// readers flip atomically between resident entries and the
-		// spilled sentinel.
-		t.onResident = func(name string) { sh.republish(name) }
-		sh.t = t
+		s.stripes[i].t = t
 	}
 	return s
 }
@@ -133,12 +114,10 @@ func OpenStriped(store *kvstore.Store, opts ...Option) (*Striped, error) {
 		return nil, err
 	}
 	s.seq.Store(max)
-	// Replay applied ops directly into the sub-tables, bypassing the
-	// per-call publication; publish every stripe's view — and run each
-	// stripe's budget sweep — before any reader can exist.
+	// Replay applied ops directly into the sub-tables; run each stripe's
+	// budget sweep before any caller can exist.
 	for i := range s.stripes {
 		s.stripes[i].t.enforceBudget(-1)
-		s.stripes[i].republishAll()
 	}
 	return s, nil
 }
@@ -146,8 +125,7 @@ func OpenStriped(store *kvstore.Store, opts ...Option) (*Striped, error) {
 func (s *Striped) nextSeq() uint64 { return s.seq.Add(1) }
 
 // SetMetaBudget adjusts the resident budget live, dividing it across
-// stripes and sweeping each immediately. Spills republish through the
-// stripes' epoch views as they happen.
+// stripes and sweeping each immediately.
 func (s *Striped) SetMetaBudget(n int64) {
 	per := n
 	if n > 0 {
@@ -170,68 +148,47 @@ func (s *Striped) stripe(file string) (*Table, *sync.Mutex) {
 }
 
 // Insert maps [off, off+length) of file to cacheOff, as Table.Insert.
-// The stripe's epoch view republishes before the mutex is released, so
-// lock-free readers see either the old or the new mapping, never a
-// partial state.
 func (s *Striped) Insert(file string, off, length, cacheOff int64, dirty bool) error {
-	sh := &s.stripes[stripeIndex(file)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	err := sh.t.Insert(file, off, length, cacheOff, dirty)
-	sh.republish(file)
-	return err
+	t, mu := s.stripe(file)
+	defer mu.Unlock()
+	return t.Insert(file, off, length, cacheOff, dirty)
 }
 
 // InsertBatch maps several fragments of one file atomically, as
 // Table.InsertBatch: the fragments commit as one store batch, which the
 // group committer may coalesce with concurrent stripes' commits into a
-// single WAL sync. The epoch view publishes once, after every fragment
-// applied — a reader can never observe a torn batch.
+// single WAL sync. The stripe mutex covers every fragment, so no lookup
+// observes a torn batch.
 func (s *Striped) InsertBatch(file string, frags []FragmentInsert) error {
-	sh := &s.stripes[stripeIndex(file)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	err := sh.t.InsertBatch(file, frags)
-	sh.republish(file)
-	return err
+	t, mu := s.stripe(file)
+	defer mu.Unlock()
+	return t.InsertBatch(file, frags)
 }
 
-// Delete removes mappings covering [off, off+length), republishing the
-// stripe's epoch view before the mutex is released.
+// Delete removes mappings covering [off, off+length).
 func (s *Striped) Delete(file string, off, length int64) error {
-	sh := &s.stripes[stripeIndex(file)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	err := sh.t.Delete(file, off, length)
-	sh.republish(file)
-	return err
+	t, mu := s.stripe(file)
+	defer mu.Unlock()
+	return t.Delete(file, off, length)
 }
 
-// SetClean clears the D_flag across [off, off+length). One publication
-// for the whole range: lock-free readers see the flag flip atomically
-// even when it spans several mapped fragments.
+// SetClean clears the D_flag across [off, off+length), atomically even
+// when the range spans several mapped fragments.
 func (s *Striped) SetClean(file string, off, length int64) error {
-	sh := &s.stripes[stripeIndex(file)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	err := sh.t.SetClean(file, off, length)
-	sh.republish(file)
-	return err
+	t, mu := s.stripe(file)
+	defer mu.Unlock()
+	return t.SetClean(file, off, length)
 }
 
-// SetDirty sets the D_flag across [off, off+length), publishing once as
-// SetClean does.
+// SetDirty sets the D_flag across [off, off+length), as SetClean.
 func (s *Striped) SetDirty(file string, off, length int64) error {
-	sh := &s.stripes[stripeIndex(file)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	err := sh.t.SetDirty(file, off, length)
-	sh.republish(file)
-	return err
+	t, mu := s.stripe(file)
+	defer mu.Unlock()
+	return t.SetDirty(file, off, length)
 }
 
 // Lookup splits [off, off+length) of file into mapped subranges and gaps.
-// A lookup of a spilled file faults it back in and republishes its view.
+// A lookup of a spilled file faults it back in.
 func (s *Striped) Lookup(file string, off, length int64) ([]Hit, []extent.Gap) {
 	return s.AppendLookup(nil, nil, file, off, length)
 }
@@ -281,7 +238,7 @@ func (s *Striped) DirtyExtents(max int) []Hit {
 
 // CleanExtents returns up to max clean mapped ranges (all if max <= 0).
 // Spilled files fault in for the scan; each stripe resweeps its budget
-// afterwards and republishes what it respilled.
+// afterwards.
 func (s *Striped) CleanExtents(max int) []Hit {
 	var out []Hit
 	for i := range s.stripes {

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"s4dcache/internal/extent"
 	"s4dcache/internal/kvstore"
 )
 
@@ -310,6 +312,147 @@ func TestStripedConcurrent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStripedLookupAfterDelete checks that a deleted mapping is gone from
+// every lookup, and that a file the table never saw is one whole gap.
+func TestStripedLookupAfterDelete(t *testing.T) {
+	s := NewStriped()
+	file := "gone.dat"
+	if err := s.Insert(file, 0, 100, 500, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(file, 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if s.Contains(file, 0, 1) {
+		t.Fatal("table still contains the deleted mapping")
+	}
+	if h, g := s.Lookup(file, 0, 100); len(h) != 0 || len(g) != 1 {
+		t.Fatalf("deleted file: hits=%v gaps=%v", h, g)
+	}
+	if h, g := s.Lookup("other", 10, 20); len(h) != 0 || len(g) != 1 || g[0] != (extent.Gap{Off: 10, Len: 20}) {
+		t.Fatalf("unknown file: hits=%v gaps=%v", h, g)
+	}
+}
+
+// TestStripedConcurrentLookupsNeverTorn is the torn-mapping property test
+// (run under -race in CI). One writer flips a file between two
+// batch-inserted layouts, A and B, with distinct cache-offset bases, and
+// toggles dirty flags across the whole file between the flips. Concurrent
+// readers assert every lookup is exactly layout A or layout B — full
+// coverage from a single base, uniform dirty bit — or, between a Delete
+// and the re-insert, one whole-file gap. A torn batch or a half-applied
+// flag flip fails the oracle.
+func TestStripedConcurrentLookupsNeverTorn(t *testing.T) {
+	s := NewStriped()
+	const (
+		file    = "torn.dat"
+		fileLen = int64(4096)
+		baseA   = int64(1 << 20)
+		baseB   = int64(2 << 20)
+	)
+	batch := func(base int64, frag int64) []FragmentInsert {
+		var out []FragmentInsert
+		for off := int64(0); off < fileLen; off += frag {
+			out = append(out, FragmentInsert{Off: off, Length: frag, CacheOff: base + off, Dirty: false})
+		}
+		return out
+	}
+	layoutA := batch(baseA, 256) // 16 fragments
+	layoutB := batch(baseB, 512) // 8 fragments
+	if err := s.InsertBatch(file, layoutA); err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // writer
+		defer wg.Done()
+		cur := layoutA
+		for i := 0; !stop.Load(); i++ {
+			if err := s.SetDirty(file, 0, fileLen); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.SetClean(file, 0, fileLen); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.Delete(file, 0, fileLen); err != nil {
+				t.Error(err)
+				return
+			}
+			if cur = layoutB; i%2 == 1 {
+				cur = layoutA
+			}
+			if err := s.InsertBatch(file, cur); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	readers := 4
+	errs := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var hits []Hit
+			var gaps []extent.Gap
+			for !stop.Load() {
+				hits, gaps = s.AppendLookup(hits[:0], gaps[:0], file, 0, fileLen)
+				if len(hits) == 0 {
+					if len(gaps) != 1 || gaps[0].Off != 0 || gaps[0].Len != fileLen {
+						errs <- "empty lookup is not one whole-file gap"
+						return
+					}
+					continue
+				}
+				if len(gaps) != 0 {
+					errs <- "torn lookup: partial coverage"
+					return
+				}
+				base := hits[0].CacheOff - hits[0].Off
+				if base != baseA && base != baseB {
+					errs <- "unknown cache base"
+					return
+				}
+				dirty := hits[0].Dirty
+				pos := int64(0)
+				for _, h := range hits {
+					if h.Off != pos {
+						errs <- "non-contiguous hits"
+						return
+					}
+					if h.CacheOff != base+h.Off {
+						errs <- "torn lookup: mixed layouts"
+						return
+					}
+					if h.Dirty != dirty {
+						errs <- "torn lookup: mixed dirty bits"
+						return
+					}
+					pos += h.Len
+				}
+				if pos != fileLen {
+					errs <- "coverage short of file length"
+					return
+				}
+			}
+		}()
+	}
+
+	time.Sleep(200 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
 	}
 }
 

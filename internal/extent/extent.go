@@ -242,8 +242,7 @@ func (m *Map[V]) Find(off int64) (Entry[V], bool) {
 }
 
 // AppendEntries appends every extent to dst in offset order and returns
-// the extended slice — the snapshot primitive behind the striped tables'
-// immutable epoch views (internal/dmt, internal/cdt).
+// the extended slice: a copy of the map's contents the caller owns.
 func (m *Map[V]) AppendEntries(dst []Entry[V]) []Entry[V] {
 	return append(dst, m.entries...)
 }

@@ -21,7 +21,8 @@ type Config struct {
 	Trace string
 	// MutexProfile receives a mutex-contention profile taken at shutdown.
 	// Sampling runs for the whole process (SetMutexProfileFraction(1)) —
-	// the serve path's lock-contention evidence for the epoch read work.
+	// the serve path's lock-contention evidence: shard, cache-region and
+	// table-stripe mutexes.
 	MutexProfile string
 	// BlockProfile receives a goroutine-blocking profile taken at
 	// shutdown (SetBlockProfileRate(1) for the whole process).
