@@ -153,13 +153,16 @@ func (c *Concurrent) absorbFailedConc(file string, off, length, cacheOff int64, 
 // error, through a fresh lookup under the shard mutex: invalidated clean
 // extents read around from the DServers, retained dirty extents defer to
 // the restart, dirty bytes on a live server surface the original error.
+// That last branch completes under the mutex, so the join counts this
+// call until it unlocks and a segment it finishes reaches cb through the
+// clock.
 func (c *Concurrent) readFailedConc(orig error, file string, off, length int64, buf []byte, cb func(error)) {
 	sh, _ := c.shard(file)
 	sh.mu.Lock()
 	sh.stats.failovers.Add(1)
 	hits, gaps := c.dmt.Lookup(file, off, length)
 	j := &segJoin{parent: cb}
-	j.n.Store(int32(len(hits) + len(gaps)))
+	j.n.Store(int32(len(hits)+len(gaps)) + 1)
 	for _, h := range hits {
 		seg := slice(buf, off, h.Off, h.Len)
 		switch {
@@ -183,16 +186,19 @@ func (c *Concurrent) readFailedConc(orig error, file string, off, length int64, 
 		}
 	}
 	sh.mu.Unlock()
+	j.releaseVia(c.clock)
 }
 
 // readSegmentConc routes one file-space read segment through the DMT like
-// Read's hit/gap fan-out, from restart events outside the serve path.
+// Read's hit/gap fan-out, from restart events outside the serve path. As
+// in readFailedConc, a segment finished under the mutex reaches cb through
+// the clock.
 func (c *Concurrent) readSegmentConc(file string, off, length int64, buf []byte, cb func(error)) {
 	sh, _ := c.shard(file)
 	sh.mu.Lock()
 	hits, gaps := c.dmt.Lookup(file, off, length)
 	j := &segJoin{parent: cb}
-	j.n.Store(int32(len(hits) + len(gaps)))
+	j.n.Store(int32(len(hits)+len(gaps)) + 1)
 	for _, h := range hits {
 		seg := slice(buf, off, h.Off, h.Len)
 		if c.cpfs.RangeDown(h.CacheOff, h.Len) {
@@ -225,4 +231,5 @@ func (c *Concurrent) readSegmentConc(file string, off, length int64, buf []byte,
 		}
 	}
 	sh.mu.Unlock()
+	j.releaseVia(c.clock)
 }

@@ -503,62 +503,94 @@ func (c *Concurrent) shard(file string) (*cshard, int) {
 	return &c.shards[idx], idx
 }
 
+// countdown is a join's outstanding-reference count and first error.
+type countdown struct {
+	n   atomic.Int32
+	mu  sync.Mutex
+	err error
+}
+
+// drop releases one reference, recording err, and reports whether it was
+// the last. The atomic decrement orders every recorded error before the
+// last reference's read of err.
+func (c *countdown) drop(err error) bool {
+	if err != nil {
+		c.mu.Lock()
+		if c.err == nil {
+			c.err = err
+		}
+		c.mu.Unlock()
+	}
+	return c.n.Add(-1) == 0
+}
+
 // conJoin joins one request's cache/disk segments. Segment completions
-// (sub) may run on any goroutine; the request's done callback always fires
-// asynchronously via the clock so no caller lock is held when it runs.
+// (sub) may run on any goroutine. n counts the segments plus one
+// reference Read/Write holds until it has issued them all (release), so
+// the join can only finish in one of two places: on the last backend
+// completion, which runs done inline (backends complete on a goroutine
+// that holds no engine lock), or in release, inside the issuing call
+// under the shard mutex, which defers done through the clock. A Write
+// abandoned on an error path never releases, so its join never completes.
 type conJoin struct {
+	countdown
 	c       *Concurrent
-	n       atomic.Int32
-	mu      sync.Mutex
-	err     error
 	done    func(error)
 	writing *atomic.Int32 // a write's in-flight count, dropped at completion
 }
 
-func (j *conJoin) sub(err error) {
-	if err != nil {
-		j.mu.Lock()
-		if j.err == nil {
-			j.err = err
-		}
-		j.mu.Unlock()
+func newConJoin(c *Concurrent, segments int, done func(error), writing *atomic.Int32) *conJoin {
+	j := &conJoin{c: c, done: done, writing: writing}
+	j.n.Store(int32(segments) + 1)
+	return j
+}
+
+// finish drops a write's in-flight count and reports whether there is a
+// done to run.
+func (j *conJoin) finish() bool {
+	if j.writing != nil {
+		j.writing.Add(-1)
 	}
-	if j.n.Add(-1) == 0 {
-		if j.writing != nil {
-			j.writing.Add(-1)
-		}
-		j.mu.Lock()
-		err := j.err
-		j.mu.Unlock()
-		if j.done != nil {
-			j.c.clock.After(0, func() { j.done(err) })
-		}
+	return j.done != nil
+}
+
+// sub is a segment completion.
+func (j *conJoin) sub(err error) {
+	if j.drop(err) && j.finish() {
+		j.done(j.err)
+	}
+}
+
+// release drops the issuing call's reference.
+func (j *conJoin) release() {
+	if j.drop(nil) && j.finish() {
+		done, err := j.done, j.err
+		j.c.clock.After(0, func() { done(err) })
 	}
 }
 
 // segJoin joins the fragments of one miss segment into a single parent
 // completion (a conJoin.sub). Unlike conJoin it fires the parent directly:
-// sub is safe to call from any goroutine.
+// sub is safe to call from any goroutine. A caller that may complete
+// fragments under a shard mutex counts itself in n and releases after
+// unlocking (releaseVia).
 type segJoin struct {
-	n      atomic.Int32
-	mu     sync.Mutex
-	err    error
+	countdown
 	parent func(error)
 }
 
 func (j *segJoin) sub(err error) {
-	if err != nil {
-		j.mu.Lock()
-		if j.err == nil {
-			j.err = err
-		}
-		j.mu.Unlock()
+	if j.drop(err) {
+		j.parent(j.err)
 	}
-	if j.n.Add(-1) == 0 {
-		j.mu.Lock()
+}
+
+// releaseVia drops the caller's reference; if every fragment already
+// finished, the parent runs through the clock, not in the caller.
+func (j *segJoin) releaseVia(clock sim.Clock) {
+	if j.drop(nil) {
 		err := j.err
-		j.mu.Unlock()
-		j.parent(err)
+		clock.After(0, func() { j.parent(err) })
 	}
 }
 
@@ -612,8 +644,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 
 	sh.hitsBuf, sh.gapsBuf = c.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
 	hits, gaps := sh.hitsBuf, sh.gapsBuf
-	j := &conJoin{c: c, done: done, writing: writing}
-	j.n.Store(int32(len(hits) + len(gaps)))
+	j := newConJoin(c, len(hits)+len(gaps), done, writing)
 	writing.Add(1)
 
 	faulty := c.faulty.Load()
@@ -677,6 +708,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 			j.sub(err)
 		}
 	}
+	j.release()
 	return nil
 }
 
@@ -701,8 +733,7 @@ func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, do
 
 	sh.hitsBuf, sh.gapsBuf = c.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
 	hits, gaps := sh.hitsBuf, sh.gapsBuf
-	j := &conJoin{c: c, done: done}
-	j.n.Store(int32(len(hits) + len(gaps)))
+	j := newConJoin(c, len(hits)+len(gaps), done, nil)
 
 	faulty := c.faulty.Load()
 	for _, h := range hits {
@@ -746,6 +777,7 @@ func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, do
 			j.sub(err)
 		}
 	}
+	j.release()
 	return nil
 }
 

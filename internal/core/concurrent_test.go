@@ -386,6 +386,12 @@ func TestConcurrentReadEvictionChurn(t *testing.T) {
 				return tb.eng.Write(cl, file, 0, fileSize, images[cl], done)
 			})
 			for i := 0; i < ops; i++ {
+				if i%10 == 9 {
+					// Flush clean between the periodic cycles too: on a
+					// loaded host those can run late, after the churn has
+					// ended, and then nothing is clean and nothing evicts.
+					tb.eng.RebuildNow(nil)
+				}
 				off := rng.Int63n(fileSize - 16<<10)
 				size := int64(1<<10) + rng.Int63n(15<<10)
 				if rng.Intn(4) == 0 {

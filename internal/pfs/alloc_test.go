@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"testing"
+	"time"
 
 	"s4dcache/internal/device"
 	"s4dcache/internal/netmodel"
@@ -144,5 +145,46 @@ func TestZeroSizeRequestNilDoneZeroAllocs(t *testing.T) {
 	issue()
 	if got := testing.AllocsPerRun(100, issue); got != 0 {
 		t.Fatalf("zero-size requests allocate %v per op, want 0", got)
+	}
+}
+
+// TestWallFSIssueZeroAllocs pins the wall-clock backend's performance-mode
+// Read and Write, queueing and completion included, at zero steady-state
+// allocations with a hoisted done: joins are pooled, the rings reuse
+// their buffers and a drainer starts without a closure.
+func TestWallFSIssueZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop joins")
+	}
+	w, err := NewWallFS(WallConfig{
+		Label:       "wall",
+		Layout:      Layout{Servers: 4, StripeSize: 4 << 10},
+		Clock:       sim.NewWallClock(),
+		PerOp:       time.Microsecond,
+		BytesPerSec: 1 << 33,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := make(chan error, 2)
+	done := func(err error) { fin <- err }
+	issue := func() {
+		if err := w.Write("f", 0, 16<<10, sim.PriorityHigh, nil, done); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Read("f", 8<<10, 16<<10, sim.PriorityHigh, nil, done); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-fin; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		issue() // warm the join pool, rings and drainer goroutines
+	}
+	if got := testing.AllocsPerRun(200, issue); got != 0 {
+		t.Fatalf("wall perf-mode Read+Write allocate %v per op, want 0", got)
 	}
 }

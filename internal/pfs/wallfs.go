@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,19 +14,22 @@ import (
 // WallFS is the wall-clock execution backend of the parallel file system:
 // the same striped layout and Write/Read surface as FS, but safe for
 // concurrent use from many goroutines and timed against a real clock
-// instead of the virtual-time engine. Each server charges a modeled
-// service time per sub-request (a fixed per-op cost plus a bandwidth
-// term) by reserving an interval on its atomically-advanced busy horizon,
-// so concurrent clients overlap their waits exactly as they would against
-// real storage — this is what the multi-client throughput harness scales
-// against. Priorities are accepted for interface compatibility but the
-// queue is FCFS.
+// instead of the virtual-time engine. Each server is an FCFS queue, as
+// the virtual-time servers are: a sub-request reserves the interval after
+// the server's busy horizon (a fixed per-op cost plus a bandwidth term)
+// and joins the server's due-ordered ring, so concurrent clients overlap
+// their waits exactly as they would against real storage — this is what
+// the multi-client throughput harness scales against. Priorities do not
+// reorder the queue; they choose where a completion runs (see drain).
 //
-// Completions are always delivered asynchronously via the clock (never
-// inline from Write/Read), the invariant the concurrent core's locking
-// relies on. Crash/restart is modeled with a per-server down flag: while
-// down, new sub-requests abort with ErrServerDown and in-flight ones
-// abort when their timer fires inside the outage.
+// Completions are always delivered asynchronously (never inline from
+// Write/Read), the invariant the concurrent core's locking relies on: a
+// busy server's drainer goroutine completes each sub-request once its due
+// time has passed, and a request that finishes inside the issuing call
+// (zero-size, or every sub-request refused) completes through the clock.
+// Crash/restart is modeled with a per-server down flag: while down, new
+// sub-requests abort with ErrServerDown and queued ones abort when they
+// come due inside the outage.
 type WallFS struct {
 	label      string
 	layout     Layout
@@ -35,6 +39,7 @@ type WallFS struct {
 	bytesPerNs float64
 
 	servers []wallServer
+	joins   sync.Pool // *wallJoin
 
 	mu      sync.Mutex // guards files and onState
 	files   map[string]int64
@@ -45,17 +50,67 @@ type WallFS struct {
 	bytesWritten atomic.Int64
 }
 
+// wallServer is one server's FCFS service queue. mu guards the busy
+// horizon, the ring and the drainer flag; it is a leaf, never held while
+// a completion runs.
 type wallServer struct {
-	// busyUntil is the server's reserved-service horizon in clock
-	// nanoseconds; sub-requests CAS-extend it to claim their slot.
-	busyUntil atomic.Int64
-	down      atomic.Bool
+	id int
+	mu sync.Mutex
+	// busyUntil is the server's reserved-service horizon in clock time:
+	// each sub-request's service starts at max(now, busyUntil), so due
+	// times are non-decreasing and ring order is deadline order.
+	busyUntil time.Duration
+	ring      subRing
+	// draining is set while a drainer goroutine owns the ring; it exits,
+	// clearing the flag, when the ring is empty.
+	draining bool
+	drain    func() // bound once, so starting a drainer does not allocate
 
+	down   atomic.Bool
 	subs   atomic.Uint64
 	aborts atomic.Uint64
 
-	mu     sync.Mutex // guards stores (functional payload bytes)
-	stores map[string]*chunkstore.Sparse
+	storeMu sync.Mutex // guards stores (functional payload bytes)
+	stores  map[string]*chunkstore.Sparse
+}
+
+// wallSub is one queued sub-request: its due time and its request.
+type wallSub struct {
+	due time.Duration
+	j   *wallJoin
+}
+
+// subRing is a FIFO of queued sub-requests over a power-of-two buffer.
+type subRing struct {
+	buf  []wallSub
+	head int
+	n    int
+}
+
+// ringKeep is the ring capacity a drainer keeps when it finds the ring
+// empty; a burst's larger buffer is dropped so it does not stay live.
+const ringKeep = 256
+
+func (r *subRing) push(s wallSub) {
+	if r.n == len(r.buf) {
+		grown := make([]wallSub, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = s
+	r.n++
+}
+
+func (r *subRing) front() *wallSub { return &r.buf[r.head] }
+
+func (r *subRing) pop() wallSub {
+	s := r.buf[r.head]
+	r.buf[r.head] = wallSub{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return s
 }
 
 // WallConfig assembles a WallFS.
@@ -64,9 +119,9 @@ type WallConfig struct {
 	Label string
 	// Layout is the striping function.
 	Layout Layout
-	// Clock supplies time and timers; use sim.NewWallClock for real
-	// concurrency (the virtual Engine also satisfies the interface but is
-	// not goroutine-safe).
+	// Clock supplies time and the zero-delay completions of requests that
+	// finish inside the issuing call. Drainers wait for due times in real
+	// time, so it must advance with the wall clock: use sim.NewWallClock.
 	Clock sim.Clock
 	// Functional stores real payload bytes per server; false is
 	// performance mode (metadata and timing only).
@@ -103,7 +158,10 @@ func NewWallFS(cfg WallConfig) (*WallFS, error) {
 		files:      make(map[string]int64),
 	}
 	for i := range w.servers {
-		w.servers[i].stores = make(map[string]*chunkstore.Sparse)
+		sv := &w.servers[i]
+		sv.id = i
+		sv.stores = make(map[string]*chunkstore.Sparse)
+		sv.drain = func() { w.drain(sv) }
 	}
 	return w, nil
 }
@@ -182,24 +240,41 @@ func (w *WallFS) RangeDown(off, size int64) bool {
 // performance mode. done (optional) runs asynchronously when every
 // sub-request completes, with the first sub-request error.
 func (w *WallFS) Write(file string, off, size int64, pri sim.Priority, data []byte, done func(error)) error {
-	return w.issue(true, file, off, size, data, done)
+	return w.issue(true, file, off, size, pri, data, done)
 }
 
 // Read issues a striped read of file[off, off+size) into buf (may be nil
 // in performance mode).
 func (w *WallFS) Read(file string, off, size int64, pri sim.Priority, buf []byte, done func(error)) error {
-	return w.issue(false, file, off, size, buf, done)
+	return w.issue(false, file, off, size, pri, buf, done)
 }
 
-// wallJoin joins one request's sub-completions, retaining the first error.
+// wallJoin is one request in service: its sub-request count, first error
+// and completion, plus what the drainers need to move its payload. Joins
+// are pooled; the split and piece buffers are reused with them.
 type wallJoin struct {
+	w *WallFS
+	// n counts queued sub-requests plus one reference the issuing call
+	// holds until it has queued them all, so a request whose every
+	// sub-request completes before issue returns is finished by issue.
 	n    atomic.Int32
-	mu   sync.Mutex
+	mu   sync.Mutex // guards err until n reaches zero
 	err  error
 	done func(error)
+	low  bool
+
+	write   bool
+	file    string
+	off     int64
+	payload []byte
+	pieces  []Piece
+	split   []SubRequest
 }
 
-func (j *wallJoin) sub(err error) {
+// sub drops one reference, recording a sub-request error, and reports
+// whether it was the last. The atomic decrement orders every recorded
+// error before the last reference's read of err.
+func (j *wallJoin) sub(err error) bool {
 	if err != nil {
 		j.mu.Lock()
 		if j.err == nil {
@@ -207,17 +282,20 @@ func (j *wallJoin) sub(err error) {
 		}
 		j.mu.Unlock()
 	}
-	if j.n.Add(-1) == 0 {
-		j.mu.Lock()
-		err := j.err
-		j.mu.Unlock()
-		if j.done != nil {
-			j.done(err)
-		}
-	}
+	return j.n.Add(-1) == 0
 }
 
-func (w *WallFS) issue(write bool, file string, off, size int64, payload []byte, done func(error)) error {
+// finish returns the finished join to the pool and hands its completion
+// back; the join must not be touched after.
+func (j *wallJoin) finish() (func(error), error) {
+	done, err := j.done, j.err
+	j.done, j.err, j.file, j.payload = nil, nil, "", nil
+	j.pieces = j.pieces[:0]
+	j.w.joins.Put(j)
+	return done, err
+}
+
+func (w *WallFS) issue(write bool, file string, off, size int64, pri sim.Priority, payload []byte, done func(error)) error {
 	if off < 0 {
 		return fmt.Errorf("pfs: %s: negative offset %d", w.label, off)
 	}
@@ -228,11 +306,9 @@ func (w *WallFS) issue(write bool, file string, off, size int64, payload []byte,
 		return fmt.Errorf("pfs: %s: payload length %d != size %d", w.label, len(payload), size)
 	}
 	if size == 0 {
-		w.clock.After(0, func() {
-			if done != nil {
-				done(nil)
-			}
-		})
+		if done != nil {
+			w.clock.After(0, func() { done(nil) })
+		}
 		return nil
 	}
 	w.requests.Add(1)
@@ -247,73 +323,130 @@ func (w *WallFS) issue(write bool, file string, off, size int64, payload []byte,
 		w.bytesRead.Add(size)
 	}
 
-	subs := w.layout.Split(off, size)
-	var pieces []Piece
-	if w.functional && payload != nil {
-		pieces = w.layout.Pieces(off, size)
+	j, _ := w.joins.Get().(*wallJoin)
+	if j == nil {
+		j = &wallJoin{w: w}
 	}
-	j := &wallJoin{done: done}
-	j.n.Store(int32(len(subs)))
+	j.done, j.low = done, pri == sim.PriorityLow
+	j.write, j.file, j.off = write, file, off
+	if w.functional && payload != nil {
+		j.payload = payload
+		j.pieces = w.layout.AppendPieces(j.pieces[:0], off, size)
+	}
+	j.split = w.layout.AppendSplit(j.split[:0], off, size)
+	j.n.Store(int32(len(j.split)) + 1)
 	now := w.clock.Now()
-	for _, sub := range subs {
-		sub := sub
+	for _, sub := range j.split {
 		sv := &w.servers[sub.Server]
 		if sv.down.Load() {
-			// Refused at the door — still delivered asynchronously, the
-			// invariant the concurrent core's failover handlers rely on.
+			// Refused at the door. Never the last reference: the issuing
+			// call's own is still held.
 			sv.aborts.Add(1)
-			w.clock.After(0, func() { j.sub(ErrServerDown) })
+			j.sub(ErrServerDown)
 			continue
 		}
 		hold := w.perOp + time.Duration(float64(sub.Size)/w.bytesPerNs)
-		delay := sv.reserve(now, hold)
-		w.clock.After(delay, func() {
-			if sv.down.Load() {
-				// Crashed while the sub-request was in service.
-				sv.aborts.Add(1)
-				j.sub(ErrServerDown)
-				return
-			}
-			sv.subs.Add(1)
-			if pieces != nil {
-				sv.movePayload(write, file, pieces, payload, off, sub.Server)
-			}
-			j.sub(nil)
-		})
+		sv.mu.Lock()
+		start := max(now, sv.busyUntil)
+		sv.busyUntil = start + hold
+		sv.ring.push(wallSub{due: start + hold, j: j})
+		idle := !sv.draining
+		sv.draining = true
+		sv.mu.Unlock()
+		if idle {
+			go sv.drain()
+		}
+	}
+	if j.sub(nil) {
+		// Every sub-request finished (or was refused) before issue got
+		// here: complete through the clock, never inside Write/Read.
+		done, err := j.finish()
+		if done != nil {
+			w.clock.After(0, func() { done(err) })
+		}
 	}
 	return nil
 }
 
-// reserve claims a hold-long service slot on the server's busy horizon and
-// returns the delay from now until the slot completes. Lock-free: a CAS
-// loop extends the horizon, so concurrent clients serialize their service
-// intervals without queue structures.
-func (sv *wallServer) reserve(now, hold time.Duration) time.Duration {
-	for {
-		b := sv.busyUntil.Load()
-		start := int64(now)
-		if b > start {
-			start = b
+// spinWait is the longest wait a drainer spends yielding the processor
+// rather than sleeping: short waits are the common case and a sleep would
+// arm a runtime timer and wake late, while long waits (a slow modeled
+// device or a deep queue) sleep until spinWait before their due time.
+const spinWait = 50 * time.Microsecond
+
+// drain is a server's drainer: it completes queued sub-requests in ring
+// (deadline) order, each no earlier than its due time, and exits when the
+// ring is empty. The down flag is checked at completion time, so a
+// sub-request queued before a crash aborts when it comes due inside the
+// outage. Completions run outside mu: a foreground (PriorityHigh)
+// request's done runs inline here, a background (PriorityLow) request's
+// on its own goroutine, since the Rebuilder's flush and fetch callbacks
+// take shard mutexes and commit metadata and would hold up the
+// foreground completions queued behind them.
+func (w *WallFS) drain(sv *wallServer) {
+	sv.mu.Lock()
+	for sv.ring.n > 0 {
+		if wait := sv.ring.front().due - w.clock.Now(); wait > 0 {
+			sv.mu.Unlock()
+			if wait > spinWait {
+				time.Sleep(wait - spinWait)
+			} else {
+				runtime.Gosched()
+			}
+			sv.mu.Lock()
+			continue
 		}
-		end := start + int64(hold)
-		if sv.busyUntil.CompareAndSwap(b, end) {
-			return time.Duration(end) - now
+		j := sv.ring.pop().j
+		sv.mu.Unlock()
+		w.complete(sv, j)
+		sv.mu.Lock()
+	}
+	sv.draining = false
+	if len(sv.ring.buf) > ringKeep {
+		sv.ring = subRing{}
+	}
+	sv.mu.Unlock()
+}
+
+// complete finishes one due sub-request of j on the drainer.
+func (w *WallFS) complete(sv *wallServer, j *wallJoin) {
+	var err error
+	if sv.down.Load() {
+		// Crashed while the sub-request was in service.
+		sv.aborts.Add(1)
+		err = ErrServerDown
+	} else {
+		sv.subs.Add(1)
+		if j.payload != nil {
+			sv.movePayload(j.write, j.file, j.pieces, j.payload, j.off)
 		}
+	}
+	if !j.sub(err) {
+		return
+	}
+	low := j.low
+	done, err := j.finish()
+	switch {
+	case done == nil:
+	case low:
+		go done(err)
+	default:
+		done(err)
 	}
 }
 
 // movePayload copies this server's stripe pieces between the payload and
 // the server-local sparse store at completion time.
-func (sv *wallServer) movePayload(write bool, file string, pieces []Piece, payload []byte, reqOff int64, server int) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
+func (sv *wallServer) movePayload(write bool, file string, pieces []Piece, payload []byte, reqOff int64) {
+	sv.storeMu.Lock()
+	defer sv.storeMu.Unlock()
 	st := sv.stores[file]
 	if st == nil {
 		st = chunkstore.NewSparse()
 		sv.stores[file] = st
 	}
 	for _, p := range pieces {
-		if p.Server != server {
+		if p.Server != sv.id {
 			continue
 		}
 		seg := payload[p.FileOff-reqOff : p.FileOff-reqOff+p.Size]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,5 +147,209 @@ func TestWallFSServiceTime(t *testing.T) {
 	wg.Wait()
 	if el := time.Since(start); el < ops*2*time.Millisecond {
 		t.Fatalf("5 serialized 2ms ops finished in %v; service time not charged", el)
+	}
+}
+
+// newWallServerFS builds a one-server performance-mode WallFS, so every
+// request queues on the same server.
+func newWallServerFS(t *testing.T, perOp time.Duration, bytesPerSec int64) *WallFS {
+	t.Helper()
+	w, err := NewWallFS(WallConfig{
+		Label:       "wall",
+		Layout:      Layout{Servers: 1, StripeSize: 4 << 10},
+		Clock:       sim.NewWallClock(),
+		PerOp:       perOp,
+		BytesPerSec: bytesPerSec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// returnProbe is a completion that fails unless it runs after the issuing
+// call returned: it waits for the issuer's signal, which a completion run
+// inside the call would never see.
+type returnProbe struct {
+	returned chan struct{}
+	result   chan error
+}
+
+var errRanInside = errors.New("done ran inside the issuing call")
+
+func newReturnProbe() *returnProbe {
+	return &returnProbe{returned: make(chan struct{}), result: make(chan error, 1)}
+}
+
+func (p *returnProbe) done(err error) {
+	select {
+	case <-p.returned:
+		p.result <- err
+	case <-time.After(2 * time.Second):
+		p.result <- errRanInside
+	}
+}
+
+// TestWallFSDoneNeverInsideCall pins the asynchrony invariant on the paths
+// that finish a request inside the issuing call: a zero-size request, and
+// a request whose every sub-request is refused by a down server.
+func TestWallFSDoneNeverInsideCall(t *testing.T) {
+	w := newWallTestFS(t, false)
+	w.SetServerDown(1, true, true)
+	cases := []struct {
+		name      string
+		off, size int64
+		want      error
+	}{
+		{"zero-size", 0, 0, nil},
+		{"refused by a down server", 4 << 10, 4 << 10, ErrServerDown},
+		{"partly refused", 0, 16 << 10, ErrServerDown},
+	}
+	for _, c := range cases {
+		for _, write := range []bool{false, true} {
+			p := newReturnProbe()
+			var err error
+			if write {
+				err = w.Write("f", c.off, c.size, sim.PriorityHigh, nil, p.done)
+			} else {
+				err = w.Read("f", c.off, c.size, sim.PriorityHigh, nil, p.done)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			close(p.returned)
+			if got := <-p.result; !errors.Is(got, c.want) {
+				t.Fatalf("%s (write=%v): done(%v), want %v", c.name, write, got, c.want)
+			}
+		}
+	}
+}
+
+// TestWallFSCompletionsInIssueOrder checks that one server completes its
+// sub-requests in the order they were issued, each no earlier than its
+// reserved due time: after its own arrival plus one service time, and
+// after every request queued ahead of it. With a 20µs service time the
+// later requests wait long enough for the drainer to sleep, not yield.
+func TestWallFSCompletionsInIssueOrder(t *testing.T) {
+	const (
+		ops   = 300
+		size  = 4 << 10
+		perOp = 20 * time.Microsecond
+	)
+	w := newWallServerFS(t, perOp, 1<<33)
+	hold := perOp + time.Duration(float64(size)/w.bytesPerNs)
+	clock := w.clock
+	var mu sync.Mutex
+	var order []int
+	var at []time.Duration
+	issued := make([]time.Duration, ops)
+	var wg sync.WaitGroup
+	wg.Add(ops)
+	for i := 0; i < ops; i++ {
+		issued[i] = clock.Now()
+		if err := w.Write("f", int64(i)*size, size, sim.PriorityHigh, nil, func(err error) {
+			now := clock.Now()
+			mu.Lock()
+			order = append(order, i)
+			at = append(at, now)
+			mu.Unlock()
+			if err != nil {
+				t.Error(err)
+			}
+			wg.Done()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	for k, i := range order {
+		if i != k {
+			t.Fatalf("completion %d was request %d: not in issue order", k, i)
+		}
+		if early := issued[i] + hold - at[k]; early > 0 {
+			t.Fatalf("request %d completed %v before its own service time ended", i, early)
+		}
+		if early := issued[0] + time.Duration(i+1)*hold - at[k]; early > 0 {
+			t.Fatalf("request %d completed %v before the %d requests ahead of it were served", i, early, i)
+		}
+	}
+}
+
+// TestWallFSQueuedSubAbortsOnCrash checks that a sub-request already
+// queued when its server goes down completes, at its due time, with
+// ErrServerDown.
+func TestWallFSQueuedSubAbortsOnCrash(t *testing.T) {
+	const perOp = 30 * time.Millisecond
+	w := newWallServerFS(t, perOp, 0)
+	done := make(chan error, 1)
+	start := time.Now()
+	if err := w.Write("f", 0, 4<<10, sim.PriorityHigh, nil, func(err error) { done <- err }); err != nil {
+		t.Fatal(err)
+	}
+	w.SetServerDown(0, true, true)
+	if err := <-done; !errors.Is(err, ErrServerDown) {
+		t.Fatalf("queued write across a crash: err=%v, want ErrServerDown", err)
+	}
+	if el := time.Since(start); el < perOp {
+		t.Fatalf("aborted after %v, before its %v due time", el, perOp)
+	}
+	if st := w.Stats(); st.Aborts != 1 || st.SubRequests != 0 {
+		t.Fatalf("stats after the abort: %+v", st)
+	}
+}
+
+// TestWallFSBurstRingBounded queues a burst of 100k sub-requests behind
+// one long one, so the server's ring grows far past ringKeep, and checks
+// that once the burst drains the ring gives the memory back and the
+// drainer exits.
+func TestWallFSBurstRingBounded(t *testing.T) {
+	const burst = 100_000
+	w := newWallServerFS(t, time.Nanosecond, 1<<30)
+	sv := &w.servers[0]
+	var left atomic.Int64
+	left.Store(burst + 1)
+	all := make(chan struct{})
+	done := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		if left.Add(-1) == 0 {
+			close(all)
+		}
+	}
+	// 256 MiB at 1 GiB/s holds the server for a quarter second.
+	if err := w.Read("f", 0, 256<<20, sim.PriorityHigh, nil, done); err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for i := 0; i < burst; i++ {
+		if err := w.Read("f", int64(i), 1, sim.PriorityHigh, nil, done); err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 999 {
+			sv.mu.Lock()
+			peak = max(peak, len(sv.ring.buf))
+			sv.mu.Unlock()
+		}
+	}
+	<-all
+	if peak <= ringKeep {
+		t.Fatalf("ring peaked at %d entries; the burst did not queue", peak)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		sv.mu.Lock()
+		draining, ring := sv.draining, len(sv.ring.buf)
+		sv.mu.Unlock()
+		if !draining {
+			if ring > ringKeep {
+				t.Fatalf("after draining a %d-entry peak the ring keeps %d entries, want <= %d", peak, ring, ringKeep)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("drainer did not exit after its ring emptied")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // Implementations must deliver After callbacks asynchronously with respect
 // to the caller: fn never runs synchronously inside After itself, even for
 // a zero delay. Engine satisfies this by queueing fn on the event ring;
-// WallClock by always dispatching through a timer. Callers (the concurrent
-// serve paths) rely on it to issue I/O while holding locks that fn itself
-// may need.
+// WallClock by running fn on a goroutine of its own (a timer's, when d is
+// positive). Callers (the concurrent serve paths) rely on it to issue I/O
+// while holding locks that fn itself may need.
 type Clock interface {
 	// Now returns the time elapsed since the clock's origin.
 	Now() time.Duration
@@ -51,20 +51,23 @@ func NewWallClock() *WallClock {
 func (w *WallClock) Now() time.Duration { return time.Since(w.origin) }
 
 // After runs fn on a timer goroutine d from now. A non-positive delay
-// still dispatches through a timer, so fn never runs synchronously inside
-// After — the asynchrony invariant documented on Clock.
+// starts a goroutine instead of arming a timer, so fn still never runs
+// synchronously inside After — the asynchrony invariant documented on
+// Clock.
 func (w *WallClock) After(d time.Duration, fn func()) {
 	if fn == nil {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
 	w.pending.Add(1)
-	time.AfterFunc(d, func() {
+	run := func() {
 		defer w.pending.Add(-1)
 		fn()
-	})
+	}
+	if d <= 0 {
+		go run()
+		return
+	}
+	time.AfterFunc(d, run)
 }
 
 // Pending returns the number of scheduled callbacks that have not finished
