@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,5 +239,100 @@ func TestWallDrainUnderLoad(t *testing.T) {
 	}
 	if _, err := netclient.Dial(tb.Addr(), netclient.Options{Tenant: "late"}); err == nil {
 		t.Fatal("dial succeeded after drain closed the listener")
+	}
+}
+
+// stuckConn stands for a client that stopped reading its socket: from its
+// second response on (the first answers HELLO), the server's writer
+// blocks in Write until release is closed.
+type stuckConn struct {
+	net.Conn
+	writes  atomic.Int32
+	stuck   chan struct{}
+	release chan struct{}
+}
+
+func (c *stuckConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) == 2 {
+		close(c.stuck)
+		<-c.release
+	}
+	return c.Conn.Write(b)
+}
+
+// TestWallStalledClientIsolation: a client that floods past its window and
+// never reads its responses stalls only itself. Its requests complete on
+// the same WallFS drainers as every other connection's and the
+// Rebuilder's, so their completions must not wait for its socket: another
+// tenant's requests on the same servers keep completing, and a Rebuilder
+// drain finishes.
+func TestWallStalledClientIsolation(t *testing.T) {
+	const (
+		window  = 4
+		flood   = 64
+		reqSize = int64(128 << 10) // eight 16 KiB stripes: every server
+	)
+	stuck := &stuckConn{stuck: make(chan struct{}), release: make(chan struct{})}
+	tb, err := NewWallS4D(WallParams{
+		// Slow servers, so the BUSY answers to the flood back up long
+		// before its admitted requests complete.
+		PerOpSSD: 2 * time.Millisecond,
+		PerOpHDD: 2 * time.Millisecond,
+		Window:   window,
+		WrapConn: func(c net.Conn, id int) net.Conn {
+			if id != 0 {
+				return c
+			}
+			stuck.Conn = c
+			return stuck
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	var once sync.Once
+	defer once.Do(func() { close(stuck.release) })
+
+	flooder, err := netclient.Dial(tb.Addr(), netclient.Options{Tenant: "flood", Credits: -1})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer flooder.Close()
+	for i := 0; i < window+flood; i++ {
+		flooder.Go(netserve.OpWrite, "f", int64(i)*reqSize, reqSize, nil, nil)
+	}
+	select {
+	case <-stuck.stuck:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the flooding connection's writer never blocked")
+	}
+
+	cl := dialWall(t, tb, "other")
+	defer cl.Close()
+	finished := make(chan error, 1)
+	go func() {
+		for i := int64(0); i < 8; i++ {
+			if err := cl.Write("g", i*reqSize, reqSize, nil); err != nil {
+				finished <- err
+				return
+			}
+			if err := cl.Read("g", i*reqSize, reqSize, nil); err != nil {
+				finished <- err
+				return
+			}
+		}
+		drained := make(chan struct{})
+		tb.Eng.DrainRebuild(func() { close(drained) })
+		<-drained
+		finished <- nil
+	}()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatalf("other tenant: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a client that never reads stalled another tenant's requests or the Rebuilder")
 	}
 }

@@ -22,7 +22,11 @@ import (
 // virtual-time *pfs.FS and the wall-clock *pfs.WallFS satisfy it; the
 // concurrent engine only requires that Write/Read never run their
 // completion synchronously (the sim.Clock invariant) and that all methods
-// are safe for the callers the instance is built for.
+// are safe for the callers the instance is built for. In turn, a done
+// passed to Write/Read must not block: a backend may run it on a
+// goroutine that completes other requests too (WallFS's per-server
+// drainer), so it may take briefly held locks but must never wait for
+// another completion or a peer.
 type Backend interface {
 	Write(file string, off, size int64, pri sim.Priority, data []byte, done func(error)) error
 	Read(file string, off, size int64, pri sim.Priority, buf []byte, done func(error)) error
@@ -612,7 +616,9 @@ func (c *Concurrent) degradedNow() bool { return c.downCount.Load() > 0 }
 
 // Write intercepts an application write of file[off, off+size) by rank.
 // Safe to call from any goroutine; done runs asynchronously when all
-// segments complete, with the first segment error.
+// segments complete, with the first segment error. done must not block:
+// it may run on a backend goroutine that completes other requests too
+// (see Backend).
 func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, done func(error)) error {
 	if err := checkRange(off, size, data); err != nil {
 		return err
@@ -714,7 +720,8 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 
 // Read intercepts an application read of file[off, off+size) by rank. Safe
 // to call from any goroutine. In-flight cache hits pin their ranges so
-// reclaim cannot hand the bytes to another owner mid-read.
+// reclaim cannot hand the bytes to another owner mid-read. As for Write,
+// done runs asynchronously and must not block.
 func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, done func(error)) error {
 	if err := checkRange(off, size, buf); err != nil {
 		return err

@@ -339,6 +339,92 @@ func TestConcurrentTortureCrashRestart(t *testing.T) {
 	}
 }
 
+// lateClock times the engine's periodic callbacks: each After of at
+// least a millisecond (here the Rebuilder's) records how late it ran.
+type lateClock struct {
+	sim.Clock
+	mu   sync.Mutex
+	late []time.Duration
+}
+
+func (l *lateClock) After(d time.Duration, fn func()) {
+	if d < time.Millisecond {
+		l.Clock.After(d, fn)
+		return
+	}
+	due := l.Now() + d
+	l.Clock.After(d, func() {
+		late := l.Now() - due
+		l.mu.Lock()
+		l.late = append(l.late, late)
+		l.mu.Unlock()
+		fn()
+	})
+}
+
+// TestConcurrentPeriodicRebuildUnderLoad checks the timer-driven Rebuilder
+// under the read/rewrite traffic of TestConcurrentReadEvictionChurn, which
+// tops its flushes up with explicit cycles: on the wall backend, with four
+// clients keeping the servers' queues busy, the 2 ms periodic cycle keeps
+// firing near its period and flushes dirty data clean while the traffic
+// runs.
+func TestConcurrentPeriodicRebuildUnderLoad(t *testing.T) {
+	const (
+		clients  = 4
+		fileSize = int64(256 << 10)
+		period   = 2 * time.Millisecond
+		run      = 150 * time.Millisecond
+	)
+	lc := &lateClock{}
+	tb := newConcTestbedCfg(t, clients, false, false, func(cfg *ConcurrentConfig) {
+		cfg.CacheCapacity = clients * fileSize / 2
+		cfg.Policy = PolicyAll
+		cfg.RebuildPeriod = period
+		lc.Clock = cfg.Clock
+		cfg.Clock = lc
+	})
+	deadline := time.Now().Add(run)
+	var wg sync.WaitGroup
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			file := eqFile(cl)
+			rng := rand.New(rand.NewSource(int64(700 + cl)))
+			for time.Now().Before(deadline) {
+				off := rng.Int63n(fileSize - 16<<10)
+				size := int64(1<<10) + rng.Int63n(15<<10)
+				if rng.Intn(4) == 0 {
+					await(t, func(done func(error)) error {
+						return tb.eng.Write(cl, file, off, size, nil, done)
+					})
+					continue
+				}
+				await(t, func(done func(error)) error {
+					return tb.eng.Read(cl, file, off, size, nil, done)
+				})
+			}
+		}(cl)
+	}
+	wg.Wait()
+	st := tb.eng.Stats()
+	lc.mu.Lock()
+	late := append([]time.Duration(nil), lc.late...)
+	lc.mu.Unlock()
+	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+	if min := int(run / period / 5); len(late) < min {
+		t.Fatalf("%d periodic Rebuilder callbacks in %v, want at least %d", len(late), run, min)
+	}
+	if med := late[len(late)/2]; med > period {
+		t.Fatalf("periodic Rebuilder callbacks ran %v late in the median, more than the %v period", med, period)
+	}
+	if st.Flushes == 0 {
+		t.Fatalf("periodic cycles flushed nothing under traffic (%d cycles)", st.RebuildCycles)
+	}
+	t.Logf("%d periodic callbacks, late p50 %v max %v; %d cycles, %d flushes",
+		len(late), late[len(late)/2], late[len(late)-1], st.RebuildCycles, st.Flushes)
+}
+
 // TestConcurrentRejectedBySequentialNew pins the Config guard: the
 // deterministic constructor must refuse concurrent requests.
 func TestConcurrentRejectedBySequentialNew(t *testing.T) {
@@ -387,9 +473,12 @@ func TestConcurrentReadEvictionChurn(t *testing.T) {
 			})
 			for i := 0; i < ops; i++ {
 				if i%10 == 9 {
-					// Flush clean between the periodic cycles too: on a
-					// loaded host those can run late, after the churn has
-					// ended, and then nothing is clean and nothing evicts.
+					// Flush clean between the periodic cycles too. The
+					// churn lasts about five periods, and on a loaded host
+					// it can end before a periodic cycle has made anything
+					// clean, so nothing evicts (about one run in 200 under
+					// a second test process's load). The periodic cycles
+					// are checked by TestConcurrentPeriodicRebuildUnderLoad.
 					tb.eng.RebuildNow(nil)
 				}
 				off := rng.Int63n(fileSize - 16<<10)

@@ -13,7 +13,9 @@ import (
 
 // Engine is the serve surface the frontend dispatches into. core.Concurrent
 // satisfies it; done always runs asynchronously with respect to the call
-// (the sim.Clock invariant), from an arbitrary goroutine.
+// (the sim.Clock invariant), from an arbitrary goroutine — possibly one
+// that completes other clients' I/O too, so the frontend's done never
+// blocks (see sconn.out).
 type Engine interface {
 	Write(rank int, file string, off, size int64, data []byte, done func(error)) error
 	Read(rank int, file string, off, size int64, buf []byte, done func(error)) error
@@ -255,7 +257,9 @@ type request struct {
 
 // complete is the engine completion callback (via doneFn). The done guard
 // makes it idempotent: an engine path that both returns an error and fires
-// the callback cannot double-release the request.
+// the callback cannot double-release the request. The send on out never
+// blocks, however long the writer is stuck on the socket: out always has
+// room for every in-flight request (see sconn.out).
 func (r *request) complete(err error) {
 	if r.done.Swap(true) {
 		return
@@ -277,11 +281,17 @@ type sconn struct {
 	nc  net.Conn
 	br  *bufio.Reader
 
-	// out carries completed requests to the writer. Capacity covers the
-	// full window plus control responses; when a client floods past its
-	// window the reader eventually blocks sending BUSY here, which stops
+	// out carries completed requests to the writer. Its capacity is the
+	// full window plus ctlSlots control responses (HELLO, BUSY, DRAINING,
+	// BAD_REQUEST), and the reader takes a ctl token before queueing a
+	// control response, so at most ctlSlots of them are ever in out and
+	// an engine completion always finds room: a completion can run on a
+	// goroutine that serves other connections' I/O too, and must not
+	// wait for this client to read its socket. When a client floods past
+	// its window, the reader blocks on a ctl token instead, which stops
 	// socket reads — TCP backpressure, never an unbounded queue.
 	out chan *request
+	ctl chan struct{}
 
 	// free recycles request contexts between writer (release) and reader
 	// (acquire); a channel rather than sync.Pool so the steady-state path
@@ -301,14 +311,18 @@ type sconn struct {
 	hdr [ReqHdrLen]byte
 }
 
+// ctlSlots bounds the control responses queued for a connection's writer.
+const ctlSlots = 8
+
 func newSConn(s *Server, id int, nc net.Conn) *sconn {
 	return &sconn{
 		srv:  s,
 		id:   id,
 		nc:   nc,
 		br:   bufio.NewReaderSize(nc, 64<<10),
-		out:  make(chan *request, s.cfg.Window+8),
-		free: make(chan *request, s.cfg.Window+8),
+		out:  make(chan *request, s.cfg.Window+ctlSlots),
+		ctl:  make(chan struct{}, ctlSlots),
+		free: make(chan *request, s.cfg.Window+ctlSlots),
 	}
 }
 
@@ -335,10 +349,12 @@ func (c *sconn) release(r *request) {
 	}
 }
 
-// respond enqueues a control response (no dispatch, no window slot).
+// respond enqueues a control response (no dispatch, no window slot),
+// blocking while ctlSlots of them wait for the writer.
 func (c *sconn) respond(r *request, status uint8) {
 	r.status = status
 	r.done.Store(true)
+	c.ctl <- struct{}{}
 	c.out <- r
 }
 
@@ -420,9 +436,7 @@ func (c *sconn) readFrame(br *bufio.Reader) (r *request, fatal bool, err error) 
 			r.flags = FlagPayload
 		}
 		r.op = OpHello
-		r.status = StatusOK
-		r.done.Store(true)
-		c.out <- r
+		c.respond(r, StatusOK)
 		return nil, false, nil
 	case OpWrite, OpRead:
 		if c.tenant == "" {
@@ -570,6 +584,8 @@ func (c *sconn) writeResponse(r *request, w io.Writer) {
 	if counted {
 		c.srv.global.Add(-1)
 		c.maybeFinish()
+	} else {
+		<-c.ctl
 	}
 }
 

@@ -535,6 +535,52 @@ func TestCreditReleasedBeforeResponse(t *testing.T) {
 	}
 }
 
+// TestCompletionNeverWaitsForWriter: an engine completion may run on a
+// goroutine that completes other connections' I/O too, so it must never
+// wait for one client to read its socket. The client here floods far past
+// its window while the server's writer is parked inside a BUSY response,
+// as it would be against a client that stopped reading: the BUSY answers
+// back up, yet every in-flight request's completion returns at once.
+func TestCompletionNeverWaitsForWriter(t *testing.T) {
+	const window, flood = 4, 64
+	eng := newStubEngine()
+	eng.gate = make(chan struct{}, window)
+	// Write 1 answers HELLO; write 2 carries the first BUSY.
+	park := &parkConn{at: 2, parked: make(chan struct{}), release: make(chan struct{})}
+	srv := startServer(t, netserve.Config{Engine: eng, Window: window, WrapConn: func(c net.Conn, _ int) net.Conn {
+		park.Conn = c
+		return park
+	}})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(park.release) }) }
+	t.Cleanup(unpark)
+	cl := dial(t, srv, netclient.Options{Tenant: "t", Credits: -1})
+
+	var calls []*netclient.Call
+	for i := 0; i < window+flood; i++ {
+		calls = append(calls, cl.Go(netserve.OpWrite, "f", int64(i)*4096, 4096, nil, nil))
+	}
+	<-park.parked
+	// Let the reader queue as many BUSY answers as it will.
+	waitFor(t, func() bool { return srv.Stats().Busy > 8 })
+	time.Sleep(20 * time.Millisecond)
+	for i := 0; i < window; i++ {
+		eng.gate <- struct{}{}
+	}
+	waitFor(t, func() bool { return eng.completed.Load() == window })
+
+	// Once the writer moves on, the reader admits the rest of the flood
+	// as slots free up: let those complete at once.
+	close(eng.gate)
+	unpark()
+	for i, c := range calls {
+		<-c.Done
+		if c.Err != nil && (i < window || !errors.Is(c.Err, netclient.ErrBusy)) {
+			t.Fatalf("call %d: %v", i, c.Err)
+		}
+	}
+}
+
 // TestDrainWaitsForQueuedResponses parks the server's writer inside the
 // write carrying one response while n more complete: a Drain started
 // meanwhile must not return before every one of them has been written,

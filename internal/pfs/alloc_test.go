@@ -150,12 +150,9 @@ func TestZeroSizeRequestNilDoneZeroAllocs(t *testing.T) {
 
 // TestWallFSIssueZeroAllocs pins the wall-clock backend's performance-mode
 // Read and Write, queueing and completion included, at zero steady-state
-// allocations with a hoisted done: joins are pooled, the rings reuse
+// allocations with a hoisted done: joins are recycled, the rings reuse
 // their buffers and a drainer starts without a closure.
 func TestWallFSIssueZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop joins")
-	}
 	w, err := NewWallFS(WallConfig{
 		Label:       "wall",
 		Layout:      Layout{Servers: 4, StripeSize: 4 << 10},
@@ -182,7 +179,7 @@ func TestWallFSIssueZeroAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		issue() // warm the join pool, rings and drainer goroutines
+		issue() // warm the join free list, rings and drainer goroutines
 	}
 	if got := testing.AllocsPerRun(200, issue); got != 0 {
 		t.Fatalf("wall perf-mode Read+Write allocate %v per op, want 0", got)

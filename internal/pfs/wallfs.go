@@ -39,7 +39,6 @@ type WallFS struct {
 	bytesPerNs float64
 
 	servers []wallServer
-	joins   sync.Pool // *wallJoin
 
 	mu      sync.Mutex // guards files and onState
 	files   map[string]int64
@@ -70,6 +69,16 @@ type wallServer struct {
 	subs   atomic.Uint64
 	aborts atomic.Uint64
 
+	// free recycles finished joins homed on this server (the server of a
+	// request's first byte), with their buffers: a mutex-guarded list
+	// rather than sync.Pool so the steady-state issue path is
+	// deterministically allocation-free, under the race detector too, and
+	// one list per server rather than per WallFS so concurrent clients
+	// do not all contend on it. Joins beyond joinKeep are left to the
+	// collector.
+	freeMu sync.Mutex
+	free   []*wallJoin
+
 	storeMu sync.Mutex // guards stores (functional payload bytes)
 	stores  map[string]*chunkstore.Sparse
 }
@@ -86,6 +95,9 @@ type subRing struct {
 	head int
 	n    int
 }
+
+// joinKeep bounds the finished joins a server keeps for reuse.
+const joinKeep = 64
 
 // ringKeep is the ring capacity a drainer keeps when it finds the ring
 // empty; a burst's larger buffer is dropped so it does not stay live.
@@ -238,7 +250,10 @@ func (w *WallFS) RangeDown(off, size int64) bool {
 
 // Write issues a striped write of file[off, off+size). data may be nil in
 // performance mode. done (optional) runs asynchronously when every
-// sub-request completes, with the first sub-request error.
+// sub-request completes, with the first sub-request error. A PriorityHigh
+// request's done runs on the drainer of the server that completed it
+// last, so it must not block: every sub-request queued behind on that
+// server waits for it.
 func (w *WallFS) Write(file string, off, size int64, pri sim.Priority, data []byte, done func(error)) error {
 	return w.issue(true, file, off, size, pri, data, done)
 }
@@ -251,7 +266,8 @@ func (w *WallFS) Read(file string, off, size int64, pri sim.Priority, buf []byte
 
 // wallJoin is one request in service: its sub-request count, first error
 // and completion, plus what the drainers need to move its payload. Joins
-// are pooled; the split and piece buffers are reused with them.
+// are recycled (wallServer.free); the split and piece buffers are reused
+// with them.
 type wallJoin struct {
 	w *WallFS
 	// n counts queued sub-requests plus one reference the issuing call
@@ -262,6 +278,7 @@ type wallJoin struct {
 	err  error
 	done func(error)
 	low  bool
+	home int // server whose free list the join returns to
 
 	write   bool
 	file    string
@@ -285,13 +302,18 @@ func (j *wallJoin) sub(err error) bool {
 	return j.n.Add(-1) == 0
 }
 
-// finish returns the finished join to the pool and hands its completion
-// back; the join must not be touched after.
+// finish recycles the finished join and hands its completion back; the
+// join must not be touched after.
 func (j *wallJoin) finish() (func(error), error) {
 	done, err := j.done, j.err
 	j.done, j.err, j.file, j.payload = nil, nil, "", nil
 	j.pieces = j.pieces[:0]
-	j.w.joins.Put(j)
+	sv := &j.w.servers[j.home]
+	sv.freeMu.Lock()
+	if len(sv.free) < joinKeep {
+		sv.free = append(sv.free, j)
+	}
+	sv.freeMu.Unlock()
 	return done, err
 }
 
@@ -323,10 +345,20 @@ func (w *WallFS) issue(write bool, file string, off, size int64, pri sim.Priorit
 		w.bytesRead.Add(size)
 	}
 
-	j, _ := w.joins.Get().(*wallJoin)
+	home := int(off / w.layout.StripeSize % int64(len(w.servers)))
+	hs := &w.servers[home]
+	var j *wallJoin
+	hs.freeMu.Lock()
+	if n := len(hs.free); n > 0 {
+		j = hs.free[n-1]
+		hs.free[n-1] = nil
+		hs.free = hs.free[:n-1]
+	}
+	hs.freeMu.Unlock()
 	if j == nil {
 		j = &wallJoin{w: w}
 	}
+	j.home = home
 	j.done, j.low = done, pri == sim.PriorityLow
 	j.write, j.file, j.off = write, file, off
 	if w.functional && payload != nil {
