@@ -3,12 +3,14 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"s4dcache/internal/cdt"
 	"s4dcache/internal/cluster"
 	"s4dcache/internal/core"
 	"s4dcache/internal/costmodel"
@@ -215,6 +217,82 @@ func TestServeScaleSmoke(t *testing.T) {
 	if p4 < p1 {
 		t.Fatalf("multi-core regression: %d clients at GOMAXPROCS=4 served %.0f ops/s < %.0f ops/s at GOMAXPROCS=1", clients, p4, p1)
 	}
+}
+
+// TestServeScaleCDTCoverage pins what keeps the scale smoke's read hits
+// off shared writes in the CDT, on the smoke's deployment and workload:
+// after its clients have run a fixed number of requests the CDT holds at
+// most four entries per file, and a covered read hit changes none of its
+// fields — entries, byte and flagged counts, and the snapshot's changed
+// marks. A fixed count, not the smoke's time window, makes the covered
+// ranges, and so the entry count, the same on any host.
+func TestServeScaleCDTCoverage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock serve smoke")
+	}
+	const clients, opsPerClient = 8, 4000
+	eng := newScaleEngine(t)
+	defer eng.Close()
+	errs := make(chan error, clients)
+	for w := 0; w < clients; w++ {
+		go func() {
+			rng := rand.New(rand.NewSource(int64(w + 1)))
+			do := engineOp(eng, w)
+			for i := 0; i < opsPerClient; i++ {
+				file := fmt.Sprintf("hot%02d", rng.Intn(scaleFiles))
+				off := rng.Int63n(scaleFileSpan - scaleReqSize)
+				if err := do(rng.Intn(100) >= 95, file, off, scaleReqSize); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < clients; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := eng.CDT()
+	perFile := map[string]int{}
+	for _, e := range c.Extents() {
+		perFile[e.File]++
+	}
+	for file, n := range perFile {
+		if n > 4 {
+			t.Fatalf("after %d requests the CDT holds %d entries for %s, want <= 4", clients*opsPerClient, n, file)
+		}
+	}
+
+	// A read of the start of hot00's first run is covered, unflagged and
+	// cached.
+	var run cdt.Extent
+	for _, e := range c.Extents() {
+		if e.File == "hot00" {
+			run = e
+			break
+		}
+	}
+	if run.Len < scaleReqSize || run.CFlag {
+		t.Fatalf("hot00's first CDT run %+v cannot cover a %d-byte read", run, scaleReqSize)
+	}
+	c.TakeChanged(false, func(string, uint64) {})
+	before, bytes, pending, st := c.Extents(), c.Bytes(), c.PendingBytes(), eng.Stats()
+	if err := engineOp(eng, 0)(false, run.File, run.Off, scaleReqSize); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.Stats()
+	if after.Critical != st.Critical+1 || after.SegReadsCache != st.SegReadsCache+1 || after.SegReadsDisk != st.SegReadsDisk {
+		t.Fatalf("the read was not a critical cache hit: critical %d→%d, cache segments %d→%d, disk segments %d→%d",
+			st.Critical, after.Critical, st.SegReadsCache, after.SegReadsCache, st.SegReadsDisk, after.SegReadsDisk)
+	}
+	if got := c.Extents(); !reflect.DeepEqual(got, before) || c.Bytes() != bytes || c.PendingBytes() != pending {
+		t.Fatalf("a covered read hit changed the CDT: %d entries, %d bytes, %d flagged; before %d, %d, %d",
+			len(got), c.Bytes(), c.PendingBytes(), len(before), bytes, pending)
+	}
+	c.TakeChanged(false, func(file string, _ uint64) { t.Fatalf("a covered read hit marked %s changed", file) })
 }
 
 // TestServeNetSmoke is the loopback pipelining gate for the network

@@ -264,6 +264,15 @@ func (s *Sharded) Touch(cacheOff, length int64) {
 	s.each(cacheOff, length, func(r *shardRegion, off, n int64) { r.m.Touch(off, n) })
 }
 
+// TouchPin is Touch then Pin under one region lock: a read hit's
+// recency refresh and in-flight hold.
+func (s *Sharded) TouchPin(cacheOff, length int64) {
+	s.each(cacheOff, length, func(r *shardRegion, off, n int64) {
+		r.m.Touch(off, n)
+		r.pinLocked(off, n)
+	})
+}
+
 // Pin marks a global range as held by an in-flight cache read: reclaim
 // will not evict any part of it until the matching Unpin. Pins nest
 // (reference counted per byte range).

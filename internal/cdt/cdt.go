@@ -1,8 +1,17 @@
 // Package cdt implements the Critical Data Table (paper §III.C, Fig. 5
 // left): the set of file ranges the Data Identifier has classified as
-// performance-critical. Each entry records the range (D_file, D_offset,
-// Length) and the C_flag that marks data awaiting a lazy fetch into the
-// CServers by the Rebuilder.
+// performance-critical. An entry is (D_file, D_offset, Length, C_flag):
+// the C_flag marks data awaiting a lazy fetch into the CServers by the
+// Rebuilder. Algorithm 1 asks only whether a request is in the table and
+// its C_flag, so the table keeps nothing else per range.
+//
+// Unflagged coverage is a set: in an unbounded table adjacent and
+// overlapping unflagged ranges merge into one run, and re-adding a range
+// that one unflagged run already covers writes nothing, so a read hit
+// flips no bit. Flagged entries keep their own boundaries, since each is
+// one fetch unit for the Rebuilder. A bounded table stamps every Add with
+// an insertion sequence and evicts in FIFO order; its stamped entries do
+// not merge.
 //
 // File names intern into a names.Arena — shared with the DMT and the
 // core's per-file bookkeeping when constructed WithArena — and every
@@ -12,8 +21,6 @@
 package cdt
 
 import (
-	"time"
-
 	"s4dcache/internal/extent"
 	"s4dcache/internal/names"
 )
@@ -23,19 +30,18 @@ type Info struct {
 	// CFlag marks data that missed the cache on a read and should be
 	// fetched into the CServers by the Rebuilder (Algorithm 1, line 18).
 	CFlag bool
-	// Benefit is the modeled redirection benefit when the range was
-	// identified, kept for eviction ordering and reporting.
-	Benefit time.Duration
-	// seq is the insertion sequence, for FIFO eviction.
+	// seq is the insertion sequence of the Add or Restore that installed
+	// the range, for FIFO eviction. Only a bounded table stamps it; an
+	// unbounded one keeps no insertion log, so its entries carry zero and
+	// its unflagged runs merge.
 	seq uint64
 }
 
 // Fetch is a pending lazy fetch (a C_flag-marked range).
 type Fetch struct {
-	File    string
-	Off     int64
-	Len     int64
-	Benefit time.Duration
+	File string
+	Off  int64
+	Len  int64
 }
 
 // Option configures New/NewStriped.
@@ -131,42 +137,68 @@ func (t *Table) lookupMap(file string) *extent.Map[Info] {
 	return nil
 }
 
-// Add records [off, off+length) of file as critical. Re-adding an existing
-// range refreshes its benefit and keeps its C_flag.
-func (t *Table) Add(file string, off, length int64, benefit time.Duration) {
+// Add records [off, off+length) of file as critical. A range that
+// overlaps flagged data is recorded flagged as a whole, so re-adding keeps
+// a pending fetch. In an unbounded table a range one unflagged run already
+// covers is left as it is — the read-hit case, which writes nothing — and
+// any other unflagged range merges with the unflagged runs it overlaps or
+// touches. A bounded table stamps the range and logs it for FIFO eviction.
+func (t *Table) Add(file string, off, length int64) {
 	if length <= 0 {
 		return
 	}
+	bounded := t.maxBytes > 0
+	if !bounded {
+		if m := t.lookupMap(file); m != nil {
+			if e, ok := m.Find(off); ok && e.Val == (Info{}) && e.End() >= off+length {
+				return
+			}
+		}
+	}
 	si, m := t.fileMap(file)
-	// Preserve an existing C_flag if the new range overlaps flagged data.
-	flag := false
+	var v Info
 	t.ov = m.AppendOverlaps(t.ov[:0], off, length)
 	for _, e := range t.ov {
 		if e.Val.CFlag {
-			flag = true
+			v.CFlag = true
 			break
 		}
 	}
-	// A refresh of exactly one existing entry with its benefit unchanged
-	// (the common re-Add) leaves every persisted field as it was.
-	if len(t.ov) != 1 || t.ov[0].Off != off || t.ov[0].Len != length || t.ov[0].Val.Benefit != benefit {
-		t.changed[si] = true
+	if bounded {
+		t.seq++
+		v.seq = t.seq
 	}
-	total, flaggedOv := t.overlapBytes(m, off, length)
-	t.bytes -= total
-	t.flagged -= flaggedOv
-	t.seq++
-	m.Insert(off, length, Info{CFlag: flag, Benefit: benefit, seq: t.seq})
-	t.bytes += length
-	if flag {
-		t.flagged += length
-	}
-	if t.maxBytes > 0 {
-		// The FIFO log only feeds evict(); an unbounded table would grow it
-		// forever without ever consuming it.
-		t.order = append(t.order, fifoRef{si: si, off: off, len: length, seq: t.seq})
+	t.put(si, m, off, off+length, v)
+	if bounded {
+		t.order = append(t.order, fifoRef{si: si, off: off, len: length, seq: v.seq})
 		t.evict()
 	}
+}
+
+// put installs [lo, hi) of slot si with v over whatever it overlaps,
+// keeping the byte and flag counts. An unstamped unflagged range first
+// grows over the unstamped unflagged runs that overlap or touch its ends,
+// so those runs merge. The slot is marked changed unless the result is the
+// one entry that was already there with the same flag.
+func (t *Table) put(si int32, m *extent.Map[Info], lo, hi int64, v Info) {
+	if v == (Info{}) {
+		if e, ok := m.Find(lo - 1); ok && e.Val == (Info{}) {
+			lo = e.Off
+		}
+		if e, ok := m.Find(hi); ok && e.Val == (Info{}) {
+			hi = e.End()
+		}
+	}
+	total, flagged := t.overlapBytes(m, lo, hi-lo)
+	if len(t.ov) != 1 || t.ov[0].Off != lo || t.ov[0].End() != hi || t.ov[0].Val.CFlag != v.CFlag {
+		t.changed[si] = true
+	}
+	t.bytes += hi - lo - total
+	t.flagged -= flagged
+	if v.CFlag {
+		t.flagged += hi - lo
+	}
+	m.Insert(lo, hi-lo, v)
 }
 
 // Contains reports whether [off, off+length) is fully covered by critical
@@ -179,39 +211,58 @@ func (t *Table) Contains(file string, off, length int64) bool {
 	return m.Covered(off, length)
 }
 
-// SetCFlag marks the overlapped critical parts of [off, off+length) for
-// lazy fetching (Algorithm 1, line 18).
+// SetCFlag marks the critical bytes of [off, off+length) for lazy
+// fetching (Algorithm 1, line 18). Each unflagged entry's part inside the
+// range becomes one flagged entry; bytes outside it stay as they were.
 func (t *Table) SetCFlag(file string, off, length int64) {
-	t.setCFlag(file, off, length, true)
-}
-
-// ClearCFlag unmarks the overlapped parts of [off, off+length), after the
-// Rebuilder has fetched them (paper §III.F).
-func (t *Table) ClearCFlag(file string, off, length int64) {
-	t.setCFlag(file, off, length, false)
-}
-
-func (t *Table) setCFlag(file string, off, length int64, flag bool) {
 	si := t.lookup(file)
 	if si < 0 {
 		return
 	}
 	m := t.maps[si]
+	end := off + length
 	t.ov = m.AppendOverlaps(t.ov[:0], off, length)
 	for _, e := range t.ov {
-		if e.Val.CFlag == flag {
+		if e.Val.CFlag {
 			continue
 		}
-		v := e.Val
-		v.CFlag = flag
-		m.Insert(e.Off, e.Len, v)
-		if flag {
-			t.flagged += e.Len
-		} else {
-			t.flagged -= e.Len
-		}
+		lo, hi := max(e.Off, off), min(e.End(), end)
+		m.Insert(lo, hi-lo, Info{CFlag: true, seq: e.Val.seq})
+		t.flagged += hi - lo
 		t.changed[si] = true
 	}
+}
+
+// ClearCFlag unmarks every flagged entry overlapping [off, off+length),
+// whole: a flagged entry is one fetch unit, and the Rebuilder clears it
+// by the boundaries PendingFetches handed out (paper §III.F).
+func (t *Table) ClearCFlag(file string, off, length int64) {
+	si := t.lookup(file)
+	if si < 0 {
+		return
+	}
+	m := t.maps[si]
+	// put reuses t.ov, so walk the flagged entries by position.
+	for pos, end := off, off+length; pos < end; {
+		e, ok := t.nextFlagged(m, pos, end)
+		if !ok {
+			break
+		}
+		pos = e.End()
+		t.put(si, m, e.Off, e.End(), Info{seq: e.Val.seq})
+	}
+}
+
+// nextFlagged returns the first flagged entry of m intersecting
+// [pos, end).
+func (t *Table) nextFlagged(m *extent.Map[Info], pos, end int64) (extent.Entry[Info], bool) {
+	t.ov = m.AppendOverlaps(t.ov[:0], pos, end-pos)
+	for _, e := range t.ov {
+		if e.Val.CFlag {
+			return e, true
+		}
+	}
+	return extent.Entry[Info]{}, false
 }
 
 // PendingFetches returns up to max C_flag-marked ranges (all if max <= 0).
@@ -221,7 +272,7 @@ func (t *Table) PendingFetches(max int) []Fetch {
 		file := t.arena.Name(t.ids[si])
 		m.Walk(func(e extent.Entry[Info]) bool {
 			if e.Val.CFlag {
-				out = append(out, Fetch{File: file, Off: e.Off, Len: e.Len, Benefit: e.Val.Benefit})
+				out = append(out, Fetch{File: file, Off: e.Off, Len: e.Len})
 				if max > 0 && len(out) >= max {
 					return false
 				}
@@ -237,11 +288,10 @@ func (t *Table) PendingFetches(max int) []Fetch {
 
 // Extent is one tracked critical range, as reported by Extents.
 type Extent struct {
-	File    string
-	Off     int64
-	Len     int64
-	CFlag   bool
-	Benefit time.Duration
+	File  string
+	Off   int64
+	Len   int64
+	CFlag bool
 }
 
 // Extents dumps every tracked range in deterministic (first-added file,
@@ -259,7 +309,7 @@ func (t *Table) Extents() []Extent {
 func (t *Table) appendSlot(dst []Extent, si int32) []Extent {
 	file := t.arena.Name(t.ids[si])
 	t.maps[si].Walk(func(e extent.Entry[Info]) bool {
-		dst = append(dst, Extent{File: file, Off: e.Off, Len: e.Len, CFlag: e.Val.CFlag, Benefit: e.Val.Benefit})
+		dst = append(dst, Extent{File: file, Off: e.Off, Len: e.Len, CFlag: e.Val.CFlag})
 		return true
 	})
 	return dst

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // pendingSum recomputes the flagged byte count the slow way, as the oracle
@@ -33,7 +32,7 @@ func TestPendingBytesCounter(t *testing.T) {
 				length := int64(1+rng.Intn(32)) << 10
 				switch rng.Intn(5) {
 				case 0, 1:
-					tbl.Add(file, off, length, time.Duration(i))
+					tbl.Add(file, off, length)
 				case 2:
 					tbl.SetCFlag(file, off, length)
 				case 3:
@@ -61,7 +60,7 @@ func TestStripedPendingBytes(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		file := fmt.Sprintf("/w%02d", i)
-		s.Add(file, 0, 4096, time.Millisecond)
+		s.Add(file, 0, 4096)
 		if i%2 == 0 {
 			s.SetCFlag(file, 0, 4096)
 		}
@@ -84,7 +83,7 @@ func TestStripedPendingBytes(t *testing.T) {
 // the Rebuilder ticker calls it every period.
 func TestHasPendingZeroAllocs(t *testing.T) {
 	tbl := New(0)
-	tbl.Add("/f", 0, 4096, time.Millisecond)
+	tbl.Add("/f", 0, 4096)
 	tbl.SetCFlag("/f", 0, 4096)
 	if n := testing.AllocsPerRun(100, func() {
 		if !tbl.HasPending() {
@@ -94,7 +93,7 @@ func TestHasPendingZeroAllocs(t *testing.T) {
 		t.Fatalf("Table.HasPending allocates %v/op, want 0", n)
 	}
 	s := NewStriped(0)
-	s.Add("/f", 0, 4096, time.Millisecond)
+	s.Add("/f", 0, 4096)
 	s.SetCFlag("/f", 0, 4096)
 	if n := testing.AllocsPerRun(100, func() {
 		if !s.HasPending() {

@@ -1,9 +1,8 @@
 package cdt
 
 // Change tracking for the warm-restart snapshot (DESIGN.md §14.2): every
-// mutation that moves a persisted field — coverage, C_flag, benefit —
-// marks the file's slot, and a snapshot tick takes the marks and rewrites
-// only those files' records.
+// mutation that moves a persisted field — coverage or C_flag — the file's slot, and a snapshot tick takes the marks and rewrites only
+// those files' records.
 
 // TakeChanged calls fn with every file whose entries changed since the
 // previous call — every file the table ever tracked when all is set —

@@ -2,7 +2,6 @@ package cdt
 
 import (
 	"sync"
-	"time"
 
 	"s4dcache/internal/names"
 )
@@ -109,10 +108,10 @@ func (s *Striped) stripe(file string) (*Table, *sync.Mutex) {
 }
 
 // Add records [off, off+length) of file as critical, as Table.Add.
-func (s *Striped) Add(file string, off, length int64, benefit time.Duration) {
+func (s *Striped) Add(file string, off, length int64) {
 	t, mu := s.stripe(file)
 	defer mu.Unlock()
-	t.Add(file, off, length, benefit)
+	t.Add(file, off, length)
 }
 
 // Contains reports whether [off, off+length) is fully covered.

@@ -32,9 +32,8 @@ func TestStripedMatchesTable(t *testing.T) {
 			plain.ClearCFlag(file, off, n)
 			striped.ClearCFlag(file, off, n)
 		default:
-			benefit := time.Duration(rng.Intn(1000)) * time.Microsecond
-			plain.Add(file, off, n, benefit)
-			striped.Add(file, off, n, benefit)
+			plain.Add(file, off, n)
+			striped.Add(file, off, n)
 		}
 	}
 	if plain.Entries() != striped.Entries() {
@@ -80,7 +79,7 @@ func TestStripedBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		file := fmt.Sprintf("/bound/f%03d", rng.Intn(64))
-		striped.Add(file, int64(rng.Intn(1<<14)), int64(1+rng.Intn(1<<10)), 0)
+		striped.Add(file, int64(rng.Intn(1<<14)), int64(1+rng.Intn(1<<10)))
 		if b := striped.Bytes(); b > maxBytes+numStripes {
 			t.Fatalf("tracked %d bytes, bound %d (+%d rounding slack)", b, maxBytes, numStripes)
 		}
@@ -118,7 +117,7 @@ func TestStripedConcurrent(t *testing.T) {
 				case 2:
 					striped.ClearCFlag(file, off, n)
 				default:
-					striped.Add(file, off, n, time.Duration(i)*time.Microsecond)
+					striped.Add(file, off, n)
 				}
 				striped.Contains(file, off, n)
 				if i%64 == 0 {
@@ -145,7 +144,7 @@ func TestStripedConcurrent(t *testing.T) {
 			case 2:
 				oracle.ClearCFlag(file, off, n)
 			default:
-				oracle.Add(file, off, n, time.Duration(i)*time.Microsecond)
+				oracle.Add(file, off, n)
 			}
 		}
 		for f := 0; f < 4; f++ {
@@ -159,23 +158,22 @@ func TestStripedConcurrent(t *testing.T) {
 	}
 }
 
-// TestStripedAddRefreshAndEvict checks the striped Add on both of its
-// table-changing paths: a benefit-refreshing re-Add of covered ranges
-// leaves coverage and tracked bytes as they were while a growing Add
-// extends them, and over a bounded stripe the FIFO eviction drops the
-// oldest run while the newest stays covered.
+// TestStripedAddRefreshAndEvict checks the striped Add on its paths: a
+// re-Add of covered ranges leaves coverage and tracked bytes as they were
+// while a growing Add extends them, and over a bounded stripe the FIFO
+// eviction drops the oldest run while the newest stays covered.
 func TestStripedAddRefreshAndEvict(t *testing.T) {
 	s := NewStriped(0)
 	file := "hot.dat"
-	s.Add(file, 0, 4096, time.Millisecond)
+	s.Add(file, 0, 4096)
 	for i := 0; i < 100; i++ {
-		s.Add(file, 0, 4096, time.Duration(i)*time.Microsecond)
-		s.Add(file, 512, 1024, time.Millisecond)
+		s.Add(file, 0, 4096)
+		s.Add(file, 512, 1024)
 	}
 	if s.Bytes() != 4096 || !s.Contains(file, 0, 4096) || s.Contains(file, 0, 4097) {
-		t.Fatalf("refresh Adds changed coverage: %d bytes tracked", s.Bytes())
+		t.Fatalf("covered re-Adds changed coverage: %d bytes tracked", s.Bytes())
 	}
-	s.Add(file, 4096, 100, time.Millisecond)
+	s.Add(file, 4096, 100)
 	if !s.Contains(file, 0, 4196) {
 		t.Fatal("grown coverage not visible")
 	}
@@ -184,11 +182,11 @@ func TestStripedAddRefreshAndEvict(t *testing.T) {
 	// (same stripe) evicts the first.
 	b := NewStriped(4096 * numStripes)
 	file = "evict.dat"
-	b.Add(file, 0, 4096, time.Millisecond)
+	b.Add(file, 0, 4096)
 	if !b.Contains(file, 0, 4096) {
 		t.Fatal("initial coverage missing")
 	}
-	b.Add(file, 4096, 4096, time.Millisecond)
+	b.Add(file, 4096, 4096)
 	if b.Evicted() == 0 {
 		t.Fatal("expected a FIFO eviction")
 	}
@@ -212,7 +210,7 @@ func TestStripedConcurrentHolePunch(t *testing.T) {
 		holeOff = int64(3072)
 		holeLen = int64(1024)
 	)
-	s.Add(file, 0, fileLen, time.Millisecond)
+	s.Add(file, 0, fileLen)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -221,7 +219,7 @@ func TestStripedConcurrentHolePunch(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			s.Remove(file, holeOff, holeLen)
-			s.Add(file, holeOff, holeLen, time.Millisecond)
+			s.Add(file, holeOff, holeLen)
 		}
 	}()
 
@@ -257,7 +255,7 @@ func TestStripedContainsZeroAllocs(t *testing.T) {
 	s := NewStriped(0)
 	file := "alloc.dat"
 	for off := int64(0); off < 8192; off += 1024 {
-		s.Add(file, off, 512, time.Millisecond) // gapped: many runs
+		s.Add(file, off, 512) // gapped: many runs
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		if !s.Contains(file, 2048, 512) {

@@ -177,7 +177,7 @@ func (c *Concurrent) supersedeConc(sh *cshard, file string, off, size int64) {
 // construction (nothing pending) or on the last worker to drain its files.
 func (c *Concurrent) finishRecoveryConc() {
 	for _, cr := range c.recCrits {
-		c.cdt.Restore(cr.File, cr.Off, cr.Len, cr.CFlag, cr.Benefit)
+		c.cdt.Restore(cr.File, cr.Off, cr.Len, cr.CFlag)
 		c.cdtRestored.Add(1)
 	}
 	c.recCrits = nil

@@ -240,7 +240,7 @@ type cshard struct {
 	// re-admission; non-nil only during warm recovery, mutated only under
 	// mu (writer supersedes and the recovery worker's adopts).
 	pending map[string][]*pendingExt
-	// Serve-path lookup scratch, reused under mu.
+	// Write-path lookup scratch, reused under mu.
 	hitsBuf    []dmt.Hit
 	gapsBuf    []extent.Gap
 	insertsBuf []dmt.FragmentInsert
@@ -533,9 +533,10 @@ func (c *countdown) drop(err error) bool {
 // reference Read/Write holds until it has issued them all (release), so
 // the join can only finish in one of two places: on the last backend
 // completion, which runs done inline (backends complete on a goroutine
-// that holds no engine lock), or in release, inside the issuing call
-// under the shard mutex, which defers done through the clock. A Write
-// abandoned on an error path never releases, so its join never completes.
+// that holds no engine lock), or in release, inside the issuing call —
+// under the shard mutex for a Write, after it for a Read — which defers
+// done through the clock. A Write abandoned on an error path never
+// releases, so its join never completes.
 type conJoin struct {
 	countdown
 	c       *Concurrent
@@ -646,7 +647,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 		c.supersedeConc(sh, file, off, size)
 	}
 
-	benefit := c.identify(sh, rank, file, off, size, true)
+	benefit, _ := c.identify(sh, rank, file, off, size, true)
 
 	sh.hitsBuf, sh.gapsBuf = c.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
 	hits, gaps := sh.hitsBuf, sh.gapsBuf
@@ -719,9 +720,11 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 }
 
 // Read intercepts an application read of file[off, off+size) by rank. Safe
-// to call from any goroutine. In-flight cache hits pin their ranges so
-// reclaim cannot hand the bytes to another owner mid-read. As for Write,
-// done runs asynchronously and must not block.
+// to call from any goroutine. The shard mutex covers identify, the DMT
+// lookup and the pinning of every cache hit; the pinned hits are issued
+// after it drops, and the pins keep reclaim from handing their bytes to
+// another owner until each read completes. As for Write, done runs
+// asynchronously and must not block.
 func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, done func(error)) error {
 	if err := checkRange(off, size, buf); err != nil {
 		return err
@@ -731,51 +734,40 @@ func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, do
 		return nil
 	}
 	sh, _ := c.shard(file)
+	j := &conJoin{c: c, done: done}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	sh.stats.reads.Add(1)
 	sh.stats.bytesRead.Add(size)
 
-	benefit := c.identify(sh, rank, file, off, size, false)
+	benefit, recorded := c.identify(sh, rank, file, off, size, false)
 
-	sh.hitsBuf, sh.gapsBuf = c.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
-	hits, gaps := sh.hitsBuf, sh.gapsBuf
-	j := newConJoin(c, len(hits)+len(gaps), done, nil)
+	// The lookup fills buffers on this call's stack, not the shard's
+	// scratch: the hits are issued after the mutex drops.
+	var hitBuf [4]dmt.Hit
+	var gapBuf [2]extent.Gap
+	hits, gaps := c.dmt.AppendLookup(hitBuf[:0], gapBuf[:0], file, off, size)
+	j.n.Store(int32(len(hits)+len(gaps)) + 1)
 
+	pinned := hits[:0]
 	faulty := c.faulty.Load()
 	for _, h := range hits {
-		seg := slice(buf, off, h.Off, h.Len)
 		if faulty && c.cpfs.RangeDown(h.CacheOff, h.Len) {
 			// Only up-to-date copy is dirty data on a crashed, restarting
 			// CServer: park until the restart.
-			c.deferReadConc(sh, file, h.Off, h.Len, seg, j.sub)
+			c.deferReadConc(sh, file, h.Off, h.Len, slice(buf, off, h.Off, h.Len), j.sub)
 			continue
 		}
 		sh.stats.segReadsCache.Add(1)
 		sh.stats.bytesReadCache.Add(h.Len)
-		c.space.Touch(h.CacheOff, h.Len)
-		c.space.Pin(h.CacheOff, h.Len)
-		h := h
-		cb := func(err error) {
-			c.space.Unpin(h.CacheOff, h.Len)
-			if err == nil || !c.faulty.Load() {
-				j.sub(err)
-				return
-			}
-			// A crash raced the in-flight read (faulty may flip after
-			// issue): resolve through the degraded-mode rerouter.
-			c.readFailedConc(err, file, h.Off, h.Len, seg, j.sub)
-		}
-		if err := c.cpfs.Read(CacheFileName, h.CacheOff, h.Len, sim.PriorityHigh, seg, cb); err != nil {
-			c.space.Unpin(h.CacheOff, h.Len)
-			j.sub(err)
-		}
+		c.space.TouchPin(h.CacheOff, h.Len)
+		pinned = append(pinned, h)
 	}
 	for _, g := range gaps {
 		critical := benefit > c.threshold() || c.cdt.Contains(file, g.Off, g.Len)
 		if critical {
 			// Always lazy: mark for the Rebuilder (Algorithm 1, line 18).
-			c.cdt.SetCFlag(file, g.Off, g.Len)
+			fr := flagRange(recorded, off, size, g)
+			c.cdt.SetCFlag(file, fr.Off, fr.Len)
 			sh.stats.lazyMarks.Add(1)
 		}
 		sh.stats.segReadsDisk.Add(1)
@@ -784,24 +776,50 @@ func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, do
 			j.sub(err)
 		}
 	}
+	sh.mu.Unlock()
+	for _, h := range pinned {
+		c.readPinned(file, off, buf, h, j)
+	}
 	j.release()
 	return nil
 }
 
-// identify runs the Data Identifier on the shard's tracker. Cost-model
-// state is keyed by (file, rank) and files map to exactly one shard, so
-// per-shard trackers produce the same decisions as one global tracker.
-// Caller holds the shard mutex, which guards the tracker; the CDT Add
-// serializes on the target stripe's own mutex below it.
-func (c *Concurrent) identify(sh *cshard, rank int, file string, off, size int64, write bool) time.Duration {
+// readPinned issues one pinned cache hit of the read of file[off, ...)
+// into buf, without the shard mutex; its completion unpins the range.
+func (c *Concurrent) readPinned(file string, off int64, buf []byte, h dmt.Hit, j *conJoin) {
+	seg := slice(buf, off, h.Off, h.Len)
+	cb := func(err error) {
+		c.space.Unpin(h.CacheOff, h.Len)
+		if err == nil || !c.faulty.Load() {
+			j.sub(err)
+			return
+		}
+		// A crash raced the in-flight read (faulty may flip after
+		// issue): resolve through the degraded-mode rerouter.
+		c.readFailedConc(err, file, h.Off, h.Len, seg, j.sub)
+	}
+	if err := c.cpfs.Read(CacheFileName, h.CacheOff, h.Len, sim.PriorityHigh, seg, cb); err != nil {
+		c.space.Unpin(h.CacheOff, h.Len)
+		j.sub(err)
+	}
+}
+
+// identify runs the Data Identifier on the shard's tracker and reports
+// the benefit and whether the request was recorded in the CDT, as the
+// sequential engine's. Cost-model state is keyed by (file, rank) and
+// files map to exactly one shard, so per-shard trackers produce the same
+// decisions as one global tracker. Caller holds the shard mutex, which
+// guards the tracker; the CDT Add serializes on the target stripe's own
+// mutex below it.
+func (c *Concurrent) identify(sh *cshard, rank int, file string, off, size int64, write bool) (time.Duration, bool) {
 	sh.stats.identified.Add(1)
 	if c.policy == PolicyLocality {
 		if sh.locality.Touch(file, off, size) {
 			sh.stats.critical.Add(1)
-			c.cdt.Add(file, off, size, 0)
-			return time.Nanosecond
+			c.cdt.Add(file, off, size)
+			return time.Nanosecond, true
 		}
-		return 0
+		return 0, false
 	}
 	dist := sh.tracker.Observe(costmodel.StreamKey{File: file, Rank: rank}, off, size)
 	benefit := c.model.Benefit(costmodel.Request{Offset: off, Size: size, Distance: dist})
@@ -812,10 +830,11 @@ func (c *Concurrent) identify(sh *cshard, rank int, file string, off, size int64
 	if benefit > c.threshold() {
 		sh.stats.critical.Add(1)
 		if c.policy != PolicyNone {
-			c.cdt.Add(file, off, size, benefit)
+			c.cdt.Add(file, off, size)
+			return benefit, true
 		}
 	}
-	return benefit
+	return benefit, false
 }
 
 func (c *Concurrent) admitWriteConc(sh *cshard, file string, off, length int64, benefit time.Duration) bool {

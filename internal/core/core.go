@@ -467,7 +467,7 @@ func (s *S4D) Write(rank int, file string, off, size int64, data []byte, done fu
 		s.supersedePending(file, off, size)
 	}
 
-	benefit := s.identify(rank, file, off, size, true)
+	benefit, _ := s.identify(rank, file, off, size, true)
 
 	s.hitsBuf, s.gapsBuf = s.dmt.AppendLookup(s.hitsBuf[:0], s.gapsBuf[:0], file, off, size)
 	hits, gaps := s.hitsBuf, s.gapsBuf
@@ -556,7 +556,7 @@ func (s *S4D) Read(rank int, file string, off, size int64, buf []byte, done func
 	s.stats.Reads++
 	s.stats.BytesRead += size
 
-	benefit := s.identify(rank, file, off, size, false)
+	benefit, recorded := s.identify(rank, file, off, size, false)
 
 	s.hitsBuf, s.gapsBuf = s.dmt.AppendLookup(s.hitsBuf[:0], s.gapsBuf[:0], file, off, size)
 	hits, gaps := s.hitsBuf, s.gapsBuf
@@ -594,7 +594,8 @@ func (s *S4D) Read(rank int, file string, off, size int64, buf []byte, done func
 		critical := benefit > s.admitThreshold || s.cdt.Contains(file, g.Off, g.Len)
 		if critical && s.lazy {
 			// Lazy caching: mark for the Rebuilder (line 18).
-			s.cdt.SetCFlag(file, g.Off, g.Len)
+			fr := flagRange(recorded, off, size, g)
+			s.cdt.SetCFlag(file, fr.Off, fr.Len)
 			s.stats.LazyMarks++
 		}
 		s.stats.SegReadsDisk++
@@ -622,17 +623,18 @@ func (s *S4D) Read(rank int, file string, off, size int64, buf []byte, done func
 // identify runs the Data Identifier: compute the benefit (Eq. 8) and
 // record critical requests in the CDT. Under PolicyLocality the
 // criterion is temporal locality instead of the cost model. Returns the
-// benefit (zero when the policy replaces the model). write feeds the
-// adaptive characterizer's read/write mix; it does not change routing.
-func (s *S4D) identify(rank int, file string, off, size int64, write bool) time.Duration {
+// benefit (zero when the policy replaces the model) and whether the
+// request was recorded in the CDT. write feeds the adaptive
+// characterizer's read/write mix; it does not change routing.
+func (s *S4D) identify(rank int, file string, off, size int64, write bool) (time.Duration, bool) {
 	s.stats.Identified++
 	if s.policy == PolicyLocality {
 		if s.locality.Touch(file, off, size) {
 			s.stats.Critical++
-			s.cdt.Add(file, off, size, 0)
-			return time.Nanosecond // admissible marker
+			s.cdt.Add(file, off, size)
+			return time.Nanosecond, true // admissible marker
 		}
-		return 0
+		return 0, false
 	}
 	dist := s.tracker.Observe(costmodel.StreamKey{File: file, Rank: rank}, off, size)
 	benefit := s.model.Benefit(costmodel.Request{Offset: off, Size: size, Distance: dist})
@@ -642,10 +644,21 @@ func (s *S4D) identify(rank int, file string, off, size int64, write bool) time.
 	if benefit > s.admitThreshold {
 		s.stats.Critical++
 		if s.policy != PolicyNone {
-			s.cdt.Add(file, off, size, benefit)
+			s.cdt.Add(file, off, size)
+			return benefit, true
 		}
 	}
-	return benefit
+	return benefit, false
+}
+
+// flagRange is the range a critical read miss segment g marks for lazy
+// fetching: the whole request when identify recorded it in the CDT
+// (Algorithm 1 marks req), else the segment alone.
+func flagRange(recorded bool, off, size int64, g extent.Gap) extent.Gap {
+	if recorded {
+		return extent.Gap{Off: off, Len: size}
+	}
+	return g
 }
 
 // admitWrite decides whether a write miss segment is absorbed by the

@@ -165,7 +165,7 @@ func (s *S4D) supersedePending(file string, off, size int64) {
 // opens the gates: admissions and Rebuilder fetches resume.
 func (s *S4D) finishRecovery() {
 	for _, cr := range s.recCrits {
-		s.cdt.Restore(cr.File, cr.Off, cr.Len, cr.CFlag, cr.Benefit)
+		s.cdt.Restore(cr.File, cr.Off, cr.Len, cr.CFlag)
 		s.stats.CDTRestored++
 	}
 	s.recCrits = nil

@@ -265,7 +265,7 @@ func appendResidency(dst []byte, h dmt.Hit) []byte {
 
 func appendCritical(dst []byte, c cdt.Extent) []byte {
 	return staterec.AppendBundleCritical(dst, staterec.Critical{
-		File: c.File, Off: c.Off, Len: c.Len, CFlag: c.CFlag, Benefit: c.Benefit,
+		File: c.File, Off: c.Off, Len: c.Len, CFlag: c.CFlag,
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"s4dcache/internal/cdt"
 	"s4dcache/internal/dmt"
@@ -115,7 +114,7 @@ func (f *snapFixture) fill(t *testing.T, files ...string) {
 			if err := f.dmt.Insert(file, off, 4096, int64(i)<<20+off, k == 1); err != nil {
 				t.Fatal(err)
 			}
-			f.cdt.Add(file, off, 4096, time.Duration(k+1)*time.Microsecond)
+			f.cdt.Add(file, off, 4096)
 		}
 	}
 }
@@ -135,7 +134,7 @@ func TestSnapshotRewritesOnlyChangedFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.cdt.SetCFlag("c", 0, 4096) // CDT only
-	f.cdt.Add("b", 0, 4096, time.Microsecond)
+	f.cdt.Add("b", 0, 4096)
 	before := storeMutations(f.store)
 	if n := f.tick(t); n != 6 {
 		t.Fatalf("tick rewrote %d records, want 6 (a's residency, c's CDT)", n)
@@ -179,15 +178,15 @@ func TestSnapshotCritOrderMatchesExtents(t *testing.T) {
 		name string
 		crit interface {
 			snapSource[cdt.Extent]
-			Add(file string, off, length int64, benefit time.Duration)
+			Add(file string, off, length int64)
 			Extents() []cdt.Extent
 		}
 	}{{"table", cdt.New(0)}, {"striped", cdt.NewStriped(0)}} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := openMetaStore(t, kvstore.NewMemBackend())
-			for i, file := range files {
+			for _, file := range files {
 				for k := int64(0); k < 2; k++ {
-					tc.crit.Add(file, k*8192, 4096, time.Duration(i+1)*time.Microsecond)
+					tc.crit.Add(file, k*8192, 4096)
 				}
 			}
 			var w snapWriter
@@ -196,7 +195,7 @@ func TestSnapshotCritOrderMatchesExtents(t *testing.T) {
 			}
 			var want []staterec.Critical
 			for _, c := range tc.crit.Extents() {
-				want = append(want, staterec.Critical{File: c.File, Off: c.Off, Len: c.Len, CFlag: c.CFlag, Benefit: c.Benefit})
+				want = append(want, staterec.Critical{File: c.File, Off: c.Off, Len: c.Len, CFlag: c.CFlag})
 			}
 			if got := readSnapshot(store).crits; !reflect.DeepEqual(got, want) {
 				t.Fatalf("crits order:\n got %v\nwant %v", got, want)

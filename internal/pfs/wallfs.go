@@ -43,17 +43,16 @@ type WallFS struct {
 	mu      sync.Mutex // guards files and onState
 	files   map[string]int64
 	onState StateFunc
-
-	requests     atomic.Uint64
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
 }
 
 // wallServer is one server's FCFS service queue. mu guards the busy
 // horizon, the ring and the drainer flag; it is a leaf, never held while
-// a completion runs.
+// a completion runs. The fields are grouped by who writes them, each
+// group on its own cache lines: the queue (issuers and the drainer), the
+// read-mostly identity and down flag, and the home-request state (the
+// issuers of requests whose first byte is on this server, and the
+// drainers that finish them).
 type wallServer struct {
-	id int
 	mu sync.Mutex
 	// busyUntil is the server's reserved-service horizon in clock time:
 	// each sub-request's service starts at max(now, busyUntil), so due
@@ -63,11 +62,14 @@ type wallServer struct {
 	// draining is set while a drainer goroutine owns the ring; it exits,
 	// clearing the flag, when the ring is empty.
 	draining bool
-	drain    func() // bound once, so starting a drainer does not allocate
+	subs     atomic.Uint64
+	_        [64]byte
 
+	id     int
+	drain  func() // bound once, so starting a drainer does not allocate
 	down   atomic.Bool
-	subs   atomic.Uint64
 	aborts atomic.Uint64
+	_      [64]byte
 
 	// free recycles finished joins homed on this server (the server of a
 	// request's first byte), with their buffers: a mutex-guarded list
@@ -75,9 +77,13 @@ type wallServer struct {
 	// deterministically allocation-free, under the race detector too, and
 	// one list per server rather than per WallFS so concurrent clients
 	// do not all contend on it. Joins beyond joinKeep are left to the
-	// collector.
-	freeMu sync.Mutex
-	free   []*wallJoin
+	// collector. The request counters sit beside it for the same reason.
+	freeMu       sync.Mutex
+	free         []*wallJoin
+	requests     atomic.Uint64
+	bytesRead    atomic.Int64
+	bytesWritten atomic.Int64
+	_            [64]byte
 
 	storeMu sync.Mutex // guards stores (functional payload bytes)
 	stores  map[string]*chunkstore.Sparse
@@ -333,20 +339,22 @@ func (w *WallFS) issue(write bool, file string, off, size int64, pri sim.Priorit
 		}
 		return nil
 	}
-	w.requests.Add(1)
 	if write {
-		w.bytesWritten.Add(size)
 		w.mu.Lock()
 		if end := off + size; end > w.files[file] {
 			w.files[file] = end
 		}
 		w.mu.Unlock()
-	} else {
-		w.bytesRead.Add(size)
 	}
 
 	home := int(off / w.layout.StripeSize % int64(len(w.servers)))
 	hs := &w.servers[home]
+	hs.requests.Add(1)
+	if write {
+		hs.bytesWritten.Add(size)
+	} else {
+		hs.bytesRead.Add(size)
+	}
 	var j *wallJoin
 	hs.freeMu.Lock()
 	if n := len(hs.free); n > 0 {
@@ -501,14 +509,14 @@ type WallStats struct {
 
 // Stats returns aggregated counters across servers.
 func (w *WallFS) Stats() WallStats {
-	st := WallStats{
-		Requests:     w.requests.Load(),
-		BytesRead:    w.bytesRead.Load(),
-		BytesWritten: w.bytesWritten.Load(),
-	}
+	var st WallStats
 	for i := range w.servers {
-		st.SubRequests += w.servers[i].subs.Load()
-		st.Aborts += w.servers[i].aborts.Load()
+		sv := &w.servers[i]
+		st.Requests += sv.requests.Load()
+		st.BytesRead += sv.bytesRead.Load()
+		st.BytesWritten += sv.bytesWritten.Load()
+		st.SubRequests += sv.subs.Load()
+		st.Aborts += sv.aborts.Load()
 	}
 	return st
 }

@@ -3,6 +3,7 @@ package staterec
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // fuzzBundle builds a pristine residency bundle of n records.
@@ -18,6 +19,18 @@ func fuzzBundle(n int) ([]byte, []Extent) {
 	return b, exts
 }
 
+// legacyCritBundle builds a CDT bundle of n records in the layout written
+// before the per-range benefit was dropped.
+func legacyCritBundle(n int) []byte {
+	b := AppendBundleHeader(nil, BundleHeader{Ord: 1, Count: uint32(n)})
+	for i := 0; i < n; i++ {
+		at := len(b)
+		c := Critical{File: "fz", Off: int64(i) * 8192, Len: 4096, CFlag: i%2 == 0}
+		b = closeFrame(appendLegacyCritical(append(b, 0, 0, 0, 0), c, time.Duration(i+1)*time.Microsecond), at)
+	}
+	return b
+}
+
 // FuzzSnapshotBundle checks the bundle decoder's contract on bytes read
 // back from disk: WalkBundle never panics and hands out only in-bounds
 // frames whatever the input; a pristine bundle round-trips exactly; and
@@ -30,6 +43,7 @@ func FuzzSnapshotBundle(f *testing.F) {
 	f.Add(append([]byte(nil), pristine...), uint8(3), uint16(0), byte(1))
 	f.Add(append([]byte(nil), pristine...), uint8(3), uint16(bundleHeaderBytes+6), byte(0x80))
 	f.Add(pristine[:len(pristine)-3], uint8(5), uint16(2), byte(0xff))
+	f.Add(legacyCritBundle(3), uint8(3), uint16(0), byte(0))
 	f.Fuzz(func(t *testing.T, data []byte, n uint8, pos uint16, xor byte) {
 		// Arbitrary bytes: clean termination and coherent accounting.
 		frames := 0

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 )
 
 // ErrCorrupt is returned when a sealed record fails its CRC or does not
@@ -28,8 +27,7 @@ const (
 	// KindExtent is a cache-residency record: one resident extent of the
 	// cache space, with its owner mapping and dirty bit.
 	KindExtent byte = 1
-	// KindCritical is one CDT entry: a critical extent with its fetch flag
-	// and cost-model benefit.
+	// KindCritical is one CDT entry: a critical extent with its fetch flag.
 	KindCritical byte = 2
 	// KindMeta is the snapshot header: epoch and expected record counts,
 	// letting recovery detect records that went missing entirely.
@@ -58,11 +56,10 @@ type Extent struct {
 
 // Critical is one persisted CDT entry.
 type Critical struct {
-	File    string
-	Off     int64
-	Len     int64
-	CFlag   bool
-	Benefit time.Duration
+	File  string
+	Off   int64
+	Len   int64
+	CFlag bool
 }
 
 // Meta is the snapshot stream header.
@@ -174,12 +171,17 @@ func AppendCritical(dst []byte, c Critical) []byte {
 	dst = appendString(dst, c.File)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Off))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Len))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Benefit))
 	dst = appendBool(dst, c.CFlag)
 	return closeSeal(dst, start)
 }
 
-// DecodeCritical unseals and parses a CDT record.
+// legacyBenefitLen is the size of the benefit field that records written
+// before the CDT dropped its per-range benefit carry between Len and the
+// flag.
+const legacyBenefitLen = 8
+
+// DecodeCritical unseals and parses a CDT record. A legacy record's
+// benefit field is skipped.
 func DecodeCritical(data []byte) (Critical, error) {
 	kind, payload, err := Unseal(data)
 	if err != nil {
@@ -189,17 +191,17 @@ func DecodeCritical(data []byte) (Critical, error) {
 		return Critical{}, fmt.Errorf("%w: kind %d, want critical", ErrCorrupt, kind)
 	}
 	file, rest, ok := takeString(payload)
-	if !ok || len(rest) != 8*3+1 {
+	if !ok || (len(rest) != 8*2+1 && len(rest) != 8*2+legacyBenefitLen+1) {
 		return Critical{}, fmt.Errorf("%w: critical payload shape", ErrCorrupt)
 	}
+	flag := rest[len(rest)-1]
 	c := Critical{
-		File:    file,
-		Off:     int64(binary.LittleEndian.Uint64(rest)),
-		Len:     int64(binary.LittleEndian.Uint64(rest[8:])),
-		Benefit: time.Duration(binary.LittleEndian.Uint64(rest[16:])),
-		CFlag:   rest[24] != 0,
+		File:  file,
+		Off:   int64(binary.LittleEndian.Uint64(rest)),
+		Len:   int64(binary.LittleEndian.Uint64(rest[8:])),
+		CFlag: flag != 0,
 	}
-	if c.Len <= 0 || c.Off < 0 || rest[24] > 1 {
+	if c.Len <= 0 || c.Off < 0 || flag > 1 {
 		return Critical{}, fmt.Errorf("%w: critical field range", ErrCorrupt)
 	}
 	return c, nil

@@ -1,10 +1,25 @@
 package staterec
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
 )
+
+// appendLegacyCritical appends a CDT record in the layout written before
+// the CDT dropped its per-range benefit: an 8-byte benefit between Len
+// and the flag.
+func appendLegacyCritical(dst []byte, c Critical, benefit time.Duration) []byte {
+	start := len(dst)
+	dst = append(dst, KindCritical)
+	dst = appendString(dst, c.File)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Off))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Len))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(benefit))
+	dst = appendBool(dst, c.CFlag)
+	return closeSeal(dst, start)
+}
 
 func TestExtentRoundtrip(t *testing.T) {
 	for _, e := range []Extent{
@@ -24,8 +39,8 @@ func TestExtentRoundtrip(t *testing.T) {
 
 func TestCriticalRoundtrip(t *testing.T) {
 	for _, c := range []Critical{
-		{File: "f", Off: 0, Len: 1, CFlag: false, Benefit: 0},
-		{File: "hot", Off: 1 << 33, Len: 65536, CFlag: true, Benefit: 950 * time.Microsecond},
+		{File: "f", Off: 0, Len: 1, CFlag: false},
+		{File: "hot", Off: 1 << 33, Len: 65536, CFlag: true},
 	} {
 		got, err := DecodeCritical(AppendCritical(nil, c))
 		if err != nil {
@@ -33,6 +48,34 @@ func TestCriticalRoundtrip(t *testing.T) {
 		}
 		if got != c {
 			t.Fatalf("roundtrip %+v -> %+v", c, got)
+		}
+	}
+}
+
+// TestLegacyCriticalDecodes: a record written with the old benefit field
+// still decodes, to the same entry with the benefit ignored, and a flag
+// byte out of range is still rejected in either layout.
+func TestLegacyCriticalDecodes(t *testing.T) {
+	for _, c := range []Critical{
+		{File: "f", Off: 0, Len: 1, CFlag: false},
+		{File: "hot", Off: 1 << 33, Len: 65536, CFlag: true},
+	} {
+		got, err := DecodeCritical(appendLegacyCritical(nil, c, 950*time.Microsecond))
+		if err != nil {
+			t.Fatalf("legacy %+v: %v", c, err)
+		}
+		if got != c {
+			t.Fatalf("legacy %+v -> %+v", c, got)
+		}
+	}
+	for _, rec := range [][]byte{
+		AppendCritical(nil, Critical{File: "f", Len: 1}),
+		appendLegacyCritical(nil, Critical{File: "f", Len: 1}, time.Millisecond),
+	} {
+		rec[len(rec)-5] = 2 // the flag byte, before the CRC
+		rec = closeSeal(rec[:len(rec)-4], 0)
+		if _, err := DecodeCritical(rec); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flag byte 2 accepted: %v", err)
 		}
 	}
 }
@@ -55,11 +98,13 @@ func TestMetaRoundtrip(t *testing.T) {
 func TestEveryBitFlipDetected(t *testing.T) {
 	recs := [][]byte{
 		AppendExtent(nil, Extent{File: "victim", Off: 4096, Len: 8192, CacheOff: 1 << 20, Dirty: true}),
-		AppendCritical(nil, Critical{File: "victim", Off: 0, Len: 4096, CFlag: true, Benefit: time.Millisecond}),
+		AppendCritical(nil, Critical{File: "victim", Off: 0, Len: 4096, CFlag: true}),
+		appendLegacyCritical(nil, Critical{File: "victim", Off: 0, Len: 4096, CFlag: true}, time.Millisecond),
 		EncodeMeta(Meta{Epoch: 7, Extents: 3, Criticals: 1, CapacityBytes: 1 << 30}),
 	}
 	decoders := []func([]byte) error{
 		func(b []byte) error { _, err := DecodeExtent(b); return err },
+		func(b []byte) error { _, err := DecodeCritical(b); return err },
 		func(b []byte) error { _, err := DecodeCritical(b); return err },
 		func(b []byte) error { _, err := DecodeMeta(b); return err },
 	}
@@ -101,7 +146,8 @@ func TestTruncationRejected(t *testing.T) {
 func FuzzUnseal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendExtent(nil, Extent{File: "seed", Off: 1, Len: 2, CacheOff: 3, Dirty: true}))
-	f.Add(AppendCritical(nil, Critical{File: "seed", Off: 1, Len: 2, CFlag: true, Benefit: 3}))
+	f.Add(AppendCritical(nil, Critical{File: "seed", Off: 1, Len: 2, CFlag: true}))
+	f.Add(appendLegacyCritical(nil, Critical{File: "seed", Off: 1, Len: 2, CFlag: true}, 3))
 	f.Add(EncodeMeta(Meta{Epoch: 1, Extents: 2, Criticals: 3, CapacityBytes: 4}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, err := Unseal(data)
