@@ -35,7 +35,7 @@ bench-metascale:
 
 # Just the allocation-regression tests: pins the performance-mode serve
 # and identify paths, the metadata store's durable commit path, the
-# striped-table dirty/pending counters and criticality check, the
+# DMT/CDT dirty/pending counters and criticality check, the
 # packed-extent lookup and resident-budget spill bookkeeping, every cache
 # policy's touch/eviction paths, the latency histogram's record path,
 # and the network server's decode→dispatch→encode request path, at 0

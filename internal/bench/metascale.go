@@ -328,24 +328,24 @@ func legacyCell(names []string, extPerFile, lookups int) MetaScaleRow {
 	return row
 }
 
-// packedCell builds a striped packed table at one file count under the
+// packedCell builds a packed table at one file count under the
 // given budget (0 = unbounded, built without a store so the heap delta
 // is pure table). Returns the row; the unbounded row's ResidentBytes is
 // the reference the budget fractions scale from.
 func packedCell(names []string, extPerFile, lookups int, budgetFrac float64, budgetBytes int64) (MetaScaleRow, error) {
 	before := captureMem()
-	var tbl *dmt.Striped
+	var tbl *dmt.Table
 	if budgetBytes > 0 {
 		st, err := kvstore.Open(kvstore.NewMemBackend(), "dmt", kvstore.Options{Sync: kvstore.SyncEvery})
 		if err != nil {
 			return MetaScaleRow{}, err
 		}
-		tbl, err = dmt.OpenStriped(st, dmt.WithMetaBudget(budgetBytes))
+		tbl, err = dmt.Open(st, dmt.WithMetaBudget(budgetBytes))
 		if err != nil {
 			return MetaScaleRow{}, err
 		}
 	} else {
-		tbl = dmt.NewStriped()
+		tbl = dmt.New()
 	}
 	for i, name := range names {
 		for e := 0; e < extPerFile; e++ {

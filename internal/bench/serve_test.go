@@ -127,7 +127,7 @@ func TestServeBenchScales(t *testing.T) {
 
 // Scale-smoke working set: 16 preloaded hot files × 4MB = 64MB, well under
 // the 512MB cache — no eviction, every read is a cache hit, and clients
-// contend on the same shards and stripes.
+// contend on the same shards.
 const (
 	scaleFiles    = 16
 	scaleFileSpan = int64(4 << 20)

@@ -94,10 +94,10 @@ func NewShardedPolicy(capacity int64, shards int, newPolicy func(regionCapacity 
 
 // SetEvictHook installs fn as every region's pre-free eviction callback
 // (Manager.SetEvictHook), with cache offsets translated to the global
-// space. The hook runs with the owning region's mutex held, below the
-// core shard mutex and above the metadata stripe mutexes — the revised
-// lock hierarchy of DESIGN.md §12. Install before serving traffic;
-// passing nil removes the hook.
+// space. The hook runs inside Allocate with the region's mutex held, below
+// the mutex the caller of Allocate holds (the core shard mutex of
+// DESIGN.md §12). Install before serving traffic; passing nil removes the
+// hook.
 func (s *Sharded) SetEvictHook(fn func(owner Owner, cacheOff, length int64) bool) {
 	for i := range s.regions {
 		r := &s.regions[i]
@@ -218,6 +218,24 @@ func (s *Sharded) Allocate(shard int, size int64, owner Owner, dirty bool) ([]Fr
 		evicted[i].CacheOff += r.base
 	}
 	return frags, evicted, err
+}
+
+// InRegion reports whether a global range lies wholly inside shard's
+// region.
+func (s *Sharded) InRegion(shard int, cacheOff, length int64) bool {
+	base := int64(shard) * s.regionSize
+	return cacheOff >= base && cacheOff+length <= base+s.regionSize
+}
+
+// Pinned reports whether an in-flight read pins any byte of a global
+// range.
+func (s *Sharded) Pinned(cacheOff, length int64) bool {
+	pinned := false
+	s.each(cacheOff, length, func(r *shardRegion, off, n int64) {
+		r.ov = r.pins.AppendOverlaps(r.ov[:0], off, n)
+		pinned = pinned || len(r.ov) > 0
+	})
+	return pinned
 }
 
 // each applies fn to the region-local pieces of a global range, locking

@@ -44,7 +44,7 @@ type Fetch struct {
 	Len  int64
 }
 
-// Option configures New/NewStriped.
+// Option configures New.
 type Option func(*Table)
 
 // WithArena shares a file-name interning arena with other tables.
@@ -111,9 +111,6 @@ func (t *Table) SetMaxBytes(maxBytes int64) {
 	t.maxBytes = maxBytes
 	t.evict()
 }
-
-// MaxBytes returns the current table bound (<= 0 means unbounded).
-func (t *Table) MaxBytes() int64 { return t.maxBytes }
 
 // lookup resolves file's slot without interning — -1 if the table has
 // never tracked it. Allocation-free.

@@ -51,34 +51,6 @@ func TestPendingBytesCounter(t *testing.T) {
 	}
 }
 
-// TestStripedPendingBytes checks the aggregate counter and the early-exit
-// predicate across stripes.
-func TestStripedPendingBytes(t *testing.T) {
-	s := NewStriped(0)
-	if s.HasPending() {
-		t.Fatal("empty table claims pending fetches")
-	}
-	for i := 0; i < 40; i++ {
-		file := fmt.Sprintf("/w%02d", i)
-		s.Add(file, 0, 4096)
-		if i%2 == 0 {
-			s.SetCFlag(file, 0, 4096)
-		}
-	}
-	if got, want := s.PendingBytes(), int64(20*4096); got != want {
-		t.Fatalf("PendingBytes=%d, want %d", got, want)
-	}
-	if !s.HasPending() {
-		t.Fatal("HasPending=false with flagged ranges present")
-	}
-	for i := 0; i < 40; i += 2 {
-		s.ClearCFlag(fmt.Sprintf("/w%02d", i), 0, 4096)
-	}
-	if s.HasPending() {
-		t.Fatalf("HasPending=true after clearing every flag (PendingBytes=%d)", s.PendingBytes())
-	}
-}
-
 // TestHasPendingZeroAllocs pins the poll predicate at zero allocations:
 // the Rebuilder ticker calls it every period.
 func TestHasPendingZeroAllocs(t *testing.T) {
@@ -92,14 +64,25 @@ func TestHasPendingZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Table.HasPending allocates %v/op, want 0", n)
 	}
-	s := NewStriped(0)
-	s.Add("/f", 0, 4096)
-	s.SetCFlag("/f", 0, 4096)
-	if n := testing.AllocsPerRun(100, func() {
-		if !s.HasPending() {
-			t.Fatal("lost pending state")
+}
+
+// TestContainsZeroAllocs pins the criticality check — the read path's
+// question for every miss segment — at zero allocations per operation
+// (`make alloc-check`).
+func TestContainsZeroAllocs(t *testing.T) {
+	tbl := New(0)
+	file := "alloc.dat"
+	for off := int64(0); off < 8192; off += 1024 {
+		tbl.Add(file, off, 512) // gapped: many runs
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if !tbl.Contains(file, 2048, 512) {
+			t.Fatal("coverage missing")
+		}
+		if tbl.Contains(file, 2048, 1024) {
+			t.Fatal("hole reported covered")
 		}
 	}); n != 0 {
-		t.Fatalf("Striped.HasPending allocates %v/op, want 0", n)
+		t.Fatalf("Contains allocates %v/op, want 0", n)
 	}
 }

@@ -27,10 +27,3 @@ func (t *Table) Restore(file string, off, length int64, cflag bool) {
 		t.evict()
 	}
 }
-
-// Restore installs one recovered critical extent into file's stripe.
-func (s *Striped) Restore(file string, off, length int64, cflag bool) {
-	t, mu := s.stripe(file)
-	defer mu.Unlock()
-	t.Restore(file, off, length, cflag)
-}

@@ -27,23 +27,3 @@ func (t *Table) AppendFile(dst []Extent, file string) []Extent {
 	}
 	return t.appendSlot(dst, si)
 }
-
-// TakeChanged is Table.TakeChanged across stripes, each under its lock;
-// ord ranks stripe first, as Extents does. fn must not call back into
-// the table.
-func (s *Striped) TakeChanged(all bool, fn func(file string, ord uint64)) {
-	for i := range s.stripes {
-		sh := &s.stripes[i]
-		sh.mu.Lock()
-		sh.t.TakeChanged(all, func(file string, ord uint64) { fn(file, uint64(i)<<32|ord) })
-		sh.mu.Unlock()
-	}
-}
-
-// AppendFile appends file's tracked ranges to dst in ascending offset
-// order.
-func (s *Striped) AppendFile(dst []Extent, file string) []Extent {
-	t, mu := s.stripe(file)
-	defer mu.Unlock()
-	return t.AppendFile(dst, file)
-}

@@ -313,7 +313,7 @@ func TestConcurrentReadHitAllocs(t *testing.T) {
 		tb.eng.Run()
 	}
 	issue()
-	if !eng.CDT().Contains("f", 1<<30, 16<<10) || !eng.DMT().Contains("f", 1<<30, 16<<10) {
+	if sh, _ := eng.shard("f"); !sh.cdt.Contains("f", 1<<30, 16<<10) || !dmtCovers(eng, "f", 1<<30, 16<<10) {
 		t.Fatal("read range is not a covered cache hit")
 	}
 	got := testing.AllocsPerRun(100, issue)

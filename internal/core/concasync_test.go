@@ -206,7 +206,7 @@ func TestConcurrentDoneNeverInsideCallOrUnderLock(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		hits, _ := tb.eng.DMT().Lookup("p", 0, 4<<10)
+		hits, _ := dmtLookup(tb.eng, "p", 0, 4<<10)
 		if len(hits) != 1 || !hits[0].Dirty {
 			t.Fatalf("write was not absorbed as one dirty extent: %+v", hits)
 		}

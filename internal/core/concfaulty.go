@@ -42,8 +42,8 @@ func (c *Concurrent) OnCServerState(server int, down, restarts bool) {
 // invalidateServerConc resolves every mapping touching the crashed server:
 // clean extents and unrecoverable dirty extents are unmapped; dirty
 // extents that will come back with the server are kept (reads defer,
-// writes supersede). The table snapshot is taken lock-free, so each extent
-// is re-validated under its shard mutex before mutation — an extent that
+// writes supersede). The table snapshot is taken one shard at a time, so
+// each extent is re-validated under its shard mutex before mutation — an extent that
 // moved or changed dirty state since the snapshot belongs to whichever
 // path moved it.
 func (c *Concurrent) invalidateServerConc(server int, restarts bool) {
@@ -57,7 +57,7 @@ func (c *Concurrent) invalidateServerConc(server int, restarts bool) {
 			}
 			sh, _ := c.shard(h.File)
 			sh.mu.Lock()
-			hits, _ := c.dmt.Lookup(h.File, h.Off, h.Len)
+			hits, _ := sh.dmt.Lookup(h.File, h.Off, h.Len)
 			for _, hh := range hits {
 				if hh.Dirty != dirty {
 					continue
@@ -65,7 +65,7 @@ func (c *Concurrent) invalidateServerConc(server int, restarts bool) {
 				if hh.CacheOff != h.CacheOff+(hh.Off-h.Off) {
 					continue // remapped since the snapshot
 				}
-				if c.dmt.Delete(h.File, hh.Off, hh.Len) != nil {
+				if sh.dmt.Delete(h.File, hh.Off, hh.Len) != nil {
 					continue
 				}
 				c.space.FreeRange(hh.CacheOff, hh.Len)
@@ -76,8 +76,8 @@ func (c *Concurrent) invalidateServerConc(server int, restarts bool) {
 			sh.mu.Unlock()
 		}
 	}
-	resolve(c.dmt.CleanExtents(0), false)
-	resolve(c.dmt.DirtyExtents(0), true)
+	resolve(c.DMT().CleanExtents(0), false)
+	resolve(c.DMT().DirtyExtents(0), true)
 }
 
 // conExtentOnServer reports whether a cache-file extent touches the given
@@ -132,12 +132,12 @@ func (c *Concurrent) absorbFailedConc(file string, off, length, cacheOff int64, 
 	sh, _ := c.shard(file)
 	sh.mu.Lock()
 	sh.stats.failovers.Add(1)
-	hits, _ := c.dmt.Lookup(file, off, length)
+	hits, _ := sh.dmt.Lookup(file, off, length)
 	for _, h := range hits {
 		if h.CacheOff != cacheOff+(h.Off-off) {
 			continue // remapped since the failed write was issued
 		}
-		if c.dmt.Delete(file, h.Off, h.Len) == nil {
+		if sh.dmt.Delete(file, h.Off, h.Len) == nil {
 			c.space.FreeRange(h.CacheOff, h.Len)
 		}
 	}
@@ -160,7 +160,7 @@ func (c *Concurrent) readFailedConc(orig error, file string, off, length int64, 
 	sh, _ := c.shard(file)
 	sh.mu.Lock()
 	sh.stats.failovers.Add(1)
-	hits, gaps := c.dmt.Lookup(file, off, length)
+	hits, gaps := sh.dmt.Lookup(file, off, length)
 	j := &segJoin{parent: cb}
 	j.n.Store(int32(len(hits)+len(gaps)) + 1)
 	for _, h := range hits {
@@ -196,7 +196,7 @@ func (c *Concurrent) readFailedConc(orig error, file string, off, length int64, 
 func (c *Concurrent) readSegmentConc(file string, off, length int64, buf []byte, cb func(error)) {
 	sh, _ := c.shard(file)
 	sh.mu.Lock()
-	hits, gaps := c.dmt.Lookup(file, off, length)
+	hits, gaps := sh.dmt.Lookup(file, off, length)
 	j := &segJoin{parent: cb}
 	j.n.Store(int32(len(hits)+len(gaps)) + 1)
 	for _, h := range hits {

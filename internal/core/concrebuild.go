@@ -76,12 +76,12 @@ func (c *Concurrent) RebuildNow(done func()) {
 	c.rebuildMu.Unlock()
 	c.rebuildCycles.Add(1)
 
-	flushes := c.dmt.DirtyExtents(c.rebuildBatch)
+	flushes := c.DMT().DirtyExtents(c.rebuildBatch)
 	var fetches []cdt.Fetch
 	if !(c.faulty.Load() && c.degradedNow()) && !c.recovering.Load() {
 		// No cache population while degraded or still warming up; flushes
 		// stay allowed — they only drain recovered dirty data.
-		fetches = c.cdt.PendingFetches(c.rebuildBatch)
+		fetches = c.CDT().PendingFetches(c.rebuildBatch)
 	}
 	total := len(flushes) + len(fetches)
 	if total == 0 {
@@ -102,12 +102,7 @@ func (c *Concurrent) RebuildNow(done func()) {
 // full cycle (2×batch), and cycles never overlap, so the send does not
 // block on worker progress.
 func (c *Concurrent) dispatch(t crTask) {
-	h := uint32(2166136261)
-	for i := 0; i < len(t.file); i++ {
-		h ^= uint32(t.file[i])
-		h *= 16777619
-	}
-	c.workerCh[int(h%uint32(len(c.workerCh)))] <- t
+	c.workerCh[lane(t.file, len(c.workerCh))] <- t
 }
 
 func (c *Concurrent) rebuildWorker(ch chan crTask) {
@@ -154,7 +149,7 @@ func (c *Concurrent) pruneEpochsConc() {
 		sh.mu.Lock()
 		for id := range sh.fileEpoch {
 			file := c.arena.Name(id)
-			if c.dmt.FileMapped(file) || c.cdt.FileTracked(file) {
+			if sh.dmt.FileMapped(file) || sh.cdt.FileTracked(file) {
 				continue
 			}
 			delete(sh.fileEpoch, id)
@@ -171,9 +166,9 @@ func (c *Concurrent) pruneEpochsConc() {
 }
 
 // RebuildPending reports whether dirty data or pending fetches remain
-// (O(1), lock-striped counter reads).
+// (one O(1) counter read per shard table).
 func (c *Concurrent) RebuildPending() bool {
-	return c.dmt.HasDirty() || c.cdt.HasPending()
+	return c.DMT().HasDirty() || c.CDT().HasPending()
 }
 
 // DrainRebuild runs cycles until no dirty data or pending fetches remain,
@@ -204,7 +199,7 @@ func (c *Concurrent) flushOne(file string, off, length, cacheOff int64) {
 		c.flushRetries.Add(1)
 		return
 	}
-	sh, _ := c.shard(file)
+	sh, shardIdx := c.shard(file)
 	fid := c.arena.Intern(file)
 	sh.mu.Lock()
 	epoch := sh.fileEpoch[fid]
@@ -228,17 +223,26 @@ func (c *Concurrent) flushOne(file string, off, length, cacheOff int64) {
 		}
 		werr := c.opfs.Write(file, off, length, sim.PriorityLow, buf, func(werr error) {
 			sh.mu.Lock()
-			if werr == nil && sh.fileEpoch[fid] == epoch {
-				if c.dmt.SetClean(file, off, length) == nil {
-					c.space.MarkClean(cacheOff, length)
+			switch {
+			case werr != nil || sh.fileEpoch[fid] != epoch:
+				c.flushRetries.Add(1)
+			case !c.space.InRegion(shardIdx, cacheOff, length):
+				// A dirty extent a warm restart adopted outside its file's
+				// region: clean, it could be evicted under another shard's
+				// mutex, so it leaves the cache instead.
+				if c.dropFlushed(sh, file, off, length, cacheOff) {
 					c.flushes.Add(1)
 					c.bytesFlushed.Add(length)
 				} else {
-					// The mapping changed shape (e.g. partial invalidation
-					// during a crash); retry next cycle.
 					c.flushRetries.Add(1)
 				}
-			} else {
+			case sh.dmt.SetClean(file, off, length) == nil:
+				c.space.MarkClean(cacheOff, length)
+				c.flushes.Add(1)
+				c.bytesFlushed.Add(length)
+			default:
+				// The mapping changed shape (e.g. partial invalidation
+				// during a crash); retry next cycle.
 				c.flushRetries.Add(1)
 			}
 			sh.mu.Unlock()
@@ -256,6 +260,20 @@ func (c *Concurrent) flushOne(file string, off, length, cacheOff int64) {
 	<-done
 }
 
+// dropFlushed unmaps and frees a flushed dirty extent instead of marking
+// it clean. Caller holds the file's shard mutex. It refuses (the flush is
+// retried) when the mapping moved since the flush read it, or while a
+// read still pins the bytes: freed space may be handed out at once.
+func (c *Concurrent) dropFlushed(sh *cshard, file string, off, length, cacheOff int64) bool {
+	hits, gaps := sh.dmt.Lookup(file, off, length)
+	if len(gaps) > 0 || len(hits) != 1 || hits[0].CacheOff != cacheOff ||
+		c.space.Pinned(cacheOff, length) || sh.dmt.Delete(file, off, length) != nil {
+		return false
+	}
+	c.space.FreeRange(cacheOff, length)
+	return true
+}
+
 // fetchOne reads one C_flag-marked range from the DServers into the
 // CServers, gap by gap, and blocks until done. Allocation and the final
 // mapping insert run under the shard mutex; the epoch captured at
@@ -264,9 +282,9 @@ func (c *Concurrent) flushOne(file string, off, length, cacheOff int64) {
 func (c *Concurrent) fetchOne(file string, off, length int64) {
 	sh, shardIdx := c.shard(file)
 	sh.mu.Lock()
-	_, gaps := c.dmt.Lookup(file, off, length)
+	_, gaps := sh.dmt.Lookup(file, off, length)
 	if len(gaps) == 0 {
-		c.cdt.ClearCFlag(file, off, length)
+		sh.cdt.ClearCFlag(file, off, length)
 		sh.mu.Unlock()
 		return
 	}
@@ -281,8 +299,8 @@ func (c *Concurrent) fetchOne(file string, off, length int64) {
 	}
 
 	sh.mu.Lock()
-	if c.dmt.Contains(file, off, length) {
-		c.cdt.ClearCFlag(file, off, length)
+	if sh.dmt.Contains(file, off, length) {
+		sh.cdt.ClearCFlag(file, off, length)
 	}
 	sh.mu.Unlock()
 }
@@ -294,7 +312,7 @@ func (c *Concurrent) fetchGapConc(sh *cshard, shardIdx int, file string, off, le
 	// The gap may have been filled (or partially filled) by a client write
 	// since the cycle snapshot; only still-unmapped bytes are fetched, and
 	// a partially-filled gap is simply skipped until the next cycle.
-	if hits, _ := c.dmt.Lookup(file, off, length); len(hits) > 0 {
+	if hits, _ := sh.dmt.Lookup(file, off, length); len(hits) > 0 {
 		sh.mu.Unlock()
 		return
 	}
@@ -345,7 +363,7 @@ func (c *Concurrent) fetchGapConc(sh *cshard, shardIdx int, file string, off, le
 			werr := c.cpfs.Write(CacheFileName, fr.CacheOff, fr.Len, sim.PriorityLow, slice(buf, off, segPos, fr.Len), func(werr error) {
 				sh.mu.Lock()
 				if werr == nil && sh.fileEpoch[fid] == epoch {
-					if c.dmt.Insert(file, segPos, fr.Len, fr.CacheOff, false) == nil {
+					if sh.dmt.Insert(file, segPos, fr.Len, fr.CacheOff, false) == nil {
 						c.space.MarkClean(fr.CacheOff, fr.Len)
 					} else {
 						c.fetchRetries.Add(1)

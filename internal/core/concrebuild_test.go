@@ -93,7 +93,7 @@ func TestFetchSkipsFileWithWriteInFlight(t *testing.T) {
 	if err := tb.eng.Write(1, file, 0, span, fresh, func(err error) { written <- err }); err != nil {
 		t.Fatal(err)
 	}
-	if tb.eng.DMT().FileMapped(file) {
+	if hits, _ := dmtLookup(tb.eng, file, 0, span); len(hits) > 0 {
 		t.Fatal("the large write was cached; it must go to the DServers")
 	}
 
@@ -120,7 +120,7 @@ func TestFetchSkipsFileWithWriteInFlight(t *testing.T) {
 	drained := make(chan struct{})
 	tb.eng.DrainRebuild(func() { close(drained) })
 	<-drained
-	if !tb.eng.DMT().Contains(file, off, size) {
+	if !dmtCovers(tb.eng, file, off, size) {
 		t.Fatal("the retried fetch did not cache the range")
 	}
 	await(t, func(done func(error)) error {

@@ -32,11 +32,13 @@ func (c *Concurrent) beginRecoveryConc() error {
 	if err != nil {
 		return fmt.Errorf("core: replay DMT state: %w", err)
 	}
-	live, err := dmt.NewStripedPersisted(c.metaStore, maxSeq, c.dmtOpts...)
+	live, err := dmt.NewPersistedShards(c.metaStore, maxSeq, len(c.shards), c.dmtOpts...)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	c.dmt = live
+	for i := range c.shards {
+		c.shards[i].dmt = live[i]
+	}
 
 	img := readSnapshot(c.metaStore)
 	c.quarRecords.Add(img.quarRecords + uint64(spillQuar))
@@ -48,14 +50,17 @@ func (c *Concurrent) beginRecoveryConc() error {
 	c.recCrits = img.crits
 
 	// Dirty extents install synchronously: their only up-to-date copy is
-	// the cache, so serving before they are resident would be wrong.
+	// the cache, so serving before they are resident would be wrong. One
+	// outside its file's region is adopted all the same (flushOne unmaps
+	// it once flushed). No other goroutine touches the tables yet.
 	for _, h := range staging.DirtyExtents(0) {
 		c.noteDriftConc(img, h, true)
 		if err := c.space.Adopt(h.CacheOff, h.Len, cachespace.Owner{File: h.File, FileOff: h.Off}, true); err != nil {
 			c.quarantineExtentConc(h.File, h.Off, h.Len, true)
 			continue
 		}
-		c.dmt.Restore(h.File, h.Off, h.Len, h.CacheOff, true)
+		sh, _ := c.shard(h.File)
+		sh.dmt.Restore(h.File, h.Off, h.Len, h.CacheOff, true)
 		c.recoveredDirty.Add(1)
 		c.recoveredBytes.Add(h.Len)
 	}
@@ -108,22 +113,25 @@ func (c *Concurrent) noteDriftConc(img snapImage, h dmt.Hit, dirty bool) {
 
 // quarantineExtentConc counts one unrecoverable extent and durably drops
 // its mapping. Dirty quarantines are lost data and land in the owning
-// shard's DirtyLost counter.
+// shard's DirtyLost counter. Caller holds the file's shard mutex, or runs
+// before any other goroutine touches the engine.
 func (c *Concurrent) quarantineExtentConc(file string, off, length int64, dirty bool) {
 	c.quarRecords.Add(1)
 	c.quarBytes.Add(length)
+	sh, _ := c.shard(file)
 	if dirty {
-		sh, _ := c.shard(file)
 		sh.stats.dirtyLost.Add(length)
 	}
-	_ = c.dmt.Delete(file, off, length)
+	_ = sh.dmt.Delete(file, off, length)
 }
 
 // recoverFileConc re-admits one file's pending clean extents in batches,
 // releasing the shard mutex between batches so foreground writers (and
 // their supersede checks) interleave. Runs on the file's Rebuilder worker.
+// A clean extent outside its file's region (the shard count changed) is
+// quarantined, not adopted; its bytes are on the DServers (DESIGN.md §12).
 func (c *Concurrent) recoverFileConc(file string) {
-	sh, _ := c.shard(file)
+	sh, shardIdx := c.shard(file)
 	for {
 		sh.mu.Lock()
 		list := sh.pending[file]
@@ -142,11 +150,12 @@ func (c *Concurrent) recoverFileConc(file string) {
 			if p.dropped {
 				continue
 			}
-			if err := c.space.Adopt(p.cacheOff, p.length, cachespace.Owner{File: p.file, FileOff: p.off}, false); err != nil {
+			if !c.space.InRegion(shardIdx, p.cacheOff, p.length) ||
+				c.space.Adopt(p.cacheOff, p.length, cachespace.Owner{File: p.file, FileOff: p.off}, false) != nil {
 				c.quarantineExtentConc(p.file, p.off, p.length, false)
 				continue
 			}
-			c.dmt.Restore(p.file, p.off, p.length, p.cacheOff, false)
+			sh.dmt.Restore(p.file, p.off, p.length, p.cacheOff, false)
 			c.recoveredClean.Add(1)
 			c.recoveredBytes.Add(p.length)
 		}
@@ -168,7 +177,7 @@ func (c *Concurrent) supersedeConc(sh *cshard, file string, off, size int64) {
 		}
 		p.dropped = true
 		c.superseded.Add(1)
-		_ = c.dmt.Delete(file, p.off, p.length)
+		_ = sh.dmt.Delete(file, p.off, p.length)
 	}
 }
 
@@ -177,7 +186,10 @@ func (c *Concurrent) supersedeConc(sh *cshard, file string, off, size int64) {
 // construction (nothing pending) or on the last worker to drain its files.
 func (c *Concurrent) finishRecoveryConc() {
 	for _, cr := range c.recCrits {
-		c.cdt.Restore(cr.File, cr.Off, cr.Len, cr.CFlag)
+		sh, _ := c.shard(cr.File)
+		sh.mu.Lock()
+		sh.cdt.Restore(cr.File, cr.Off, cr.Len, cr.CFlag)
+		sh.mu.Unlock()
 		c.cdtRestored.Add(1)
 	}
 	c.recCrits = nil
@@ -198,24 +210,33 @@ func (c *Concurrent) armSnapshot(period time.Duration) {
 }
 
 // snapshotTickConc streams residency and CDT state into the metadata store
-// and compacts the DMT log. The dumps are per-stripe consistent, not a
+// and compacts the DMT log. The dumps are per-shard consistent, not a
 // global instant — safe because the op-log stays the mapping authority and
 // the residency records are verification telemetry; the CDT records only
-// carry criticality hints.
+// carry criticality hints. The compaction holds every shard mutex, in
+// index order: dropping the log must not interleave with any mutation.
 func (c *Concurrent) snapshotTickConc() {
 	if c.recovering.Load() || c.metaStore == nil {
 		return
 	}
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
-	n, err := c.snap.write(c.metaStore, c.dmt, c.cdt, c.snapEpoch.Load(), c.cacheCap)
+	n, err := c.snap.write(c.metaStore, c.DMT(), c.CDT(), c.snapEpoch.Load(), c.cacheCap)
 	if err != nil {
 		return
 	}
 	c.snapEpoch.Add(1)
 	c.snapshots.Add(1)
 	c.snapshotRecords.Add(uint64(n))
-	_ = c.dmt.Compact()
+	tables := make([]*dmt.Table, len(c.shards))
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+		tables[i] = c.shards[i].dmt
+	}
+	_ = dmt.CompactShards(tables)
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
+	}
 }
 
 // SnapshotNow streams a residency snapshot immediately, outside the

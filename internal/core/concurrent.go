@@ -71,11 +71,11 @@ type ConcurrentConfig struct {
 	RebuildBatch int
 	// RebuildWorkers sizes the Rebuilder's worker pool; 0 means 4.
 	RebuildWorkers int
-	// MetaStore, if non-nil, persists the DMT through this store (the
-	// sharded engine uses the lock-striped table over the same store).
+	// MetaStore, if non-nil, persists the DMT through this store (each
+	// shard's table logs into the same store).
 	MetaStore *kvstore.Store
 	// MetaBudget bounds the DMT's resident metadata bytes across all
-	// stripes (DESIGN.md §16): over budget, cold clean files spill to
+	// shards (DESIGN.md §16): over budget, cold clean files spill to
 	// sealed MetaStore records and fault back in on demand. 0 means
 	// unbounded. Requires MetaStore.
 	MetaBudget int64
@@ -115,26 +115,27 @@ type ConcurrentConfig struct {
 	RecoverBatch int
 }
 
-// Concurrent is the sharded, goroutine-safe S4D engine (the PR's
+// Concurrent is the sharded, goroutine-safe S4D engine (the
 // "concurrent redirection engine"). It implements the same Algorithm-1
 // routing as S4D but routes every request by file hash onto one of
 // Concurrency shards, each with its own mutex, cost-model tracker, file
-// epochs and cache-space region; the metadata tables are the lock-striped
-// dmt.Striped/cdt.Striped. The Rebuilder fans flush/fetch work across a
-// bounded worker pool with per-file ordering.
+// epochs, cache-space region and DMT/CDT tables holding exactly its
+// files. The Rebuilder fans flush/fetch work across a bounded worker pool
+// with per-file ordering.
 //
 // The engine is always lazy-fetch (the paper's behaviour) and never
 // charges metadata I/O; those ablations stay on the deterministic
 // sequential engine.
 //
-// Every read and write runs under its shard mutex, identify included.
-// Lock order (DESIGN.md §12): core shard mutex → cachespace region mutex
-// → striped table stripe mutex → kvstore shard mutex. Leaf mutexes
-// (deferred-read list, degraded map, join error slots) are taken below
-// all of these. No path holds two shard mutexes or two region mutexes at
-// once. The region → stripe edge exists only inside the cachespace
-// eviction hook, which unmaps a victim's DMT range under the region
-// mutex before its bytes rejoin the free pool (unmap-before-free).
+// Every read and write runs under its shard mutex, identify included, and
+// that mutex guards the shard's tables. Lock order (DESIGN.md §12): core
+// shard mutex → cachespace region mutex → kvstore shard mutex. Leaf
+// mutexes (deferred-read list, degraded map, join error slots) are taken
+// below all of these. No path holds two region mutexes at once; only the
+// snapshot's DMT compaction holds more than one shard mutex (all, in
+// index order). The eviction hook unmaps a victim under region r's mutex
+// with no lock of its own: Allocate in region r runs under shard r's
+// mutex, and every clean unit in region r belongs to a file of shard r.
 type Concurrent struct {
 	clock   sim.Clock
 	opfs    Backend
@@ -145,11 +146,9 @@ type Concurrent struct {
 	faulty  atomic.Bool
 
 	shards []cshard
-	dmt    *dmt.Striped
-	cdt    *cdt.Striped
 	space  *cachespace.Sharded
-	// arena interns every file name once, shared by the DMT, the CDT and
-	// the per-shard epoch maps; dmtOpts is the striped-table option set
+	// arena interns every file name once, shared by every shard's DMT and
+	// CDT and the per-shard epoch maps; dmtOpts is the DMT option set
 	// NewConcurrent built, reused by the warm-restart table swap.
 	arena        *names.Arena
 	dmtOpts      []dmt.Option
@@ -218,12 +217,16 @@ type Concurrent struct {
 }
 
 // cshard is one serve lane. Reads, writes and degraded-mode paths
-// serialize on mu, which also guards the cost-model tracker and locality
-// state identify mutates. The serve counters are atomics so Stats can
-// snapshot without quiescing. The trailing padding keeps neighbouring
-// shards' mutexes and counters on separate cache lines.
+// serialize on mu, which also guards the shard's tables, the cost-model
+// tracker and the locality state identify mutates. The serve counters are
+// atomics so Stats can snapshot without quiescing. The trailing padding
+// keeps neighbouring shards' mutexes and counters on separate cache lines.
 type cshard struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// dmt and cdt hold the mappings and critical ranges of exactly the
+	// files that route to this shard.
+	dmt      *dmt.Table
+	cdt      *cdt.Table
 	tracker  *costmodel.Tracker
 	locality *localityTracker
 	// fileEpoch is keyed by the shared arena's dense file id, like the
@@ -354,7 +357,6 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		model:        cfg.Model,
 		policy:       cfg.Policy,
 		shards:       make([]cshard, cfg.Concurrency),
-		cdt:          cdt.NewStriped(cfg.CDTMaxBytes, cdt.WithArena(arena)),
 		space:        space,
 		arena:        arena,
 		cacheCap:     cfg.CacheCapacity,
@@ -372,31 +374,37 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		dmt.WithFaultIO(func(int) { c.metaFaultIns.Add(1) }),
 	}
 	if cfg.MetaBudget > 0 {
-		c.dmtOpts = append(c.dmtOpts, dmt.WithMetaBudget(cfg.MetaBudget))
+		c.dmtOpts = append(c.dmtOpts, dmt.WithMetaBudget(ceilShare(cfg.MetaBudget, cfg.Concurrency)))
 	}
 	if cfg.SpillRead != nil {
 		c.dmtOpts = append(c.dmtOpts, dmt.WithSpillRead(cfg.SpillRead))
 	}
-	table := dmt.NewStriped(c.dmtOpts...)
+	tables := dmt.NewShards(cfg.Concurrency, c.dmtOpts...)
 	if cfg.MetaStore != nil && !cfg.WarmRestart {
 		// With WarmRestart the log replays through the recovery path below
 		// instead, installing only verified extents.
-		table, err = dmt.OpenStriped(cfg.MetaStore, c.dmtOpts...)
+		route := func(file string) int { return lane(file, cfg.Concurrency) }
+		tables, err = dmt.OpenShards(cfg.MetaStore, cfg.Concurrency, route, c.dmtOpts...)
 		if err != nil {
 			return nil, fmt.Errorf("core: open DMT: %w", err)
 		}
 	}
-	c.dmt = table
 	c.admitNanos.Store(int64(cfg.Model.CriticalThreshold))
 	c.faulty.Store(cfg.Faulty)
 	// Unmap-before-free: every eviction drops its DMT mapping under the
 	// region mutex, before the bytes rejoin the free pool, so no lookup
-	// can return a mapping to space another owner has been given.
+	// can return a mapping to space another owner has been given. The
+	// victim's file belongs to the allocating shard, whose mutex the
+	// caller of Allocate holds.
 	space.SetEvictHook(func(owner cachespace.Owner, cacheOff, length int64) bool {
-		return c.dmt.Delete(owner.File, owner.FileOff, length) == nil
+		sh, _ := c.shard(owner.File)
+		return sh.dmt.Delete(owner.File, owner.FileOff, length) == nil
 	})
+	cdtMax := ceilShare(cfg.CDTMaxBytes, len(c.shards))
 	for i := range c.shards {
 		sh := &c.shards[i]
+		sh.dmt = tables[i]
+		sh.cdt = cdt.New(cdtMax, cdt.WithArena(arena))
 		sh.tracker = costmodel.NewTracker()
 		sh.fileEpoch = make(map[uint32]uint64)
 		sh.writing = make(map[uint32]*atomic.Int32)
@@ -466,13 +474,28 @@ func (c *Concurrent) adaptTick() {
 		}
 		c.policySwaps.Add(1)
 	}
+	cdtMax := c.baseCDTMax
 	if thrashing(prof, c.cacheCap) {
 		c.admitNanos.Store(int64(c.model.CriticalThreshold + prof.MeanBenefit))
-		c.cdt.SetMaxBytes(c.cacheCap)
+		cdtMax = c.cacheCap
 	} else {
 		c.admitNanos.Store(int64(c.model.CriticalThreshold))
-		c.cdt.SetMaxBytes(c.baseCDTMax)
 	}
+	per := ceilShare(cdtMax, len(c.shards))
+	c.eachShard(func(_ int, sh *cshard) bool {
+		sh.cdt.SetMaxBytes(per)
+		return true
+	})
+}
+
+// ceilShare splits a table bound (the CDT's bytes, the DMT's resident
+// budget) across n shards, rounding up so the aggregate bound is at least
+// total; total <= 0 (unbounded) passes through.
+func ceilShare(total int64, n int) int64 {
+	if total <= 0 {
+		return total
+	}
+	return (total + int64(n) - 1) / int64(n)
 }
 
 // threshold returns the live criticality threshold (lock-free).
@@ -487,23 +510,24 @@ func (c *Concurrent) Close() {
 	}
 }
 
-// DMT exposes the lock-striped mapping table.
-func (c *Concurrent) DMT() *dmt.Striped { return c.dmt }
-
-// CDT exposes the lock-striped critical data table.
-func (c *Concurrent) CDT() *cdt.Striped { return c.cdt }
-
 // Space exposes the sharded cache-space manager.
 func (c *Concurrent) Space() *cachespace.Sharded { return c.space }
 
-// shard routes a file to its serve lane by FNV-1a hash.
-func (c *Concurrent) shard(file string) (*cshard, int) {
+// lane picks which of n lanes owns file, by FNV-1a hash: the serve shard
+// (with its tables and cache region) and the Rebuilder worker both route
+// through it.
+func lane(file string, n int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(file); i++ {
 		h ^= uint32(file[i])
 		h *= 16777619
 	}
-	idx := int(h % uint32(len(c.shards)))
+	return int(h % uint32(n))
+}
+
+// shard routes a file to its serve lane.
+func (c *Concurrent) shard(file string) (*cshard, int) {
+	idx := lane(file, len(c.shards))
 	return &c.shards[idx], idx
 }
 
@@ -649,7 +673,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 
 	benefit, _ := c.identify(sh, rank, file, off, size, true)
 
-	sh.hitsBuf, sh.gapsBuf = c.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
+	sh.hitsBuf, sh.gapsBuf = sh.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
 	hits, gaps := sh.hitsBuf, sh.gapsBuf
 	j := newConJoin(c, len(hits)+len(gaps), done, writing)
 	writing.Add(1)
@@ -660,7 +684,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 			// Cached copy sits on a crashed CServer; the write supersedes
 			// it — unmap and fail the segment over to the DServers.
 			sh.stats.failovers.Add(1)
-			if err := c.dmt.Delete(file, h.Off, h.Len); err != nil {
+			if err := sh.dmt.Delete(file, h.Off, h.Len); err != nil {
 				writing.Add(-1) // abandoned: the join never completes
 				return fmt.Errorf("core: failover unmap: %w", err)
 			}
@@ -677,7 +701,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 		// Re-dirty before issuing: dirty space is never reclaimed, so the
 		// in-flight destination cannot be evicted by another shard's
 		// allocation (regions are per-shard) or this shard's (serialized).
-		if err := c.dmt.SetDirty(file, h.Off, h.Len); err != nil {
+		if err := sh.dmt.SetDirty(file, h.Off, h.Len); err != nil {
 			writing.Add(-1) // abandoned: the join never completes
 			return fmt.Errorf("core: set dirty: %w", err)
 		}
@@ -745,7 +769,7 @@ func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, do
 	// scratch: the hits are issued after the mutex drops.
 	var hitBuf [4]dmt.Hit
 	var gapBuf [2]extent.Gap
-	hits, gaps := c.dmt.AppendLookup(hitBuf[:0], gapBuf[:0], file, off, size)
+	hits, gaps := sh.dmt.AppendLookup(hitBuf[:0], gapBuf[:0], file, off, size)
 	j.n.Store(int32(len(hits)+len(gaps)) + 1)
 
 	pinned := hits[:0]
@@ -763,11 +787,11 @@ func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, do
 		pinned = append(pinned, h)
 	}
 	for _, g := range gaps {
-		critical := benefit > c.threshold() || c.cdt.Contains(file, g.Off, g.Len)
+		critical := benefit > c.threshold() || sh.cdt.Contains(file, g.Off, g.Len)
 		if critical {
 			// Always lazy: mark for the Rebuilder (Algorithm 1, line 18).
 			fr := flagRange(recorded, off, size, g)
-			c.cdt.SetCFlag(file, fr.Off, fr.Len)
+			sh.cdt.SetCFlag(file, fr.Off, fr.Len)
 			sh.stats.lazyMarks.Add(1)
 		}
 		sh.stats.segReadsDisk.Add(1)
@@ -809,14 +833,13 @@ func (c *Concurrent) readPinned(file string, off int64, buf []byte, h dmt.Hit, j
 // sequential engine's. Cost-model state is keyed by (file, rank) and
 // files map to exactly one shard, so per-shard trackers produce the same
 // decisions as one global tracker. Caller holds the shard mutex, which
-// guards the tracker; the CDT Add serializes on the target stripe's own
-// mutex below it.
+// guards the tracker and the shard's CDT.
 func (c *Concurrent) identify(sh *cshard, rank int, file string, off, size int64, write bool) (time.Duration, bool) {
 	sh.stats.identified.Add(1)
 	if c.policy == PolicyLocality {
 		if sh.locality.Touch(file, off, size) {
 			sh.stats.critical.Add(1)
-			c.cdt.Add(file, off, size)
+			sh.cdt.Add(file, off, size)
 			return time.Nanosecond, true
 		}
 		return 0, false
@@ -830,7 +853,7 @@ func (c *Concurrent) identify(sh *cshard, rank int, file string, off, size int64
 	if benefit > c.threshold() {
 		sh.stats.critical.Add(1)
 		if c.policy != PolicyNone {
-			c.cdt.Add(file, off, size)
+			sh.cdt.Add(file, off, size)
 			return benefit, true
 		}
 	}
@@ -849,7 +872,7 @@ func (c *Concurrent) admitWriteConc(sh *cshard, file string, off, length int64, 
 	case PolicyAll:
 		return true
 	default:
-		return benefit > c.threshold() || c.cdt.Contains(file, off, length)
+		return benefit > c.threshold() || sh.cdt.Contains(file, off, length)
 	}
 }
 
@@ -882,7 +905,7 @@ func (c *Concurrent) absorbWriteConc(sh *cshard, shardIdx int, file string, off,
 		})
 		pos += fr.Len
 	}
-	if err := c.dmt.InsertBatch(file, sh.insertsBuf); err != nil {
+	if err := sh.dmt.InsertBatch(file, sh.insertsBuf); err != nil {
 		j.sub(fmt.Errorf("core: map fragments: %w", err))
 		return
 	}
@@ -956,13 +979,16 @@ func (c *Concurrent) Stats() Stats {
 	st.Recovering = c.recovering.Load()
 	st.TimeToWarm = time.Duration(c.timeToWarm.Load())
 	st.MetaFaultIns = c.metaFaultIns.Load()
-	ds := c.dmt.Stats()
-	st.MetaResidentBytes = ds.ResidentBytes
-	st.MetaMemoryBytes = ds.MemoryBytes
-	st.MetaSpilledFiles = ds.SpilledFiles
-	st.MetaSpills = ds.Spills
-	st.MetaFaultInsTable = ds.FaultIns
-	st.MetaSpillQuarantined = ds.SpillQuarantined
+	c.eachShard(func(_ int, sh *cshard) bool {
+		ds := sh.dmt.Stats()
+		st.MetaResidentBytes += ds.ResidentBytes
+		st.MetaMemoryBytes += ds.MemoryBytes
+		st.MetaSpilledFiles += ds.SpilledFiles
+		st.MetaSpills += ds.Spills
+		st.MetaFaultInsTable += ds.FaultIns
+		st.MetaSpillQuarantined += ds.SpillQuarantined
+		return true
+	})
 	if c.metaStore != nil {
 		ms := c.metaStore.Stats()
 		st.WALReplays = uint64(ms.RecoveredRecords)

@@ -12,6 +12,8 @@ import (
 	"s4dcache/internal/cdt"
 	"s4dcache/internal/costmodel"
 	"s4dcache/internal/device"
+	"s4dcache/internal/dmt"
+	"s4dcache/internal/extent"
 	"s4dcache/internal/netmodel"
 	"s4dcache/internal/pfs"
 	"s4dcache/internal/sim"
@@ -78,6 +80,21 @@ func newConcTestbedCfg(t *testing.T, shards int, functional, faulty bool, mutate
 	}
 	t.Cleanup(eng.Close)
 	return &concTestbed{clock: clock, opfs: opfs, cpfs: cpfs, eng: eng}
+}
+
+// dmtLookup looks [off, off+length) of file up in its shard's DMT.
+func dmtLookup(c *Concurrent, file string, off, length int64) ([]dmt.Hit, []extent.Gap) {
+	sh, _ := c.shard(file)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.dmt.Lookup(file, off, length)
+}
+
+// dmtCovers reports whether the engine maps all of [off, off+length) of
+// file.
+func dmtCovers(c *Concurrent, file string, off, length int64) bool {
+	_, gaps := dmtLookup(c, file, off, length)
+	return len(gaps) == 0
 }
 
 // await issues fn with a completion channel and blocks for the result.
@@ -230,49 +247,77 @@ func runEquivalenceWorkload(t *testing.T, tb *concTestbed, parallel bool) (eqSta
 }
 
 // TestConcurrentEquivalence runs the same seeded multi-rank trace on a
-// 1-shard engine driven by one goroutine and a 16-shard engine driven by
-// 16 goroutines, and requires identical final file-space state: DMT
-// coverage (offsets/lengths/dirty, cache placement excluded), CDT
+// 1-shard engine driven by one goroutine and on 3- and 16-shard engines
+// driven by 16 goroutines, and requires identical final file-space state:
+// DMT coverage (offsets/lengths/dirty, cache placement excluded), CDT
 // contents, and every byte of every file read back through the engine.
 func TestConcurrentEquivalence(t *testing.T) {
 	seqTB := newConcTestbed(t, 1, true, false)
 	seqState, expect := runEquivalenceWorkload(t, seqTB, false)
 
-	conTB := newConcTestbed(t, 16, true, false)
-	conState, _ := runEquivalenceWorkload(t, conTB, true)
+	for _, shards := range []int{3, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			conTB := newConcTestbed(t, shards, true, false)
+			conState, _ := runEquivalenceWorkload(t, conTB, true)
 
-	// DMT coverage.
-	if len(seqState.dmtExtents) != len(conState.dmtExtents) {
-		t.Fatalf("DMT file count: sequential %d, concurrent %d", len(seqState.dmtExtents), len(conState.dmtExtents))
-	}
-	for file, seqExts := range seqState.dmtExtents {
-		conExts := conState.dmtExtents[file]
-		if len(seqExts) != len(conExts) {
-			t.Fatalf("%s: DMT extent count %d vs %d\nseq: %+v\ncon: %+v", file, len(seqExts), len(conExts), seqExts, conExts)
-		}
-		for i := range seqExts {
-			if seqExts[i] != conExts[i] {
-				t.Fatalf("%s: DMT extent %d: %+v vs %+v", file, i, seqExts[i], conExts[i])
+			// DMT coverage.
+			if len(seqState.dmtExtents) != len(conState.dmtExtents) {
+				t.Fatalf("DMT file count: sequential %d, concurrent %d", len(seqState.dmtExtents), len(conState.dmtExtents))
 			}
+			for file, seqExts := range seqState.dmtExtents {
+				conExts := conState.dmtExtents[file]
+				if len(seqExts) != len(conExts) {
+					t.Fatalf("%s: DMT extent count %d vs %d\nseq: %+v\ncon: %+v", file, len(seqExts), len(conExts), seqExts, conExts)
+				}
+				for i := range seqExts {
+					if seqExts[i] != conExts[i] {
+						t.Fatalf("%s: DMT extent %d: %+v vs %+v", file, i, seqExts[i], conExts[i])
+					}
+				}
+			}
+			// CDT contents.
+			if len(seqState.cdtExtents) != len(conState.cdtExtents) {
+				t.Fatalf("CDT extent count: %d vs %d", len(seqState.cdtExtents), len(conState.cdtExtents))
+			}
+			for i := range seqState.cdtExtents {
+				if seqState.cdtExtents[i] != conState.cdtExtents[i] {
+					t.Fatalf("CDT extent %d: %+v vs %+v", i, seqState.cdtExtents[i], conState.cdtExtents[i])
+				}
+			}
+			// Every byte of every file, via the engine, against the local replay.
+			for file, img := range expect {
+				if !bytes.Equal(seqState.data[file], img) {
+					t.Fatalf("%s: sequential read-back diverges from replay", file)
+				}
+				if !bytes.Equal(conState.data[file], img) {
+					t.Fatalf("%s: concurrent read-back diverges from replay", file)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentCDTBound: CDTMaxBytes splits across shards rounded up, so
+// the engine's CDT never tracks more than the bound plus one rounding byte
+// per shard, and the bound forces evictions. Three shards: the split must
+// not depend on a power-of-two count.
+func TestConcurrentCDTBound(t *testing.T) {
+	const shards, maxBytes = 3, 1 << 16
+	eng := newConcTestbedCfg(t, shards, false, false, func(c *ConcurrentConfig) { c.CDTMaxBytes = maxBytes }).eng
+	crit := shardCDT{eng.CDT()}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		crit.Add(fmt.Sprintf("/bound/f%03d", rng.Intn(64)), int64(rng.Intn(1<<14)), int64(1+rng.Intn(1<<10)))
+		if b := crit.Bytes(); b > maxBytes+shards {
+			t.Fatalf("tracked %d bytes, bound %d (+%d rounding slack)", b, maxBytes, shards)
 		}
 	}
-	// CDT contents.
-	if len(seqState.cdtExtents) != len(conState.cdtExtents) {
-		t.Fatalf("CDT extent count: %d vs %d", len(seqState.cdtExtents), len(conState.cdtExtents))
+	var evicted uint64
+	for i := range eng.shards {
+		evicted += eng.shards[i].cdt.Evicted()
 	}
-	for i := range seqState.cdtExtents {
-		if seqState.cdtExtents[i] != conState.cdtExtents[i] {
-			t.Fatalf("CDT extent %d: %+v vs %+v", i, seqState.cdtExtents[i], conState.cdtExtents[i])
-		}
-	}
-	// Every byte of every file, via the engine, against the local replay.
-	for file, img := range expect {
-		if !bytes.Equal(seqState.data[file], img) {
-			t.Fatalf("%s: sequential read-back diverges from replay", file)
-		}
-		if !bytes.Equal(conState.data[file], img) {
-			t.Fatalf("%s: concurrent read-back diverges from replay", file)
-		}
+	if evicted == 0 {
+		t.Fatal("bound never forced an eviction")
 	}
 }
 

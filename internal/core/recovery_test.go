@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"s4dcache/internal/cachespace"
 	"s4dcache/internal/cdt"
 	"s4dcache/internal/costmodel"
 	"s4dcache/internal/device"
@@ -596,11 +597,34 @@ func wrFile(r int) string { return fmt.Sprintf("wr%02d", r) }
 // recovered ranges, writers to fresh files, and one writer superseding a
 // still-pending extent. Every read must be correct at every moment; run
 // under -race this doubles as the recovery path's race check.
+//
+// The reshard case restarts the 4-shard store into a 3-shard engine over a
+// 768 KiB cache: four 192 KiB regions become three of 256 KiB, so most
+// recovered extents sit outside their file's new region. Clean ones are
+// quarantined, dirty ones adopted and unmapped once flushed. Concurrent
+// clients then overflow every region, so allocations evict while other
+// shards serve: no byte may be wrong or lost, and afterwards every clean
+// unit in region r must belong to a file of shard r.
 func TestConcurrentWarmRestartUnderTraffic(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		shards   int // after the restart; the store is written by 4
+		capacity int64
+	}{
+		{"same-shards", 4, 256 << 20},
+		{"reshard-4-to-3", 3, 768 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) { warmRestartUnderTraffic(t, tc.shards, tc.capacity) })
+	}
+}
+
+func warmRestartUnderTraffic(t *testing.T, shards int, capacity int64) {
 	backend := kvstore.NewMemBackend()
 	tb := newConcTestbedCfg(t, 4, true, false, func(c *ConcurrentConfig) {
 		c.MetaStore = openMetaStore(t, backend)
+		c.CacheCapacity = capacity
 	})
+	reshard := shards != 4
 	const nf = 8
 	const extLen = int64(32 << 10)
 	images := make([][]byte, nf)
@@ -618,8 +642,9 @@ func TestConcurrentWarmRestartUnderTraffic(t *testing.T) {
 	ch := make(chan struct{})
 	tb.eng.DrainRebuild(func() { close(ch) })
 	<-ch // everything flushed clean
-	// Re-dirty the back half so the restart sees both kinds.
-	for r := nf / 2; r < nf; r++ {
+	// Re-dirty the odd ranks so the restart sees both kinds. On the
+	// reshard, wr04 and wr06 come back clean outside their new region.
+	for r := 1; r < nf; r += 2 {
 		images[r] = pattern(byte(r+0x41), int(extLen))
 		r := r
 		await(t, func(done func(error)) error {
@@ -642,7 +667,7 @@ func TestConcurrentWarmRestartUnderTraffic(t *testing.T) {
 	model.Stripe = 16 << 10
 	eng2, err := NewConcurrent(ConcurrentConfig{
 		Clock: tb.clock, OPFS: tb.opfs, CPFS: tb.cpfs, Model: model,
-		CacheCapacity: 256 << 20, Concurrency: 4,
+		CacheCapacity: capacity, Concurrency: shards,
 		MetaStore: openMetaStore(t, backend), WarmRestart: true,
 		RecoverBatch: 1, // tiny batches widen the recovery window the traffic races
 	})
@@ -736,18 +761,29 @@ func TestConcurrentWarmRestartUnderTraffic(t *testing.T) {
 	if st.RecoveredClean == 0 {
 		t.Fatal("no clean extents recovered")
 	}
-	if st.QuarantinedRecords != 0 {
-		t.Fatalf("QuarantinedRecords = %d on an undamaged restart", st.QuarantinedRecords)
+	if st.DirtyLost != 0 {
+		t.Fatalf("DirtyLost = %d bytes", st.DirtyLost)
 	}
-	// All pre-crash resident bytes must be back, minus at most the one
-	// extent the racing writer may have legitimately superseded.
-	preCrash := int64(nf+1) * extLen
-	floor := preCrash
-	if st.RecoverySuperseded > 0 {
-		floor -= extLen
-	}
-	if st.RecoveredBytes < floor {
-		t.Fatalf("RecoveredBytes = %d, want >= %d (superseded=%d)", st.RecoveredBytes, floor, st.RecoverySuperseded)
+	if reshard {
+		// Clean extents outside their new region are dropped, never
+		// adopted: wr04, wr06 and sup, unless the racing write superseded
+		// sup first.
+		if got := st.QuarantinedRecords + st.RecoverySuperseded; got != 3 {
+			t.Fatalf("QuarantinedRecords+RecoverySuperseded = %d, want 3", got)
+		}
+	} else {
+		if st.QuarantinedRecords != 0 {
+			t.Fatalf("QuarantinedRecords = %d on an undamaged restart", st.QuarantinedRecords)
+		}
+		// All pre-crash resident bytes must be back, minus at most the one
+		// extent the racing writer may have legitimately superseded.
+		floor := int64(nf+1) * extLen
+		if st.RecoverySuperseded > 0 {
+			floor -= extLen
+		}
+		if st.RecoveredBytes < floor {
+			t.Fatalf("RecoveredBytes = %d, want >= %d (superseded=%d)", st.RecoveredBytes, floor, st.RecoverySuperseded)
+		}
 	}
 	buf := make([]byte, extLen)
 	for r := 0; r < nf; r++ {
@@ -766,4 +802,83 @@ func TestConcurrentWarmRestartUnderTraffic(t *testing.T) {
 	if eng2.Stats().Admissions <= before {
 		t.Fatal("admissions did not resume after warm-up")
 	}
+	if !reshard {
+		return
+	}
+
+	// Two rounds of fresh files from concurrent clients, each round
+	// drained clean: the regions overflow, and allocations evict while
+	// the other clients read and write.
+	drain := func() {
+		ch := make(chan struct{})
+		eng2.DrainRebuild(func() { close(ch) })
+		<-ch
+	}
+	fresh := func(round, r, k int) (string, []byte) {
+		return fmt.Sprintf("ev%d-%d-%d", round, r, k), pattern(byte(round*64+r*8+k), int(extLen))
+	}
+	for round := 0; round < 2; round++ {
+		for r := 0; r < nf; r++ {
+			r := r
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]byte, extLen)
+				for k := 0; k < 4; k++ {
+					file, img := fresh(round, r, k)
+					if err := call(func(done func(error)) error {
+						return eng2.Write(r, file, critOff, extLen, img, done)
+					}); err != nil {
+						t.Errorf("rank %d write: %v", r, err)
+						return
+					}
+					if err := call(func(done func(error)) error {
+						return eng2.Read(r, wrFile(r), critOff, extLen, buf, done)
+					}); err != nil || !bytes.Equal(buf, images[r]) {
+						t.Errorf("rank %d: wrong bytes under eviction (err %v)", r, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		drain()
+	}
+	if t.Failed() {
+		return
+	}
+	st = eng2.Stats()
+	if st.CacheEvictions == 0 {
+		t.Fatal("no allocation evicted after the restart")
+	}
+	if st.DirtyLost != 0 || eng2.RebuildPending() {
+		t.Fatalf("DirtyLost = %d, rebuild pending %v", st.DirtyLost, eng2.RebuildPending())
+	}
+	for r := 0; r < nf; r++ {
+		r := r
+		await(t, func(done func(error)) error {
+			return eng2.Read(r, wrFile(r), critOff, extLen, buf, done)
+		})
+		if !bytes.Equal(buf, images[r]) {
+			t.Fatalf("rank %d: wrong bytes after eviction", r)
+		}
+		for round := 0; round < 2; round++ {
+			for k := 0; k < 4; k++ {
+				file, img := fresh(round, r, k)
+				await(t, func(done func(error)) error {
+					return eng2.Read(r, file, critOff, extLen, buf, done)
+				})
+				if !bytes.Equal(buf, img) {
+					t.Fatalf("%s: wrong bytes after eviction", file)
+				}
+			}
+		}
+	}
+	regionSize := eng2.Space().RegionCapacity()
+	eng2.Space().Walk(func(cacheOff, length int64, owner cachespace.Owner, dirty bool) bool {
+		if r, _ := eng2.shard(owner.File); !dirty && r != &eng2.shards[cacheOff/regionSize] {
+			t.Errorf("clean unit [%d,+%d) in region %d belongs to %s of another shard", cacheOff, length, cacheOff/regionSize, owner.File)
+		}
+		return true
+	})
 }

@@ -171,7 +171,8 @@ func TestSnapshotRewritesOnlyChangedFiles(t *testing.T) {
 
 // TestSnapshotCritOrderMatchesExtents: the recovered CDT records come
 // back in Extents order — the order a restore re-adds them in — although
-// bundles are keyed and scanned by file name, for both table types.
+// bundles are keyed and scanned by file name, for a plain table and for
+// the concurrent engine's per-shard tables.
 func TestSnapshotCritOrderMatchesExtents(t *testing.T) {
 	files := []string{"zeta", "alpha", "mid", "beta", "omega", "gamma"}
 	for _, tc := range []struct {
@@ -181,7 +182,7 @@ func TestSnapshotCritOrderMatchesExtents(t *testing.T) {
 			Add(file string, off, length int64)
 			Extents() []cdt.Extent
 		}
-	}{{"table", cdt.New(0)}, {"striped", cdt.NewStriped(0)}} {
+	}{{"table", cdt.New(0)}, {"engine", shardCDT{newConcTestbed(t, 3, false, false).eng.CDT()}}} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := openMetaStore(t, kvstore.NewMemBackend())
 			for _, file := range files {
@@ -202,6 +203,15 @@ func TestSnapshotCritOrderMatchesExtents(t *testing.T) {
 			}
 		})
 	}
+}
+
+// shardCDT adds to the concurrent engine's CDT directly, into the file's
+// shard table.
+type shardCDT struct{ CDTView }
+
+func (s shardCDT) Add(file string, off, length int64) {
+	sh, _ := s.c.shard(file)
+	sh.cdt.Add(file, off, length)
 }
 
 // damage rewrites key's value through fn, durably.

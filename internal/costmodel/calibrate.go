@@ -52,13 +52,16 @@ type StreamKey struct {
 
 // Tracker derives the request distance d (Table I): the logical address
 // distance between a request and the previous request of the same stream.
+// A stream's previous end lives in ends, at the index its key maps to, so
+// a known stream costs one map lookup per request.
 type Tracker struct {
-	last map[StreamKey]int64
+	idx  map[StreamKey]int32
+	ends []int64
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{last: make(map[StreamKey]int64)}
+	return &Tracker{idx: make(map[StreamKey]int32)}
 }
 
 // Observe returns the distance from the previous request's end to this
@@ -66,15 +69,17 @@ func NewTracker() *Tracker {
 // first request of a stream is treated as seeking from the file start, so
 // its distance is the request offset itself.
 func (t *Tracker) Observe(key StreamKey, off, size int64) int64 {
-	if t.last == nil {
-		t.last = make(map[StreamKey]int64)
-	}
-	prev, ok := t.last[key]
-	t.last[key] = off + size
+	i, ok := t.idx[key]
 	if !ok {
+		if t.idx == nil {
+			t.idx = make(map[StreamKey]int32)
+		}
+		t.idx[key] = int32(len(t.ends))
+		t.ends = append(t.ends, off+size)
 		return off
 	}
-	d := off - prev
+	d := off - t.ends[i]
+	t.ends[i] = off + size
 	if d < 0 {
 		d = -d
 	}
@@ -82,10 +87,13 @@ func (t *Tracker) Observe(key StreamKey, off, size int64) int64 {
 }
 
 // Streams returns the number of tracked streams.
-func (t *Tracker) Streams() int { return len(t.last) }
+func (t *Tracker) Streams() int { return len(t.ends) }
 
 // Reset forgets all streams.
-func (t *Tracker) Reset() { t.last = make(map[StreamKey]int64) }
+func (t *Tracker) Reset() {
+	t.idx = make(map[StreamKey]int32)
+	t.ends = t.ends[:0]
+}
 
 // ExpectedMaxUniform is the closed-form expectation of the maximum of m
 // i.i.d. uniforms on [a,b] (Eq. 4), exported for verification against

@@ -23,6 +23,7 @@ package dmt
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"s4dcache/internal/extent"
 	"s4dcache/internal/kvstore"
@@ -109,7 +110,7 @@ type fileState struct {
 // itself plus its idx map entry and order slot.
 const fileStateBytes = 48 + 16 + 4
 
-// config collects construction options shared by Table and Striped.
+// config collects construction options.
 type config struct {
 	arena     *names.Arena
 	budget    int64
@@ -117,7 +118,7 @@ type config struct {
 	faultIO   func(extents int)
 }
 
-// Option configures New/Open and their striped/persisted variants.
+// Option configures New, Open and their n-table and persisted variants.
 type Option func(*config)
 
 // WithArena shares a file-name interning arena with other tables (the
@@ -154,16 +155,11 @@ type Table struct {
 	hand  int // clock hand into order
 
 	store *kvstore.Store
-	seq   uint64
-	// nextSeq, when set, supplies persist-log sequence numbers instead of
-	// the local seq counter. The striped table injects a shared atomic here
-	// so sub-tables writing to one store never collide on log keys. Nil —
-	// the default — keeps the original single-table numbering exactly.
-	nextSeq func() uint64
-	// lastSeq, when set, reads the current shared sequence (striped);
-	// nil reads the local counter. Baseline records stamp it as the
-	// sequence they supersede.
-	lastSeq func() uint64
+	// seq is the highest issued persist-log sequence number, shared by
+	// every table over the same store (OpenShards) so their log keys never
+	// collide and replay order is well defined. Baseline records stamp it
+	// as the sequence they supersede.
+	seq *atomic.Uint64
 
 	budget    int64
 	spillRead func(name string, data []byte) []byte
@@ -188,26 +184,38 @@ type Table struct {
 }
 
 // New returns a memory-only table (no persistence).
-func New(opts ...Option) *Table {
+func New(opts ...Option) *Table { return NewShards(1, opts...)[0] }
+
+// NewShards returns n memory-only tables sharing one name arena.
+func NewShards(n int, opts ...Option) []*Table { return newShards(nil, n, opts) }
+
+// newShards returns n empty tables attached to store (nil: memory-only),
+// sharing one name arena and one op-log sequence. The options apply to
+// each table: a resident budget bounds each one, spilling under its
+// owner's lock.
+func newShards(store *kvstore.Store, n int, opts []Option) []*Table {
 	var c config
 	for _, o := range opts {
 		o(&c)
 	}
-	return newTable(c)
-}
-
-func newTable(c config) *Table {
 	if c.arena == nil {
 		c.arena = names.NewArena()
 	}
-	return &Table{
-		arena:     c.arena,
-		slab:      extent.NewSlab(),
-		idx:       make(map[uint32]int32),
-		budget:    c.budget,
-		spillRead: c.spillRead,
-		faultIO:   c.faultIO,
+	seq := new(atomic.Uint64)
+	ts := make([]*Table, n)
+	for i := range ts {
+		ts[i] = &Table{
+			arena:     c.arena,
+			slab:      extent.NewSlab(),
+			idx:       make(map[uint32]int32),
+			store:     store,
+			seq:       seq,
+			budget:    c.budget,
+			spillRead: c.spillRead,
+			faultIO:   c.faultIO,
+		}
 	}
+	return ts
 }
 
 // Open returns a table persisted in store, replaying any existing
@@ -215,39 +223,45 @@ func newTable(c config) *Table {
 // before the in-memory state changes, as the paper requires for
 // power-failure safety. Baselines of clean files install spilled (no
 // extents decoded) and fault in on first touch; the budget sweep runs
-// once after replay.
+// once after replay. Open is OpenShards with one table.
 func Open(store *kvstore.Store, opts ...Option) (*Table, error) {
-	if store == nil {
-		return nil, fmt.Errorf("dmt: store is required")
+	ts, err := OpenShards(store, 1, func(string) int { return 0 }, opts...)
+	if err != nil {
+		return nil, err
 	}
-	t := New(opts...)
-	t.store = store
+	return ts[0], nil
+}
+
+// OpenShards returns n tables persisted in one store, as Open, with each
+// file's baseline record and log ops replayed into ts[route(file)]. The
+// tables share one name arena and one op-log sequence, so the store's
+// format is the same whatever n is: a store written by any number of
+// tables reopens under any other. A caller that mutates the tables from
+// several goroutines guards each table with its own lock and keeps
+// route's answer for a file fixed while the tables are open.
+func OpenShards(store *kvstore.Store, n int, route func(file string) int, opts ...Option) ([]*Table, error) {
+	ts, err := NewPersistedShards(store, 0, n, opts...)
+	if err != nil {
+		return nil, err
+	}
 	maxSeq, _, err := walkState(store,
 		func(name string, h staterec.FileMapHeader, total, dirty int64, data []byte) {
-			t.installBaseline(name, h, total, dirty, data)
+			ts[route(name)].installBaseline(name, h, total, dirty, data)
 		},
-		func(op logOp) { t.apply(op) },
+		func(op logOp) { ts[route(op.file)].apply(op) },
 	)
 	if err != nil {
 		return nil, err
 	}
-	t.seq = maxSeq
-	t.enforceBudget(-1)
-	return t, nil
+	ts[0].seq.Store(maxSeq)
+	for _, t := range ts {
+		t.enforceBudget(-1)
+	}
+	return ts, nil
 }
 
 // Arena returns the table's name-interning arena.
 func (t *Table) Arena() *names.Arena { return t.arena }
-
-// SetMetaBudget adjusts the resident budget live (<= 0 unbounded) and
-// runs the spill sweep immediately.
-func (t *Table) SetMetaBudget(n int64) {
-	t.budget = n
-	t.enforceBudget(-1)
-}
-
-// MetaBudget returns the resident budget (<= 0 means unbounded).
-func (t *Table) MetaBudget() int64 { return t.budget }
 
 // lookupSlot resolves file to its slot without interning: -1 if the
 // table has never mapped it. Allocation-free.
@@ -326,7 +340,7 @@ func (t *Table) InsertBatch(file string, frags []FragmentInsert) error {
 	if t.store != nil {
 		batch := t.store.NewBatch()
 		for _, op := range ops {
-			batch.Put(opKey(t.nextSeqNum()), encodeOp(op))
+			batch.Put(opKey(t.seq.Add(1)), encodeOp(op))
 		}
 		if err := batch.Commit(); err != nil {
 			return fmt.Errorf("dmt: batch insert: %w", err)
@@ -549,31 +563,37 @@ func (t *Table) MemoryBytes() int64 {
 	return t.slab.Bytes() + int64(len(t.files))*fileStateBytes
 }
 
-// SpilledFiles returns how many files are currently spilled.
-func (t *Table) SpilledFiles() int { return t.spilledFiles }
-
 // Compact rewrites the persistent state as per-file baseline records,
 // then drops the op log. Only churned files — those with log ops since
 // their last baseline or spill — are rewritten, so compaction cost
 // tracks churn, not file count. The sequence counter is never reset:
 // baseline gating relies on it staying monotonic.
-func (t *Table) Compact() error {
-	if t.store == nil {
+func (t *Table) Compact() error { return CompactShards([]*Table{t}) }
+
+// CompactShards compacts the tables of one store (as OpenShards returns
+// them) in one pass, as Table.Compact. Dropping the op log is a
+// store-wide step, so the caller must hold every table's lock: no table
+// may log an op between its baseline rewrite and the drop.
+func CompactShards(ts []*Table) error {
+	store := ts[0].store
+	if store == nil {
 		return nil
 	}
-	for _, si := range t.order {
-		if err := t.writeBaseline(si); err != nil {
-			return err
+	for _, t := range ts {
+		for _, si := range t.order {
+			if err := t.writeBaseline(si); err != nil {
+				return err
+			}
 		}
 	}
-	if err := t.store.DeletePrefix(opPrefix); err != nil {
+	if err := store.DeletePrefix(opPrefix); err != nil {
 		return fmt.Errorf("dmt: compact: %w", err)
 	}
-	return t.store.Compact()
+	return store.Compact()
 }
 
 // writeBaseline seals slot si's current state into its baseline record
-// if it churned since the last one. Part of Compact (and of Striped's).
+// if it churned since the last one. Part of CompactShards.
 func (t *Table) writeBaseline(si int32) error {
 	fs := &t.files[si]
 	if fs.churned == 0 || fs.state == fsSpilled {
@@ -590,7 +610,7 @@ func (t *Table) writeBaseline(si int32) error {
 		return nil
 	}
 	offs, lens, vals := t.slab.View(fs.seg)
-	rec := staterec.EncodeFileMap(name, t.lastSeqNum(), len(offs), func(i int) (int64, int64, uint64) {
+	rec := staterec.EncodeFileMap(name, t.seq.Load(), len(offs), func(i int) (int64, int64, uint64) {
 		return offs[i], int64(lens[i]), vals[i]
 	})
 	if err := t.store.Put(spillKey(name), rec); err != nil {
@@ -730,7 +750,7 @@ func (t *Table) spillFile(si int32) {
 	fs := &t.files[si]
 	name := t.arena.Name(fs.id)
 	offs, lens, vals := t.slab.View(fs.seg)
-	rec := staterec.EncodeFileMap(name, t.lastSeqNum(), len(offs), func(i int) (int64, int64, uint64) {
+	rec := staterec.EncodeFileMap(name, t.seq.Load(), len(offs), func(i int) (int64, int64, uint64) {
 		return offs[i], int64(lens[i]), vals[i]
 	})
 	if err := t.store.Put(spillKey(name), rec); err != nil {
@@ -826,30 +846,11 @@ func (t *Table) installBaseline(name string, h staterec.FileMapHeader, total, di
 	t.residentBytes += t.slab.SegBytes(fs.seg)
 }
 
-// nextSeqNum returns the next persist-log sequence number: the injected
-// shared counter when striped, the table-local counter otherwise.
-func (t *Table) nextSeqNum() uint64 {
-	if t.nextSeq != nil {
-		return t.nextSeq()
-	}
-	t.seq++
-	return t.seq
-}
-
-// lastSeqNum returns the highest issued sequence number — what a
-// baseline record written now supersedes.
-func (t *Table) lastSeqNum() uint64 {
-	if t.lastSeq != nil {
-		return t.lastSeq()
-	}
-	return t.seq
-}
-
 func (t *Table) persist(op logOp) error {
 	if t.store == nil {
 		return nil
 	}
-	if err := t.store.Put(opKey(t.nextSeqNum()), encodeOp(op)); err != nil {
+	if err := t.store.Put(opKey(t.seq.Add(1)), encodeOp(op)); err != nil {
 		return fmt.Errorf("dmt: persist: %w", err)
 	}
 	return nil

@@ -223,8 +223,8 @@ func TestOpenResumesAfterHighestSeq(t *testing.T) {
 		}
 	}
 	d2 := openPersistent(t, b)
-	if d2.seq != d.seq {
-		t.Fatalf("recovered seq %d, want %d", d2.seq, d.seq)
+	if d2.seq.Load() != d.seq.Load() {
+		t.Fatalf("recovered seq %d, want %d", d2.seq.Load(), d.seq.Load())
 	}
 	// New ops after reopen must extend the log, not clobber it.
 	if err := d2.Insert("g", 0, 10, 0, false); err != nil {

@@ -1,7 +1,6 @@
 package dmt
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -65,40 +64,6 @@ func TestDirtyBytesCounterBatch(t *testing.T) {
 	}
 }
 
-// TestStripedDirtyBytes checks the aggregate counter and the early-exit
-// predicate across stripes.
-func TestStripedDirtyBytes(t *testing.T) {
-	s := NewStriped()
-	if s.HasDirty() {
-		t.Fatal("empty table claims dirty data")
-	}
-	var want int64
-	for i := 0; i < 40; i++ {
-		file := fmt.Sprintf("/w%02d", i)
-		dirty := i%3 != 0
-		if err := s.Insert(file, 0, 4096, int64(i)*4096, dirty); err != nil {
-			t.Fatal(err)
-		}
-		if dirty {
-			want += 4096
-		}
-	}
-	if got := s.DirtyBytes(); got != want {
-		t.Fatalf("DirtyBytes=%d, want %d", got, want)
-	}
-	if !s.HasDirty() {
-		t.Fatal("HasDirty=false with dirty mappings present")
-	}
-	for i := 0; i < 40; i++ {
-		if err := s.SetClean(fmt.Sprintf("/w%02d", i), 0, 4096); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.HasDirty() {
-		t.Fatalf("HasDirty=true after cleaning everything (DirtyBytes=%d)", s.DirtyBytes())
-	}
-}
-
 // TestHasDirtyZeroAllocs pins the poll predicate at zero allocations: the
 // Rebuilder ticker calls it every period.
 func TestHasDirtyZeroAllocs(t *testing.T) {
@@ -112,16 +77,5 @@ func TestHasDirtyZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Table.HasDirty allocates %v/op, want 0", n)
-	}
-	s := NewStriped()
-	if err := s.Insert("/f", 0, 4096, 0, true); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if !s.HasDirty() {
-			t.Fatal("lost dirty state")
-		}
-	}); n != 0 {
-		t.Fatalf("Striped.HasDirty allocates %v/op, want 0", n)
 	}
 }

@@ -134,14 +134,24 @@ func ReplayState(store *kvstore.Store, apply func(file string, off, length, cach
 // The warm-restart recoverer uses it to install recovered extents
 // selectively — via Restore, which does not re-persist what the log
 // already holds — while new mutations append to the same log as usual.
+// NewPersisted is NewPersistedShards with one table.
 func NewPersisted(store *kvstore.Store, seq uint64, opts ...Option) (*Table, error) {
+	ts, err := NewPersistedShards(store, seq, 1, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return ts[0], nil
+}
+
+// NewPersistedShards is NewPersisted for n tables over one store, sharing
+// one arena and one op-log sequence as OpenShards's do.
+func NewPersistedShards(store *kvstore.Store, seq uint64, n int, opts ...Option) ([]*Table, error) {
 	if store == nil {
 		return nil, fmt.Errorf("dmt: store is required")
 	}
-	t := New(opts...)
-	t.store = store
-	t.seq = seq
-	return t, nil
+	ts := newShards(store, n, opts)
+	ts[0].seq.Store(seq)
+	return ts, nil
 }
 
 // Restore applies an insert to the in-memory table only, without writing a
@@ -155,34 +165,6 @@ func (t *Table) Restore(file string, off, length, cacheOff int64, dirty bool) {
 	}
 	t.apply(logOp{kind: kindInsert, file: file, off: off, length: length, cacheOff: cacheOff, dirty: dirty})
 	t.enforceBudget(-1)
-}
-
-// NewStripedPersisted is NewPersisted for the concurrent table: attached to
-// store, numbering after seq, nothing replayed.
-func NewStripedPersisted(store *kvstore.Store, seq uint64, opts ...Option) (*Striped, error) {
-	if store == nil {
-		return nil, fmt.Errorf("dmt: store is required")
-	}
-	s := NewStriped(opts...)
-	s.store = store
-	for i := range s.stripes {
-		s.stripes[i].t.store = store
-	}
-	s.seq.Store(seq)
-	return s, nil
-}
-
-// Restore applies an insert to file's stripe without persisting, under the
-// stripe mutex. Same durability contract as Table.Restore.
-func (s *Striped) Restore(file string, off, length, cacheOff int64, dirty bool) {
-	if length <= 0 {
-		return
-	}
-	sh := &s.stripes[stripeIndex(file)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.t.apply(logOp{kind: kindInsert, file: file, off: off, length: length, cacheOff: cacheOff, dirty: dirty})
-	sh.t.enforceBudget(-1)
 }
 
 // encodeOp serializes one log op: kind byte, length-prefixed file name,

@@ -38,22 +38,3 @@ func (t *Table) AppendFile(dst []Hit, file string) []Hit {
 	}
 	return dst
 }
-
-// TakeChanged is Table.TakeChanged across stripes, each under its lock;
-// ord ranks stripe first. fn must not call back into the table.
-func (s *Striped) TakeChanged(all bool, fn func(file string, ord uint64)) {
-	for i := range s.stripes {
-		sh := &s.stripes[i]
-		sh.mu.Lock()
-		sh.t.TakeChanged(all, func(file string, ord uint64) { fn(file, uint64(i)<<32|ord) })
-		sh.mu.Unlock()
-	}
-}
-
-// AppendFile appends every mapped extent of file to dst, as
-// Table.AppendFile, under the file's stripe lock.
-func (s *Striped) AppendFile(dst []Hit, file string) []Hit {
-	t, mu := s.stripe(file)
-	defer mu.Unlock()
-	return t.AppendFile(dst, file)
-}

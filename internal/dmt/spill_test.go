@@ -198,7 +198,7 @@ func TestSpillSurvivesReopen(t *testing.T) {
 	if re.Entries() != 16 || re.Bytes() != 16*4096 {
 		t.Fatalf("reopen: entries=%d bytes=%d", re.Entries(), re.Bytes())
 	}
-	if re.SpilledFiles() == 0 {
+	if re.Stats().SpilledFiles == 0 {
 		t.Fatal("reopen installed every spilled file resident")
 	}
 	for i := 0; i < 16; i++ {
@@ -267,29 +267,38 @@ func TestSpillQuarantineThenMiss(t *testing.T) {
 	}
 }
 
-// TestStripedSpillFaultIn checks that a striped table under a resident
-// budget spills files, and that a locked lookup of a spilled file faults
-// it back in and returns its mapping.
-func TestStripedSpillFaultIn(t *testing.T) {
-	st := spillStore(t)
-	tbl, err := OpenStriped(st, WithMetaBudget(300))
+// TestShardsSpillFaultIn checks that each table of a 4-table set over
+// one store spills files under its own resident budget, and that a lookup
+// of a spilled file faults it back in and returns its mapping.
+func TestShardsSpillFaultIn(t *testing.T) {
+	const n = 4
+	route := routeBy(n)
+	set, err := OpenShards(spillStore(t), n, route, WithMetaBudget(75))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 32; i++ {
-		if err := tbl.Insert(spillName(i), 0, 4096, int64(i)*4096, false); err != nil {
+		if err := set[route(spillName(i))].Insert(spillName(i), 0, 4096, int64(i)*4096, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if tbl.Stats().SpilledFiles == 0 {
+	stats := func() (st Stats) {
+		for _, tbl := range set {
+			s := tbl.Stats()
+			st.SpilledFiles += s.SpilledFiles
+			st.FaultIns += s.FaultIns
+		}
+		return st
+	}
+	if stats().SpilledFiles == 0 {
 		t.Fatal("nothing spilled")
 	}
 	for i := 0; i < 32; i++ {
-		if h, g := tbl.Lookup(spillName(i), 0, 4096); len(h) != 1 || len(g) != 0 || h[0].CacheOff != int64(i)*4096 {
+		if h, g := set[route(spillName(i))].Lookup(spillName(i), 0, 4096); len(h) != 1 || len(g) != 0 || h[0].CacheOff != int64(i)*4096 {
 			t.Fatalf("file %d: lookup: hits=%v gaps=%v", i, h, g)
 		}
 	}
-	if tbl.Stats().FaultIns == 0 {
+	if stats().FaultIns == 0 {
 		t.Fatal("no lookup faulted a spilled file in")
 	}
 }
@@ -322,7 +331,7 @@ func TestPackedLookupZeroAllocs(t *testing.T) {
 func TestSpillBookkeepingZeroAllocs(t *testing.T) {
 	tbl := spillTable(t, 400)
 	fillSpill(t, tbl, 64)
-	if tbl.SpilledFiles() == 0 {
+	if tbl.Stats().SpilledFiles == 0 {
 		t.Fatal("no spilled files to bookkeep around")
 	}
 	// Fault a stable working set in once; repeated lookups of the same

@@ -66,7 +66,7 @@ type slabChunk struct {
 }
 
 // Slab owns the chunks and free lists. Use NewSlab; not safe for
-// concurrent use (callers serialize per table or per stripe).
+// concurrent use (callers serialize per table).
 type Slab struct {
 	chunks []slabChunk
 	free   [numClasses][]uint64 // packed refs: chunk<<32 | start

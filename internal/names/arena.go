@@ -75,7 +75,7 @@ func NewArena() *Arena {
 }
 
 func hashName(s string) uint32 {
-	// FNV-1a, matching the stripe routing hashes elsewhere in the tree.
+	// FNV-1a, matching the engine's shard routing hash.
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -204,12 +204,6 @@ func (x *arenaIndex) grow() {
 // Lock-free and allocation-free.
 func (a *Arena) Name(id uint32) string {
 	return a.idx.Load().name(id)
-}
-
-// Canonical interns s and returns the arena's canonical copy, letting
-// callers key maps with shared backing bytes instead of private copies.
-func (a *Arena) Canonical(s string) string {
-	return a.Name(a.Intern(s))
 }
 
 // Count returns how many distinct names are interned.

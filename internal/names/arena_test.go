@@ -71,15 +71,6 @@ func TestLongName(t *testing.T) {
 	}
 }
 
-func TestCanonicalShares(t *testing.T) {
-	a := NewArena()
-	c1 := a.Canonical("shared/name")
-	c2 := a.Canonical("shared" + "/name")
-	if c1 != c2 {
-		t.Fatal("canonical values differ")
-	}
-}
-
 func TestConcurrentIntern(t *testing.T) {
 	a := NewArena()
 	const workers = 8

@@ -22,7 +22,7 @@ type Config struct {
 	// MutexProfile receives a mutex-contention profile taken at shutdown.
 	// Sampling runs for the whole process (SetMutexProfileFraction(1)) —
 	// the serve path's lock-contention evidence: shard, cache-region and
-	// table-stripe mutexes.
+	// metadata-store mutexes.
 	MutexProfile string
 	// BlockProfile receives a goroutine-blocking profile taken at
 	// shutdown (SetBlockProfileRate(1) for the whole process).
