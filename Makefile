@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-metascale alloc-check check-run check
+.PHONY: all build vet test race bench bench-metascale alloc-check check-run check-experiments check
 
 all: build
 
@@ -50,4 +50,10 @@ alloc-check:
 check-run:
 	bash scripts/check-run-regexes.sh
 
-check: vet build check-run race bench
+# Docs guard: EXPERIMENTS.md must equal the report regenerated at
+# -parallel 1 and 4, wall-clock lines aside (the virtual-time tables are
+# the behavioural contract refactors are held to).
+check-experiments:
+	bash scripts/check-experiments.sh
+
+check: vet build check-run check-experiments race bench

@@ -95,19 +95,19 @@ type Manager struct {
 	// pinned, when set, reports whether any byte of [off, off+length) is
 	// held by an in-flight cache read; reclaim skips such candidates so an
 	// eviction can never reuse space whose old bytes are still being read.
-	// The concurrent engine installs it (see Sharded); the sequential
-	// simulator leaves it nil, keeping reclaim behavior byte-identical.
+	// Sharded installs it on every region; with no pins held it never
+	// skips, and reclaim's victim order is that of a bare manager.
 	pinned func(off, length int64) bool
 
 	// evict, when set, runs for every fragment reclaim is about to evict,
-	// before the fragment's bytes rejoin the free pool. The concurrent
-	// engine installs a hook that unmaps the fragment's DMT range, making
-	// unmap-before-free a manager invariant: the unmap lands (under this
-	// manager's lock) before the space is reusable, so no DMT lookup can
-	// return a mapping to bytes recycled to a new owner.
-	// Returning false vetoes the eviction (the mapping could not be
-	// dropped); the fragment is set aside like pinned space. Nil — the
-	// sequential simulator — keeps reclaim byte-identical.
+	// in victim order, before the fragment's bytes rejoin the free pool.
+	// The core engine installs a hook that unmaps the fragment's DMT range
+	// (and, in virtual time, charges the commit), making unmap-before-free
+	// a manager invariant: the unmap lands (under this manager's lock)
+	// before the space is reusable, so no DMT lookup can return a mapping
+	// to bytes recycled to a new owner. Returning false vetoes the
+	// eviction (the mapping could not be dropped); the fragment is set
+	// aside like pinned space.
 	evict func(owner Owner, cacheOff, length int64) bool
 
 	evictions     uint64
@@ -236,8 +236,8 @@ func (m *Manager) AllocateInto(frags []Fragment, evicted []Evicted, size int64, 
 		// Reclaim came up short: some clean space is pinned by in-flight
 		// reads. The evictions already performed are returned with the
 		// error — the caller must still drop their DMT mappings. With no
-		// pin hook installed reclaim always satisfies a feasible request,
-		// so this branch is unreachable in the sequential engine.
+		// pins held reclaim always satisfies a feasible request, so this
+		// branch is unreachable for a caller that never pins.
 		m.failures++
 		return frags, evicted, fmt.Errorf("%w: need %d, free %d after reclaim (pinned space held)", ErrNoSpace, size, m.FreeBytes())
 	}

@@ -76,14 +76,14 @@ func newPerfTestbedCfg(t testing.TB, mutate func(*Config)) *testbed {
 func TestIdentifyZeroAllocs(t *testing.T) {
 	tb := newPerfTestbed(t)
 	// Sequential large request: benefit <= 0, pure model path.
-	seq := func() { tb.s4d.identify(0, "seq", 0, 4<<20, false) }
+	seq := func() { tb.s4d.identify(tb.s4d.sh, 0, "seq", 0, 4<<20, false) }
 	seq()
 	if got := testing.AllocsPerRun(100, seq); got != 0 {
 		t.Fatalf("identify (sequential) allocates %v per op, want 0", got)
 	}
 	// Random small request, same range every time: critical path with a
 	// steady-state CDT re-add.
-	rnd := func() { tb.s4d.identify(1, "rnd", 1<<30, 16<<10, false) }
+	rnd := func() { tb.s4d.identify(tb.s4d.sh, 1, "rnd", 1<<30, 16<<10, false) }
 	rnd()
 	if got := testing.AllocsPerRun(100, rnd); got != 0 {
 		t.Fatalf("identify (critical) allocates %v per op, want 0", got)
@@ -210,7 +210,7 @@ func TestEpochPruning(t *testing.T) {
 	if s.Stats().EpochsPruned == 0 {
 		t.Fatal("EpochsPruned stat not incremented")
 	}
-	if !s.dmt.FileMapped("hot") {
+	if !s.DMT().FileMapped("hot") {
 		t.Fatal("hot file unexpectedly unmapped")
 	}
 	if s.TrackedEpochs() < 1 {
@@ -264,10 +264,10 @@ func TestServeZeroAllocsWithSnapshotting(t *testing.T) {
 // flush/fetch buffer is nil, and a backend that does not report the
 // capability is assumed to keep bytes.
 func TestFlushBufferOnlyWhenPayloadStored(t *testing.T) {
-	if buf := newPerfTestbed(t).s4d.flushBuffer(4096); buf != nil {
+	if buf := newPerfTestbed(t).s4d.flushBuf(4096); buf != nil {
 		t.Fatalf("performance mode: flush buffer of %d bytes, want nil", len(buf))
 	}
-	if buf := newTestbed(t, nil).s4d.flushBuffer(4096); len(buf) != 4096 {
+	if buf := newTestbed(t, nil).s4d.flushBuf(4096); len(buf) != 4096 {
 		t.Fatalf("functional mode: flush buffer of %d bytes, want 4096", len(buf))
 	}
 	for _, functional := range []bool{false, true} {

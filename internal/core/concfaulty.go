@@ -1,134 +1,22 @@
 package core
 
 import (
-	"s4dcache/internal/dmt"
 	"s4dcache/internal/sim"
 )
 
-// Degraded-mode machinery of the concurrent engine. Same fail-stop policy
-// as faulty.go, re-derived for the sharded lock order: every mapping
-// mutation re-validates under the owning shard's mutex, because between a
-// crash snapshot and its resolution another goroutine may have remapped,
-// superseded or failed over the extent.
+// Concurrent's fault-path re-issues. The crash/restart bookkeeping is the
+// shared engine's (faulty.go); these are the request-side reroutes, which
+// join through conJoin/segJoin instead of S4D's pooled virtual-time join.
+// Every mapping mutation re-validates under the owning shard's mutex,
+// because between a crash and its resolution another goroutine may have
+// remapped, superseded or failed over the extent.
 
-// OnCServerState is the pfs crash/restart hook (wire it as the CPFS
-// backend's StateFunc). Safe against concurrent serve traffic; concurrent
-// state transitions themselves must be externally serialized (one
-// fault-injection driver), matching the single fault plan of the
-// sequential engine.
-func (c *Concurrent) OnCServerState(server int, down, restarts bool) {
-	c.faulty.Store(true)
-	if down {
-		c.downMu.Lock()
-		if len(c.downC) == 0 {
-			c.degradedSince = c.clock.Now()
-		}
-		c.downC[server] = true
-		c.downCount.Store(int32(len(c.downC)))
-		c.downMu.Unlock()
-		c.invalidateServerConc(server, restarts)
-		return
-	}
-	c.downMu.Lock()
-	delete(c.downC, server)
-	c.downCount.Store(int32(len(c.downC)))
-	if len(c.downC) == 0 {
-		c.degradedTime += c.clock.Now() - c.degradedSince
-	}
-	c.downMu.Unlock()
-	c.flushDeferredReadsConc()
-}
-
-// invalidateServerConc resolves every mapping touching the crashed server:
-// clean extents and unrecoverable dirty extents are unmapped; dirty
-// extents that will come back with the server are kept (reads defer,
-// writes supersede). The table snapshot is taken one shard at a time, so
-// each extent is re-validated under its shard mutex before mutation — an extent that
-// moved or changed dirty state since the snapshot belongs to whichever
-// path moved it.
-func (c *Concurrent) invalidateServerConc(server int, restarts bool) {
-	resolve := func(snap []dmt.Hit, dirty bool) {
-		for _, h := range snap {
-			if !c.conExtentOnServer(h.CacheOff, h.Len, server) {
-				continue
-			}
-			if dirty && restarts {
-				continue
-			}
-			sh, _ := c.shard(h.File)
-			sh.mu.Lock()
-			hits, _ := sh.dmt.Lookup(h.File, h.Off, h.Len)
-			for _, hh := range hits {
-				if hh.Dirty != dirty {
-					continue
-				}
-				if hh.CacheOff != h.CacheOff+(hh.Off-h.Off) {
-					continue // remapped since the snapshot
-				}
-				if sh.dmt.Delete(h.File, hh.Off, hh.Len) != nil {
-					continue
-				}
-				c.space.FreeRange(hh.CacheOff, hh.Len)
-				if dirty {
-					sh.stats.dirtyLost.Add(hh.Len)
-				}
-			}
-			sh.mu.Unlock()
-		}
-	}
-	resolve(c.DMT().CleanExtents(0), false)
-	resolve(c.DMT().DirtyExtents(0), true)
-}
-
-// conExtentOnServer reports whether a cache-file extent touches the given
-// CServer under the CPFS striping (pure layout math, no locks).
-func (c *Concurrent) conExtentOnServer(cacheOff, length int64, server int) bool {
-	if length <= 0 {
-		return false
-	}
-	l := c.cpfs.Layout()
-	m := int64(l.Servers)
-	first := cacheOff / l.StripeSize
-	last := (cacheOff + length - 1) / l.StripeSize
-	if last-first+1 >= m {
-		return true
-	}
-	for k := first; k <= last; k++ {
-		if int(k%m) == server {
-			return true
-		}
-	}
-	return false
-}
-
-// deferReadConc parks a read segment until its crashed CServer restarts.
-// Called under the owning shard's mutex; deferMu is a leaf below it.
-func (c *Concurrent) deferReadConc(sh *cshard, file string, off, length int64, buf []byte, cb func(error)) {
-	sh.stats.deferredReads.Add(1)
-	c.deferMu.Lock()
-	c.deferred = append(c.deferred, deferredRead{file: file, off: off, lng: length, buf: buf, cb: cb})
-	c.deferMu.Unlock()
-}
-
-// flushDeferredReadsConc re-issues every parked read after a restart. The
-// list is swapped out under deferMu and replayed without it, so re-parking
-// (a different CServer still down) cannot deadlock.
-func (c *Concurrent) flushDeferredReadsConc() {
-	c.deferMu.Lock()
-	parked := c.deferred
-	c.deferred = nil
-	c.deferMu.Unlock()
-	for _, d := range parked {
-		c.readSegmentConc(d.file, d.off, d.lng, d.buf, d.cb)
-	}
-}
-
-// absorbFailedConc handles a cache write whose sub-request aborted (the
+// absorbFailed handles a cache write whose sub-request aborted (the
 // CServer crashed mid-write): the mapping references bytes that never
 // landed. Re-validate it under the shard mutex — another failover or
 // invalidation may already have dropped or remapped it — then re-issue the
 // segment to the DServers with the data still in hand.
-func (c *Concurrent) absorbFailedConc(file string, off, length, cacheOff int64, data []byte, cb func(error)) {
+func (c *Concurrent) absorbFailed(file string, off, length, cacheOff int64, data []byte, cb func(error)) {
 	sh, _ := c.shard(file)
 	sh.mu.Lock()
 	sh.stats.failovers.Add(1)
@@ -149,14 +37,14 @@ func (c *Concurrent) absorbFailedConc(file string, off, length, cacheOff int64, 
 	}
 }
 
-// readFailedConc reroutes a cache-read segment that completed with an
+// readFailed reroutes a cache-read segment that completed with an
 // error, through a fresh lookup under the shard mutex: invalidated clean
 // extents read around from the DServers, retained dirty extents defer to
 // the restart, dirty bytes on a live server surface the original error.
 // That last branch completes under the mutex, so the join counts this
 // call until it unlocks and a segment it finishes reaches cb through the
 // clock.
-func (c *Concurrent) readFailedConc(orig error, file string, off, length int64, buf []byte, cb func(error)) {
+func (c *Concurrent) readFailed(orig error, file string, off, length int64, buf []byte, cb func(error)) {
 	sh, _ := c.shard(file)
 	sh.mu.Lock()
 	sh.stats.failovers.Add(1)
@@ -167,7 +55,7 @@ func (c *Concurrent) readFailedConc(orig error, file string, off, length int64, 
 		seg := slice(buf, off, h.Off, h.Len)
 		switch {
 		case c.cpfs.RangeDown(h.CacheOff, h.Len):
-			c.deferReadConc(sh, file, h.Off, h.Len, seg, j.sub)
+			c.deferRead(sh, file, h.Off, h.Len, seg, j.sub)
 		case h.Dirty:
 			j.sub(orig)
 		default:
@@ -189,11 +77,11 @@ func (c *Concurrent) readFailedConc(orig error, file string, off, length int64, 
 	j.releaseVia(c.clock)
 }
 
-// readSegmentConc routes one file-space read segment through the DMT like
+// readSegment routes one file-space read segment through the DMT like
 // Read's hit/gap fan-out, from restart events outside the serve path. As
-// in readFailedConc, a segment finished under the mutex reaches cb through
+// in readFailed, a segment finished under the mutex reaches cb through
 // the clock.
-func (c *Concurrent) readSegmentConc(file string, off, length int64, buf []byte, cb func(error)) {
+func (c *Concurrent) readSegment(file string, off, length int64, buf []byte, cb func(error)) {
 	sh, _ := c.shard(file)
 	sh.mu.Lock()
 	hits, gaps := sh.dmt.Lookup(file, off, length)
@@ -202,7 +90,7 @@ func (c *Concurrent) readSegmentConc(file string, off, length int64, buf []byte,
 	for _, h := range hits {
 		seg := slice(buf, off, h.Off, h.Len)
 		if c.cpfs.RangeDown(h.CacheOff, h.Len) {
-			c.deferReadConc(sh, file, h.Off, h.Len, seg, j.sub)
+			c.deferRead(sh, file, h.Off, h.Len, seg, j.sub)
 			continue
 		}
 		sh.stats.segReadsCache.Add(1)
@@ -216,7 +104,7 @@ func (c *Concurrent) readSegmentConc(file string, off, length int64, buf []byte,
 				j.sub(nil)
 				return
 			}
-			c.readFailedConc(err, file, h.Off, h.Len, seg, j.sub)
+			c.readFailed(err, file, h.Off, h.Len, seg, j.sub)
 		}
 		if err := c.cpfs.Read(CacheFileName, h.CacheOff, h.Len, sim.PriorityHigh, seg, rcb); err != nil {
 			c.space.Unpin(h.CacheOff, h.Len)
@@ -233,3 +121,11 @@ func (c *Concurrent) readSegmentConc(file string, off, length int64, buf []byte,
 	sh.mu.Unlock()
 	j.releaseVia(c.clock)
 }
+
+// chargeMetaIO is free on the concurrent engine: wall-clock metadata
+// costs are real, not charged.
+func (c *Concurrent) chargeMetaIO() {}
+
+// chargeMetaFaultIn is free on the concurrent engine; the engine still
+// counts fault-ins for Stats.
+func (c *Concurrent) chargeMetaFaultIn(int) {}

@@ -113,7 +113,7 @@ func (c *Concurrent) rebuildWorker(ch chan crTask) {
 		case t := <-ch:
 			switch {
 			case t.recover:
-				c.recoverFileConc(t.file)
+				c.recoverFile(t.file)
 			case t.flush:
 				c.flushOne(t.file, t.off, t.length, t.cacheOff)
 			default:
@@ -129,7 +129,7 @@ func (c *Concurrent) rebuildWorker(ch chan crTask) {
 // finishCycle closes out a cycle: prune epochs, release the busy latch and
 // fire the waiters asynchronously.
 func (c *Concurrent) finishCycle() {
-	c.pruneEpochsConc()
+	c.pruneEpochs()
 	c.rebuildMu.Lock()
 	c.rebuildBusy = false
 	waiters := c.rebuildWaiters
@@ -138,54 +138,6 @@ func (c *Concurrent) finishCycle() {
 	for _, w := range waiters {
 		c.complete(w)
 	}
-}
-
-// pruneEpochsConc drops write-epoch counters for files with no cache
-// residency left, shard by shard. Runs at cycle boundaries: no flush or
-// fetch holds a captured epoch then.
-func (c *Concurrent) pruneEpochsConc() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for id := range sh.fileEpoch {
-			file := c.arena.Name(id)
-			if sh.dmt.FileMapped(file) || sh.cdt.FileTracked(file) {
-				continue
-			}
-			delete(sh.fileEpoch, id)
-			c.epochsPruned.Add(1)
-		}
-		for id, w := range sh.writing {
-			if w.Load() == 0 {
-				// No write holds it: new ones start under mu.
-				delete(sh.writing, id)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// RebuildPending reports whether dirty data or pending fetches remain
-// (one O(1) counter read per shard table).
-func (c *Concurrent) RebuildPending() bool {
-	return c.DMT().HasDirty() || c.CDT().HasPending()
-}
-
-// DrainRebuild runs cycles until no dirty data or pending fetches remain,
-// stopping early if a cycle makes no progress.
-func (c *Concurrent) DrainRebuild(done func()) {
-	if !c.RebuildPending() {
-		c.complete(done)
-		return
-	}
-	before := c.flushes.Load() + c.fetches.Load()
-	c.RebuildNow(func() {
-		if c.RebuildPending() && c.flushes.Load()+c.fetches.Load() > before {
-			c.DrainRebuild(done)
-			return
-		}
-		c.complete(done)
-	})
 }
 
 // flushOne writes one dirty cache extent back to the DServers and blocks
@@ -295,7 +247,7 @@ func (c *Concurrent) fetchOne(file string, off, length int64) {
 	sh.mu.Unlock()
 
 	for _, g := range todo {
-		c.fetchGapConc(sh, shardIdx, file, g.off, g.length)
+		c.fetchGap(sh, shardIdx, file, g.off, g.length)
 	}
 
 	sh.mu.Lock()
@@ -305,9 +257,9 @@ func (c *Concurrent) fetchOne(file string, off, length int64) {
 	sh.mu.Unlock()
 }
 
-// fetchGapConc moves one unmapped gap from the DServers into the cache and
+// fetchGap moves one unmapped gap from the DServers into the cache and
 // blocks until its I/O chain completes.
-func (c *Concurrent) fetchGapConc(sh *cshard, shardIdx int, file string, off, length int64) {
+func (c *Concurrent) fetchGap(sh *cshard, shardIdx int, file string, off, length int64) {
 	sh.mu.Lock()
 	// The gap may have been filled (or partially filled) by a client write
 	// since the cycle snapshot; only still-unmapped bytes are fetched, and
@@ -386,14 +338,4 @@ func (c *Concurrent) fetchGapConc(sh *cshard, shardIdx int, file string, off, le
 		abort()
 	}
 	<-done
-}
-
-// flushBuf returns a payload buffer for Rebuilder data movement when a
-// backend stores real bytes, nil otherwise — the sequential engine's
-// flushBuffer.
-func (c *Concurrent) flushBuf(length int64) []byte {
-	if !c.payload {
-		return nil
-	}
-	return payloadBuf(length)
 }

@@ -7,15 +7,12 @@ import (
 	"time"
 
 	"s4dcache/internal/cachespace"
-	"s4dcache/internal/cdt"
 	"s4dcache/internal/costmodel"
 	"s4dcache/internal/dmt"
 	"s4dcache/internal/extent"
 	"s4dcache/internal/kvstore"
-	"s4dcache/internal/names"
 	"s4dcache/internal/pfs"
 	"s4dcache/internal/sim"
-	"s4dcache/internal/staterec"
 )
 
 // Backend is the PFS surface the concurrent engine drives. Both the
@@ -115,17 +112,17 @@ type ConcurrentConfig struct {
 	RecoverBatch int
 }
 
-// Concurrent is the sharded, goroutine-safe S4D engine (the
-// "concurrent redirection engine"). It implements the same Algorithm-1
-// routing as S4D but routes every request by file hash onto one of
-// Concurrency shards, each with its own mutex, cost-model tracker, file
-// epochs, cache-space region and DMT/CDT tables holding exactly its
+// Concurrent is the sharded, goroutine-safe driver of the shared engine
+// (the "concurrent redirection engine"). It implements the same
+// Algorithm-1 routing as S4D but routes every request by file hash onto
+// one of Concurrency shards, each with its own mutex, cost-model tracker,
+// file epochs, cache-space region and DMT/CDT tables holding exactly its
 // files. The Rebuilder fans flush/fetch work across a bounded worker pool
 // with per-file ordering.
 //
 // The engine is always lazy-fetch (the paper's behaviour) and never
-// charges metadata I/O; those ablations stay on the deterministic
-// sequential engine.
+// charges metadata I/O; those ablations stay on the deterministic S4D
+// driver.
 //
 // Every read and write runs under its shard mutex, identify included, and
 // that mutex guards the shard's tables. Lock order (DESIGN.md §12): core
@@ -137,34 +134,9 @@ type ConcurrentConfig struct {
 // with no lock of its own: Allocate in region r runs under shard r's
 // mutex, and every clean unit in region r belongs to a file of shard r.
 type Concurrent struct {
-	clock   sim.Clock
-	opfs    Backend
-	cpfs    Backend
-	payload bool // a backend stores payload bytes: the Rebuilder moves them
-	model   costmodel.Params
-	policy  AdmissionPolicy
-	faulty  atomic.Bool
+	engine
 
-	shards []cshard
-	space  *cachespace.Sharded
-	// arena interns every file name once, shared by every shard's DMT and
-	// CDT and the per-shard epoch maps; dmtOpts is the DMT option set
-	// NewConcurrent built, reused by the warm-restart table swap.
-	arena        *names.Arena
-	dmtOpts      []dmt.Option
-	metaFaultIns atomic.Uint64
-
-	// Adaptive policy engine (characterizer.go). admitNanos is the live
-	// criticality threshold in nanoseconds: the adaptTick goroutine is its
-	// only writer and runs outside every shard mutex, so it is atomic.
-	cacheCap                int64
-	baseCDTMax              int64
-	admitNanos              atomic.Int64
-	chz                     *Characterizer
-	policySwaps, adaptTicks atomic.Uint64
-
-	// Rebuilder state (concrebuild.go).
-	rebuildBatch   int
+	// Rebuilder cycle state (concrebuild.go).
 	rebuildMu      sync.Mutex
 	rebuildBusy    bool
 	rebuildWaiters []func()
@@ -172,256 +144,53 @@ type Concurrent struct {
 	quit           chan struct{}
 	closed         atomic.Bool
 
-	// Degraded-mode state. downMu is a leaf mutex: never held while taking
-	// a shard or region lock.
-	downMu        sync.Mutex
-	downC         map[int]bool
-	downCount     atomic.Int32
-	degradedSince time.Duration
-	degradedTime  time.Duration
-
-	// deferMu guards the parked-read list; leaf like downMu.
-	deferMu  sync.Mutex
-	deferred []deferredRead
-
-	// Rebuilder counters (updated from worker goroutines).
-	rebuildCycles, flushes, flushRetries atomic.Uint64
-	fetches, fetchFailures, fetchRetries atomic.Uint64
-	bytesFlushed, bytesFetched           atomic.Int64
-	epochsPruned                         atomic.Uint64
-
-	// Warm-restart state (concrecovery.go). recovering gates admissions
-	// and Rebuilder fetches until every shard's pending clean extents
-	// drained; recoverLeft counts files still queued on the workers.
-	// snapMu serializes snapshot ticks and guards snap; the counters
-	// mirror the sequential engine's warm-restart stats.
-	metaStore    *kvstore.Store
-	recovering   atomic.Bool
-	recoverBatch int
-	recoverStart time.Duration
-	recoverLeft  atomic.Int32
-	recCrits     []staterec.Critical
-	timeToWarm   atomic.Int64
-	snapEpoch    atomic.Uint64
-	snapMu       sync.Mutex
-	snap         snapWriter
-
-	snapshots, snapshotRecords     atomic.Uint64
-	recoveredClean, recoveredDirty atomic.Uint64
-	recoveredBytes                 atomic.Int64
-	quarRecords                    atomic.Uint64
-	quarBytes                      atomic.Int64
-	superseded                     atomic.Uint64
-	residencyDrift                 atomic.Uint64
-	cdtRestored                    atomic.Uint64
-}
-
-// cshard is one serve lane. Reads, writes and degraded-mode paths
-// serialize on mu, which also guards the shard's tables, the cost-model
-// tracker and the locality state identify mutates. The serve counters are
-// atomics so Stats can snapshot without quiescing. The trailing padding
-// keeps neighbouring shards' mutexes and counters on separate cache lines.
-type cshard struct {
-	mu sync.Mutex
-	// dmt and cdt hold the mappings and critical ranges of exactly the
-	// files that route to this shard.
-	dmt      *dmt.Table
-	cdt      *cdt.Table
-	tracker  *costmodel.Tracker
-	locality *localityTracker
-	// fileEpoch is keyed by the shared arena's dense file id, like the
-	// sequential engine's map.
-	fileEpoch map[uint32]uint64
-	// writing counts each file's client writes in flight, from their
-	// epoch bump to the completion of their last segment (conJoin drops
-	// the count lock-free). The Rebuilder does not flush a file with
-	// writes in flight: wall-clock sub-requests complete in any order, so
-	// its cache read could run before a write's bytes land and carry the
-	// space's previous owner's bytes to the DServers.
-	writing map[uint32]*atomic.Int32
-	// pending holds this shard's recovered clean extents awaiting
-	// re-admission; non-nil only during warm recovery, mutated only under
-	// mu (writer supersedes and the recovery worker's adopts).
-	pending map[string][]*pendingExt
-	// Write-path lookup scratch, reused under mu.
-	hitsBuf    []dmt.Hit
-	gapsBuf    []extent.Gap
-	insertsBuf []dmt.FragmentInsert
-	stats      cstats
-	_          [64]byte
-}
-
-// cstats is the per-shard serve counter block: atomic counters, so Stats
-// can snapshot without quiescing. Field meanings as core.Stats.
-type cstats struct {
-	reads, writes           atomic.Uint64
-	bytesRead, bytesWritten atomic.Int64
-
-	identified, critical atomic.Uint64
-
-	segReadsCache, segReadsDisk   atomic.Uint64
-	segWritesCache, segWritesDisk atomic.Uint64
-
-	bytesReadCache, bytesReadDisk   atomic.Int64
-	bytesWriteCache, bytesWriteDisk atomic.Int64
-
-	admissions, admitFailures atomic.Uint64
-	lazyMarks                 atomic.Uint64
-
-	failovers, deferredReads atomic.Uint64
-	dirtyLost                atomic.Int64
-}
-
-// addTo folds a snapshot of the counters into st.
-func (s *cstats) addTo(st *Stats) {
-	st.Reads += s.reads.Load()
-	st.Writes += s.writes.Load()
-	st.BytesRead += s.bytesRead.Load()
-	st.BytesWritten += s.bytesWritten.Load()
-	st.Identified += s.identified.Load()
-	st.Critical += s.critical.Load()
-	st.SegReadsCache += s.segReadsCache.Load()
-	st.SegReadsDisk += s.segReadsDisk.Load()
-	st.SegWritesCache += s.segWritesCache.Load()
-	st.SegWritesDisk += s.segWritesDisk.Load()
-	st.BytesReadCache += s.bytesReadCache.Load()
-	st.BytesReadDisk += s.bytesReadDisk.Load()
-	st.BytesWriteCache += s.bytesWriteCache.Load()
-	st.BytesWriteDisk += s.bytesWriteDisk.Load()
-	st.Admissions += s.admissions.Load()
-	st.AdmitFailures += s.admitFailures.Load()
-	st.LazyMarks += s.lazyMarks.Load()
-	st.Failovers += s.failovers.Load()
-	st.DeferredReads += s.deferredReads.Load()
-	st.DirtyLost += s.dirtyLost.Load()
+	// recoverLeft counts files still queued on the workers during a warm
+	// restart (concrecovery.go).
+	recoverLeft atomic.Int32
 }
 
 // NewConcurrent builds a Concurrent engine.
 func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
-	if cfg.Clock == nil {
-		return nil, fmt.Errorf("core: clock is required")
-	}
-	if cfg.OPFS == nil || cfg.CPFS == nil {
-		return nil, fmt.Errorf("core: OPFS and CPFS are required")
-	}
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.CacheCapacity <= 0 {
-		return nil, fmt.Errorf("core: cache capacity must be positive, got %d", cfg.CacheCapacity)
-	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 8
-	}
-	if cfg.RebuildBatch <= 0 {
-		cfg.RebuildBatch = 64
 	}
 	if cfg.RebuildWorkers <= 0 {
 		cfg.RebuildWorkers = 4
 	}
-	if cfg.RecoverBatch <= 0 {
-		cfg.RecoverBatch = defaultRecoverBatch
-	}
-	if (cfg.WarmRestart || cfg.SnapshotPeriod > 0) && cfg.MetaStore == nil {
-		return nil, fmt.Errorf("core: WarmRestart/SnapshotPeriod require MetaStore")
-	}
-	if cfg.MetaBudget > 0 && cfg.MetaStore == nil {
-		return nil, fmt.Errorf("core: MetaBudget requires MetaStore")
-	}
-	if cfg.Policy == 0 {
-		cfg.Policy = PolicyBenefit
-	}
-	var newPolicy func(regionCapacity int64) cachespace.Policy
-	if cfg.CachePolicy != "" {
-		// Validate the name once up front; the per-region factory then
-		// cannot fail.
-		if _, err := cachespace.NewPolicy(cfg.CachePolicy, cfg.CacheCapacity); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		name := cfg.CachePolicy
-		newPolicy = func(regionCapacity int64) cachespace.Policy {
-			p, _ := cachespace.NewPolicy(name, regionCapacity)
-			return p
-		}
-	}
-	space, err := cachespace.NewShardedPolicy(cfg.CacheCapacity, cfg.Concurrency, newPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	arena := names.NewArena()
-	c := &Concurrent{
+	c := &Concurrent{quit: make(chan struct{})}
+	err := c.init(engineConfig{
 		clock:        cfg.Clock,
 		opfs:         cfg.OPFS,
 		cpfs:         cfg.CPFS,
-		payload:      storesPayload(cfg.OPFS) || storesPayload(cfg.CPFS),
 		model:        cfg.Model,
+		capacity:     cfg.CacheCapacity,
+		cdtMax:       cfg.CDTMaxBytes,
+		shards:       cfg.Concurrency,
 		policy:       cfg.Policy,
-		shards:       make([]cshard, cfg.Concurrency),
-		space:        space,
-		arena:        arena,
-		cacheCap:     cfg.CacheCapacity,
-		baseCDTMax:   cfg.CDTMaxBytes,
+		cachePolicy:  cfg.CachePolicy,
 		rebuildBatch: cfg.RebuildBatch,
-		downC:        make(map[int]bool),
-		quit:         make(chan struct{}),
 		metaStore:    cfg.MetaStore,
+		metaBudget:   cfg.MetaBudget,
+		spillRead:    cfg.SpillRead,
+		adaptive:     cfg.AdaptivePeriod > 0,
+		snapshot:     cfg.SnapshotPeriod > 0,
+		warm:         cfg.WarmRestart,
 		recoverBatch: cfg.RecoverBatch,
-	}
-	c.dmtOpts = []dmt.Option{
-		dmt.WithArena(arena),
-		// The concurrent engine never charges metadata I/O (wall-clock
-		// costs are real); the hook only counts fault-ins for Stats.
-		dmt.WithFaultIO(func(int) { c.metaFaultIns.Add(1) }),
-	}
-	if cfg.MetaBudget > 0 {
-		c.dmtOpts = append(c.dmtOpts, dmt.WithMetaBudget(ceilShare(cfg.MetaBudget, cfg.Concurrency)))
-	}
-	if cfg.SpillRead != nil {
-		c.dmtOpts = append(c.dmtOpts, dmt.WithSpillRead(cfg.SpillRead))
-	}
-	tables := dmt.NewShards(cfg.Concurrency, c.dmtOpts...)
-	if cfg.MetaStore != nil && !cfg.WarmRestart {
-		// With WarmRestart the log replays through the recovery path below
-		// instead, installing only verified extents.
-		route := func(file string) int { return lane(file, cfg.Concurrency) }
-		tables, err = dmt.OpenShards(cfg.MetaStore, cfg.Concurrency, route, c.dmtOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("core: open DMT: %w", err)
-		}
-	}
-	c.admitNanos.Store(int64(cfg.Model.CriticalThreshold))
-	c.faulty.Store(cfg.Faulty)
-	// Unmap-before-free: every eviction drops its DMT mapping under the
-	// region mutex, before the bytes rejoin the free pool, so no lookup
-	// can return a mapping to space another owner has been given. The
-	// victim's file belongs to the allocating shard, whose mutex the
-	// caller of Allocate holds.
-	space.SetEvictHook(func(owner cachespace.Owner, cacheOff, length int64) bool {
-		sh, _ := c.shard(owner.File)
-		return sh.dmt.Delete(owner.File, owner.FileOff, length) == nil
-	})
-	cdtMax := ceilShare(cfg.CDTMaxBytes, len(c.shards))
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.dmt = tables[i]
-		sh.cdt = cdt.New(cdtMax, cdt.WithArena(arena))
-		sh.tracker = costmodel.NewTracker()
-		sh.fileEpoch = make(map[uint32]uint64)
-		sh.writing = make(map[uint32]*atomic.Int32)
-		if cfg.Policy == PolicyLocality {
-			sh.locality = newLocalityTracker(0, 0)
-		}
+		faulty:       cfg.Faulty,
+	}, c)
+	if err != nil {
+		return nil, err
 	}
 	c.workerCh = make([]chan crTask, cfg.RebuildWorkers)
 	for i := range c.workerCh {
-		c.workerCh[i] = make(chan crTask, 2*cfg.RebuildBatch)
+		c.workerCh[i] = make(chan crTask, 2*c.rebuildBatch)
 		go c.rebuildWorker(c.workerCh[i])
 	}
 	if cfg.WarmRestart {
 		// After the workers: clean-extent re-admission rides their
 		// channels. Before any ticker: the synchronous dirty installs must
 		// finish before other goroutines touch the engine.
-		if err := c.beginRecoveryConc(); err != nil {
+		if err := c.beginRecovery(); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -430,7 +199,6 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		c.armRebuild(cfg.RebuildPeriod)
 	}
 	if cfg.AdaptivePeriod > 0 {
-		c.chz = NewCharacterizer()
 		c.armAdapt(cfg.AdaptivePeriod)
 	}
 	if cfg.SnapshotPeriod > 0 {
@@ -451,56 +219,6 @@ func (c *Concurrent) armAdapt(period time.Duration) {
 	})
 }
 
-// adaptTick is one adaptation step of the concurrent engine: the
-// sharded twin of S4D.adaptTick. Policy swaps go through
-// Sharded.SetPolicy (per-region locks, live under traffic — the swap
-// torture test's path); the threshold is published through admitNanos,
-// which serve paths load under their shard mutex.
-func (c *Concurrent) adaptTick() {
-	c.adaptTicks.Add(1)
-	prof := c.chz.SnapshotReset()
-	if prof.Total() == 0 {
-		return
-	}
-	if name := ChoosePolicy(prof, c.cacheCap, c.space.PolicyName()); name != "" && name != c.space.PolicyName() {
-		switch name {
-		case cachespace.PolicyCleanLRU:
-			c.space.SetPolicy(nil)
-		default:
-			c.space.SetPolicy(func(regionCapacity int64) cachespace.Policy {
-				p, _ := cachespace.NewPolicy(name, regionCapacity)
-				return p
-			})
-		}
-		c.policySwaps.Add(1)
-	}
-	cdtMax := c.baseCDTMax
-	if thrashing(prof, c.cacheCap) {
-		c.admitNanos.Store(int64(c.model.CriticalThreshold + prof.MeanBenefit))
-		cdtMax = c.cacheCap
-	} else {
-		c.admitNanos.Store(int64(c.model.CriticalThreshold))
-	}
-	per := ceilShare(cdtMax, len(c.shards))
-	c.eachShard(func(_ int, sh *cshard) bool {
-		sh.cdt.SetMaxBytes(per)
-		return true
-	})
-}
-
-// ceilShare splits a table bound (the CDT's bytes, the DMT's resident
-// budget) across n shards, rounding up so the aggregate bound is at least
-// total; total <= 0 (unbounded) passes through.
-func ceilShare(total int64, n int) int64 {
-	if total <= 0 {
-		return total
-	}
-	return (total + int64(n) - 1) / int64(n)
-}
-
-// threshold returns the live criticality threshold (lock-free).
-func (c *Concurrent) threshold() time.Duration { return time.Duration(c.admitNanos.Load()) }
-
 // Close stops the periodic Rebuilder trigger and the worker pool. Call
 // after draining (DrainRebuild): tasks of an in-flight cycle may be
 // dropped once workers exit, leaving that cycle's callbacks unfired.
@@ -508,27 +226,6 @@ func (c *Concurrent) Close() {
 	if c.closed.CompareAndSwap(false, true) {
 		close(c.quit)
 	}
-}
-
-// Space exposes the sharded cache-space manager.
-func (c *Concurrent) Space() *cachespace.Sharded { return c.space }
-
-// lane picks which of n lanes owns file, by FNV-1a hash: the serve shard
-// (with its tables and cache region) and the Rebuilder worker both route
-// through it.
-func lane(file string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(file); i++ {
-		h ^= uint32(file[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
-}
-
-// shard routes a file to its serve lane.
-func (c *Concurrent) shard(file string) (*cshard, int) {
-	idx := lane(file, len(c.shards))
-	return &c.shards[idx], idx
 }
 
 // countdown is a join's outstanding-reference count and first error.
@@ -623,22 +320,6 @@ func (j *segJoin) releaseVia(clock sim.Clock) {
 	}
 }
 
-// completeErr reports a zero-work request done asynchronously.
-func (c *Concurrent) completeErr(done func(error)) {
-	if done != nil {
-		c.clock.After(0, func() { done(nil) })
-	}
-}
-
-func (c *Concurrent) complete(done func()) {
-	if done != nil {
-		c.clock.After(0, done)
-	}
-}
-
-// degradedNow reports whether any CServer is down (lock-free fast path).
-func (c *Concurrent) degradedNow() bool { return c.downCount.Load() > 0 }
-
 // Write intercepts an application write of file[off, off+size) by rank.
 // Safe to call from any goroutine; done runs asynchronously when all
 // segments complete, with the first segment error. done must not block:
@@ -668,7 +349,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 		// The write's bytes supersede any still-queued recovered extents
 		// it overlaps (durably, so a crash mid-recovery cannot resurrect
 		// them); membership is guarded by the shard mutex held here.
-		c.supersedeConc(sh, file, off, size)
+		c.supersede(sh, file, off, size)
 	}
 
 	benefit, _ := c.identify(sh, rank, file, off, size, true)
@@ -716,7 +397,7 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 					j.sub(nil)
 					return
 				}
-				c.absorbFailedConc(file, h.Off, h.Len, h.CacheOff, seg, j.sub)
+				c.absorbFailed(file, h.Off, h.Len, h.CacheOff, seg, j.sub)
 			}
 		}
 		if err := c.cpfs.Write(CacheFileName, h.CacheOff, h.Len, sim.PriorityHigh, seg, cb); err != nil {
@@ -725,11 +406,11 @@ func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, 
 	}
 
 	for _, g := range gaps {
-		if c.admitWriteConc(sh, file, g.Off, g.Len, benefit) {
+		if c.admitWrite(sh, file, g.Off, g.Len, benefit) {
 			if faulty && c.degradedNow() {
 				sh.stats.failovers.Add(1)
 			} else {
-				c.absorbWriteConc(sh, shardIdx, file, g.Off, g.Len, slice(data, off, g.Off, g.Len), j, faulty)
+				c.absorbWrite(sh, shardIdx, file, g.Off, g.Len, slice(data, off, g.Off, g.Len), j, faulty)
 				continue
 			}
 		}
@@ -778,7 +459,7 @@ func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, do
 		if faulty && c.cpfs.RangeDown(h.CacheOff, h.Len) {
 			// Only up-to-date copy is dirty data on a crashed, restarting
 			// CServer: park until the restart.
-			c.deferReadConc(sh, file, h.Off, h.Len, slice(buf, off, h.Off, h.Len), j.sub)
+			c.deferRead(sh, file, h.Off, h.Len, slice(buf, off, h.Off, h.Len), j.sub)
 			continue
 		}
 		sh.stats.segReadsCache.Add(1)
@@ -820,7 +501,7 @@ func (c *Concurrent) readPinned(file string, off int64, buf []byte, h dmt.Hit, j
 		}
 		// A crash raced the in-flight read (faulty may flip after
 		// issue): resolve through the degraded-mode rerouter.
-		c.readFailedConc(err, file, h.Off, h.Len, seg, j.sub)
+		c.readFailed(err, file, h.Off, h.Len, seg, j.sub)
 	}
 	if err := c.cpfs.Read(CacheFileName, h.CacheOff, h.Len, sim.PriorityHigh, seg, cb); err != nil {
 		c.space.Unpin(h.CacheOff, h.Len)
@@ -828,59 +509,11 @@ func (c *Concurrent) readPinned(file string, off int64, buf []byte, h dmt.Hit, j
 	}
 }
 
-// identify runs the Data Identifier on the shard's tracker and reports
-// the benefit and whether the request was recorded in the CDT, as the
-// sequential engine's. Cost-model state is keyed by (file, rank) and
-// files map to exactly one shard, so per-shard trackers produce the same
-// decisions as one global tracker. Caller holds the shard mutex, which
-// guards the tracker and the shard's CDT.
-func (c *Concurrent) identify(sh *cshard, rank int, file string, off, size int64, write bool) (time.Duration, bool) {
-	sh.stats.identified.Add(1)
-	if c.policy == PolicyLocality {
-		if sh.locality.Touch(file, off, size) {
-			sh.stats.critical.Add(1)
-			sh.cdt.Add(file, off, size)
-			return time.Nanosecond, true
-		}
-		return 0, false
-	}
-	dist := sh.tracker.Observe(costmodel.StreamKey{File: file, Rank: rank}, off, size)
-	benefit := c.model.Benefit(costmodel.Request{Offset: off, Size: size, Distance: dist})
-	if c.chz != nil {
-		// Atomic accumulation: shards note concurrently.
-		c.chz.Note(write, dist, file, off, size, benefit)
-	}
-	if benefit > c.threshold() {
-		sh.stats.critical.Add(1)
-		if c.policy != PolicyNone {
-			sh.cdt.Add(file, off, size)
-			return benefit, true
-		}
-	}
-	return benefit, false
-}
-
-func (c *Concurrent) admitWriteConc(sh *cshard, file string, off, length int64, benefit time.Duration) bool {
-	if c.recovering.Load() {
-		// Degraded until warm: pending recovered extents still own their
-		// cache ranges, so nothing new is admitted.
-		return false
-	}
-	switch c.policy {
-	case PolicyNone:
-		return false
-	case PolicyAll:
-		return true
-	default:
-		return benefit > c.threshold() || sh.cdt.Contains(file, off, length)
-	}
-}
-
-// absorbWriteConc allocates cache space in the shard's region for a
-// critical write miss and writes the segment to the CServers. Runs under
-// the shard mutex; all eviction victims belong to this shard, so their
-// mapping deletions are race-free.
-func (c *Concurrent) absorbWriteConc(sh *cshard, shardIdx int, file string, off, length int64, data []byte, j *conJoin, faulty bool) {
+// absorbWrite allocates cache space in the shard's region for a critical
+// write miss and writes the segment to the CServers. Runs under the shard
+// mutex; all eviction victims belong to this shard, so their mapping
+// deletions are race-free.
+func (c *Concurrent) absorbWrite(sh *cshard, shardIdx int, file string, off, length int64, data []byte, j *conJoin, faulty bool) {
 	// Eviction victims have their DMT mappings dropped by the cachespace
 	// eviction hook, under the region mutex and before the bytes rejoin
 	// the free pool (unmap-before-free, DESIGN.md §12).
@@ -922,7 +555,7 @@ func (c *Concurrent) absorbWriteConc(sh *cshard, shardIdx int, file string, off,
 					sub.sub(nil)
 					return
 				}
-				c.absorbFailedConc(file, pos, fr.Len, fr.CacheOff, seg, sub.sub)
+				c.absorbFailed(file, pos, fr.Len, fr.CacheOff, seg, sub.sub)
 			}
 		}
 		if err := c.cpfs.Write(CacheFileName, fr.CacheOff, fr.Len, sim.PriorityHigh, seg, cb); err != nil {
@@ -930,72 +563,4 @@ func (c *Concurrent) absorbWriteConc(sh *cshard, shardIdx int, file string, off,
 		}
 		pos += fr.Len
 	}
-}
-
-// Stats aggregates per-shard serve counters, Rebuilder atomics and the
-// degraded-time accumulator into one snapshot. The per-shard counters are
-// atomics, so no shard lock is taken; the snapshot is not a single
-// instant — fine for reports and tests that quiesce first.
-func (c *Concurrent) Stats() Stats {
-	var st Stats
-	for i := range c.shards {
-		c.shards[i].stats.addTo(&st)
-	}
-	st.RebuildCycles = c.rebuildCycles.Load()
-	st.Flushes = c.flushes.Load()
-	st.FlushRetries = c.flushRetries.Load()
-	st.Fetches = c.fetches.Load()
-	st.FetchFailures = c.fetchFailures.Load()
-	st.FetchRetries = c.fetchRetries.Load()
-	st.BytesFlushed = c.bytesFlushed.Load()
-	st.BytesFetched = c.bytesFetched.Load()
-	st.EpochsPruned = c.epochsPruned.Load()
-	c.downMu.Lock()
-	st.DegradedTime = c.degradedTime
-	if len(c.downC) > 0 {
-		st.DegradedTime += c.clock.Now() - c.degradedSince
-	}
-	c.downMu.Unlock()
-	st.CachePolicy = c.space.PolicyName()
-	st.CacheTouches = c.space.Touches()
-	st.CacheEvictions = c.space.Evictions()
-	st.PolicyAdmitRejected = c.space.AdmitRejected()
-	pc := c.space.PolicyCounters()
-	st.PolicyGhostHits = pc.GhostHits
-	st.PolicyPromotions = pc.Promotions
-	st.PolicySwaps = c.policySwaps.Load()
-	st.AdaptTicks = c.adaptTicks.Load()
-	st.PolicyQueueLen = c.space.PolicyQueueLen()
-	st.Snapshots = c.snapshots.Load()
-	st.SnapshotRecords = c.snapshotRecords.Load()
-	st.RecoveredDirty = c.recoveredDirty.Load()
-	st.RecoveredClean = c.recoveredClean.Load()
-	st.RecoveredBytes = c.recoveredBytes.Load()
-	st.QuarantinedRecords = c.quarRecords.Load()
-	st.QuarantinedBytes = c.quarBytes.Load()
-	st.RecoverySuperseded = c.superseded.Load()
-	st.ResidencyDrift = c.residencyDrift.Load()
-	st.CDTRestored = c.cdtRestored.Load()
-	st.Recovering = c.recovering.Load()
-	st.TimeToWarm = time.Duration(c.timeToWarm.Load())
-	st.MetaFaultIns = c.metaFaultIns.Load()
-	c.eachShard(func(_ int, sh *cshard) bool {
-		ds := sh.dmt.Stats()
-		st.MetaResidentBytes += ds.ResidentBytes
-		st.MetaMemoryBytes += ds.MemoryBytes
-		st.MetaSpilledFiles += ds.SpilledFiles
-		st.MetaSpills += ds.Spills
-		st.MetaFaultInsTable += ds.FaultIns
-		st.MetaSpillQuarantined += ds.SpillQuarantined
-		return true
-	})
-	if c.metaStore != nil {
-		ms := c.metaStore.Stats()
-		st.WALReplays = uint64(ms.RecoveredRecords)
-		st.MetaGroupCommits = ms.GroupCommits
-		st.MetaGroupedRecords = ms.GroupedRecords
-		st.MetaTornWALBytes = ms.TornWALBytes
-		st.MetaSnapQuarantined = ms.SnapQuarantined
-	}
-	return st
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"s4dcache/internal/cdt"
+	"s4dcache/internal/chunkstore"
 	"s4dcache/internal/costmodel"
 	"s4dcache/internal/device"
 	"s4dcache/internal/dmt"
@@ -51,19 +52,11 @@ func newConcTestbedCfg(t *testing.T, shards int, functional, faulty bool, mutate
 	}
 	opfs := mkWall("OPFS", 8)
 	cpfs := mkWall("CPFS", 4)
-	curve, err := device.ProfileSeekCurve(device.NewHDD(device.DefaultHDDParams()), device.DefaultProfileConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := costmodel.Calibrate(device.DefaultHDDParams(), device.DefaultSSDParams(), netmodel.Gigabit(), curve)
-	model.M = 8
-	model.N = 4
-	model.Stripe = 16 << 10
 	cfg := ConcurrentConfig{
 		Clock:         clock,
 		OPFS:          opfs,
 		CPFS:          cpfs,
-		Model:         model,
+		Model:         concModel(t),
 		CacheCapacity: 256 << 20,
 		Concurrency:   shards,
 		Faulty:        faulty,
@@ -80,6 +73,26 @@ func newConcTestbedCfg(t *testing.T, shards int, functional, faulty bool, mutate
 	}
 	t.Cleanup(eng.Close)
 	return &concTestbed{clock: clock, opfs: opfs, cpfs: cpfs, eng: eng}
+}
+
+// concModel is the concurrent testbeds' cost model: calibrated devices
+// over 8 DServers and 4 CServers with 16 KiB stripes.
+func concModel(t *testing.T) costmodel.Params {
+	t.Helper()
+	curve, err := device.ProfileSeekCurve(device.NewHDD(device.DefaultHDDParams()), device.DefaultProfileConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := costmodel.Calibrate(device.DefaultHDDParams(), device.DefaultSSDParams(), netmodel.Gigabit(), curve)
+	model.M = 8
+	model.N = 4
+	model.Stripe = 16 << 10
+	return model
+}
+
+// target is the testbed as an equivalence-oracle driver.
+func (tb *concTestbed) target() eqTarget {
+	return eqTarget{eng: tb.eng, core: &tb.eng.engine, opfs: tb.opfs, await: await}
 }
 
 // dmtLookup looks [off, off+length) of file up in its shard's DMT.
@@ -118,9 +131,25 @@ const (
 
 func eqFile(rank int) string { return fmt.Sprintf("eq%02d", rank) }
 
+// eqTarget is one driver of the shared engine under the equivalence
+// oracle: its serve surface, its shared state, its DServers, and how to
+// wait for a request on its clock.
+type eqTarget struct {
+	eng interface {
+		Write(rank int, file string, off, size int64, data []byte, done func(error)) error
+		Read(rank int, file string, off, size int64, buf []byte, done func(error)) error
+		DrainRebuild(done func())
+		RebuildPending() bool
+	}
+	core *engine
+	opfs Backend
+	// await issues fn and blocks until its completion has run.
+	await func(t *testing.T, fn func(done func(error)) error)
+}
+
 // runEquivalenceRank replays rank's seeded op sequence, one op outstanding
 // at a time, maintaining the expected byte image of its write region.
-func runEquivalenceRank(t *testing.T, tb *concTestbed, rank int, expect []byte) {
+func runEquivalenceRank(t *testing.T, tb eqTarget, rank int, expect []byte) {
 	rng := rand.New(rand.NewSource(int64(1000 + rank)))
 	file := eqFile(rank)
 	for i := 0; i < eqOps; i++ {
@@ -130,13 +159,13 @@ func runEquivalenceRank(t *testing.T, tb *concTestbed, rank int, expect []byte) 
 			data := make([]byte, size)
 			rng.Read(data)
 			copy(expect[off:], data)
-			await(t, func(done func(error)) error {
+			tb.await(t, func(done func(error)) error {
 				return tb.eng.Write(rank, file, off, size, data, done)
 			})
 		} else {
 			roff := eqWriteSpan + rng.Int63n(eqReadSpan-32<<10)
 			buf := make([]byte, size)
-			await(t, func(done func(error)) error {
+			tb.await(t, func(done func(error)) error {
 				return tb.eng.Read(rank, file, roff, size, buf, done)
 			})
 		}
@@ -159,13 +188,13 @@ type eqExtent struct {
 // sequential and concurrent runs. Cache offsets are deliberately excluded:
 // allocation order (and thus placement) is schedule-dependent; the
 // file-space mapping and the bytes are not.
-func captureEqState(t *testing.T, tb *concTestbed) eqState {
+func captureEqState(t *testing.T, tb eqTarget) eqState {
 	t.Helper()
 	st := eqState{dmtExtents: make(map[string][]eqExtent), data: make(map[string][]byte)}
-	for _, h := range tb.eng.DMT().CleanExtents(0) {
+	for _, h := range (DMTView{tb.core}).CleanExtents(0) {
 		st.dmtExtents[h.File] = append(st.dmtExtents[h.File], eqExtent{h.Off, h.Len, false})
 	}
-	for _, h := range tb.eng.DMT().DirtyExtents(0) {
+	for _, h := range (DMTView{tb.core}).DirtyExtents(0) {
 		st.dmtExtents[h.File] = append(st.dmtExtents[h.File], eqExtent{h.Off, h.Len, true})
 	}
 	for file, exts := range st.dmtExtents {
@@ -182,7 +211,7 @@ func captureEqState(t *testing.T, tb *concTestbed) eqState {
 		}
 		st.dmtExtents[file] = merged
 	}
-	st.cdtExtents = tb.eng.CDT().Extents()
+	st.cdtExtents = CDTView{tb.core}.Extents()
 	sort.Slice(st.cdtExtents, func(i, j int) bool {
 		a, b := st.cdtExtents[i], st.cdtExtents[j]
 		if a.File != b.File {
@@ -194,7 +223,7 @@ func captureEqState(t *testing.T, tb *concTestbed) eqState {
 		file := eqFile(r)
 		size := eqWriteSpan + eqReadSpan
 		buf := make([]byte, size)
-		await(t, func(done func(error)) error {
+		tb.await(t, func(done func(error)) error {
 			return tb.eng.Read(r, file, 0, size, buf, done)
 		})
 		st.data[file] = buf
@@ -207,7 +236,7 @@ func captureEqState(t *testing.T, tb *concTestbed) eqState {
 // independent, so plain rank order is the canonical serial schedule) when
 // parallel is false, or with one goroutine per rank when true. Returns the
 // final state and the expected write-region images.
-func runEquivalenceWorkload(t *testing.T, tb *concTestbed, parallel bool) (eqState, map[string][]byte) {
+func runEquivalenceWorkload(t *testing.T, tb eqTarget, parallel bool) (eqState, map[string][]byte) {
 	// Seed every rank's read region with a deterministic pattern through
 	// the OPFS directly, so reads return real bytes and lazy fetches have
 	// content to move.
@@ -216,7 +245,7 @@ func runEquivalenceWorkload(t *testing.T, tb *concTestbed, parallel bool) (eqSta
 		img := make([]byte, eqWriteSpan+eqReadSpan)
 		rng := rand.New(rand.NewSource(int64(7000 + r)))
 		rng.Read(img[eqWriteSpan:])
-		await(t, func(done func(error)) error {
+		tb.await(t, func(done func(error)) error {
 			return tb.opfs.Write(eqFile(r), eqWriteSpan, eqReadSpan, sim.PriorityHigh, img[eqWriteSpan:], done)
 		})
 		expect[eqFile(r)] = img
@@ -237,12 +266,14 @@ func runEquivalenceWorkload(t *testing.T, tb *concTestbed, parallel bool) (eqSta
 		}
 	}
 	// Drain: flush all dirty data, fetch all flagged ranges.
-	ch := make(chan struct{})
-	tb.eng.DrainRebuild(func() { close(ch) })
-	<-ch
+	tb.await(t, func(done func(error)) error {
+		tb.eng.DrainRebuild(func() { done(nil) })
+		return nil
+	})
 	if tb.eng.RebuildPending() {
 		t.Fatal("rebuild still pending after drain")
 	}
+	checkInvariants(t, tb.core)
 	return captureEqState(t, tb), expect
 }
 
@@ -252,48 +283,117 @@ func runEquivalenceWorkload(t *testing.T, tb *concTestbed, parallel bool) (eqSta
 // DMT coverage (offsets/lengths/dirty, cache placement excluded), CDT
 // contents, and every byte of every file read back through the engine.
 func TestConcurrentEquivalence(t *testing.T) {
-	seqTB := newConcTestbed(t, 1, true, false)
-	seqState, expect := runEquivalenceWorkload(t, seqTB, false)
+	seqState, expect := runEquivalenceWorkload(t, newConcTestbed(t, 1, true, false).target(), false)
 
 	for _, shards := range []int{3, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			conTB := newConcTestbed(t, shards, true, false)
-			conState, _ := runEquivalenceWorkload(t, conTB, true)
-
-			// DMT coverage.
-			if len(seqState.dmtExtents) != len(conState.dmtExtents) {
-				t.Fatalf("DMT file count: sequential %d, concurrent %d", len(seqState.dmtExtents), len(conState.dmtExtents))
-			}
-			for file, seqExts := range seqState.dmtExtents {
-				conExts := conState.dmtExtents[file]
-				if len(seqExts) != len(conExts) {
-					t.Fatalf("%s: DMT extent count %d vs %d\nseq: %+v\ncon: %+v", file, len(seqExts), len(conExts), seqExts, conExts)
-				}
-				for i := range seqExts {
-					if seqExts[i] != conExts[i] {
-						t.Fatalf("%s: DMT extent %d: %+v vs %+v", file, i, seqExts[i], conExts[i])
-					}
-				}
-			}
-			// CDT contents.
-			if len(seqState.cdtExtents) != len(conState.cdtExtents) {
-				t.Fatalf("CDT extent count: %d vs %d", len(seqState.cdtExtents), len(conState.cdtExtents))
-			}
-			for i := range seqState.cdtExtents {
-				if seqState.cdtExtents[i] != conState.cdtExtents[i] {
-					t.Fatalf("CDT extent %d: %+v vs %+v", i, seqState.cdtExtents[i], conState.cdtExtents[i])
-				}
-			}
-			// Every byte of every file, via the engine, against the local replay.
-			for file, img := range expect {
-				if !bytes.Equal(seqState.data[file], img) {
-					t.Fatalf("%s: sequential read-back diverges from replay", file)
-				}
-				if !bytes.Equal(conState.data[file], img) {
-					t.Fatalf("%s: concurrent read-back diverges from replay", file)
-				}
-			}
+			conState, _ := runEquivalenceWorkload(t, newConcTestbed(t, shards, true, false).target(), true)
+			compareEqState(t, "sequential", seqState, "concurrent", conState, expect)
 		})
+	}
+}
+
+// TestDriverEquivalence runs the equivalence script, one op outstanding
+// at a time, through S4D on a virtual-time testbed and through a
+// one-shard Concurrent on the wall clock. The two drivers share the
+// engine's state and rules but keep their own event order (joins,
+// Rebuilder cycle, fetch fan-out); quiesced, they must agree on DMT
+// coverage, CDT contents and every byte read back.
+func TestDriverEquivalence(t *testing.T) {
+	conState, expect := runEquivalenceWorkload(t, newConcTestbed(t, 1, true, false).target(), false)
+	simState, _ := runEquivalenceWorkload(t, newEqSimTarget(t), false)
+	if len(simState.dmtExtents) == 0 || len(simState.cdtExtents) == 0 {
+		t.Fatal("the script left no DMT mappings or CDT extents to compare")
+	}
+	compareEqState(t, "Concurrent", conState, "S4D", simState, expect)
+}
+
+// newEqSimTarget is S4D on a virtual-time testbed shaped like
+// newConcTestbed's: 8 DServers and 4 CServers with 16 KiB stripes, payload
+// stores, the same cost model and cache capacity, lazy fetch.
+func newEqSimTarget(t *testing.T) eqTarget {
+	t.Helper()
+	eng := sim.NewEngine()
+	mkFS := func(label string, servers int, dev func(int) device.Device) *pfs.FS {
+		fs, err := pfs.New(pfs.Config{
+			Label:     label,
+			Layout:    pfs.Layout{Servers: servers, StripeSize: 16 << 10},
+			Engine:    eng,
+			NewDevice: dev,
+			NewStore:  func(int) chunkstore.Store { return chunkstore.NewSparse() },
+			Net:       netmodel.Gigabit(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	opfs := mkFS("OPFS", 8, func(i int) device.Device {
+		p := device.DefaultHDDParams()
+		p.Seed = int64(i + 1)
+		return device.NewHDD(p)
+	})
+	cpfs := mkFS("CPFS", 4, func(int) device.Device { return device.NewSSD(device.DefaultSSDParams()) })
+	s, err := New(Config{
+		Engine: eng, OPFS: opfs, CPFS: cpfs, Model: concModel(t),
+		CacheCapacity: 256 << 20, LazyFetch: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eqTarget{eng: s, core: &s.engine, opfs: opfs, await: func(t *testing.T, fn func(done func(error)) error) {
+		t.Helper()
+		var got error
+		fired := false
+		if err := fn(func(err error) { got, fired = err, true }); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if !fired {
+			t.Fatal("request never completed")
+		}
+		if got != nil {
+			t.Fatal(got)
+		}
+	}}
+}
+
+// compareEqState requires two final states to agree with each other and
+// their read-back bytes with the local replay.
+func compareEqState(t *testing.T, nameA string, a eqState, nameB string, b eqState, expect map[string][]byte) {
+	t.Helper()
+	// DMT coverage.
+	if len(a.dmtExtents) != len(b.dmtExtents) {
+		t.Fatalf("DMT file count: %s %d, %s %d", nameA, len(a.dmtExtents), nameB, len(b.dmtExtents))
+	}
+	for file, aExts := range a.dmtExtents {
+		bExts := b.dmtExtents[file]
+		if len(aExts) != len(bExts) {
+			t.Fatalf("%s: DMT extent count %d vs %d\n%s: %+v\n%s: %+v", file, len(aExts), len(bExts), nameA, aExts, nameB, bExts)
+		}
+		for i := range aExts {
+			if aExts[i] != bExts[i] {
+				t.Fatalf("%s: DMT extent %d: %+v vs %+v", file, i, aExts[i], bExts[i])
+			}
+		}
+	}
+	// CDT contents.
+	if len(a.cdtExtents) != len(b.cdtExtents) {
+		t.Fatalf("CDT extent count: %d vs %d", len(a.cdtExtents), len(b.cdtExtents))
+	}
+	for i := range a.cdtExtents {
+		if a.cdtExtents[i] != b.cdtExtents[i] {
+			t.Fatalf("CDT extent %d: %+v vs %+v", i, a.cdtExtents[i], b.cdtExtents[i])
+		}
+	}
+	// Every byte of every file, via the engine, against the local replay.
+	for file, img := range expect {
+		if !bytes.Equal(a.data[file], img) {
+			t.Fatalf("%s: %s read-back diverges from replay", file, nameA)
+		}
+		if !bytes.Equal(b.data[file], img) {
+			t.Fatalf("%s: %s read-back diverges from replay", file, nameB)
+		}
 	}
 }
 
@@ -382,6 +482,7 @@ func TestConcurrentTortureCrashRestart(t *testing.T) {
 	if tb.cpfs.AnyServerDown() {
 		t.Fatal("CServer left down at exit")
 	}
+	checkInvariants(t, &tb.eng.engine)
 }
 
 // lateClock times the engine's periodic callbacks: each After of at
@@ -470,16 +571,6 @@ func TestConcurrentPeriodicRebuildUnderLoad(t *testing.T) {
 		len(late), late[len(late)/2], late[len(late)-1], st.RebuildCycles, st.Flushes)
 }
 
-// TestConcurrentRejectedBySequentialNew pins the Config guard: the
-// deterministic constructor must refuse concurrent requests.
-func TestConcurrentRejectedBySequentialNew(t *testing.T) {
-	eng := sim.NewEngine()
-	_, err := New(Config{Engine: eng, Concurrency: 4})
-	if err == nil {
-		t.Fatal("New accepted Concurrency=4")
-	}
-}
-
 // TestConcurrentReadEvictionChurn hammers the read path while the cache
 // is too small for the working set, so allocations continuously evict
 // mappings of files other clients are reading. Run under -race this is
@@ -554,4 +645,5 @@ func TestConcurrentReadEvictionChurn(t *testing.T) {
 	if tb.eng.Space().Evictions() == 0 {
 		t.Fatal("no evictions occurred; churn test exercises nothing")
 	}
+	checkInvariants(t, &tb.eng.engine)
 }

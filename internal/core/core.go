@@ -28,12 +28,9 @@ import (
 	"s4dcache/internal/cdt"
 	"s4dcache/internal/costmodel"
 	"s4dcache/internal/dmt"
-	"s4dcache/internal/extent"
 	"s4dcache/internal/kvstore"
-	"s4dcache/internal/names"
 	"s4dcache/internal/pfs"
 	"s4dcache/internal/sim"
-	"s4dcache/internal/staterec"
 )
 
 // CacheFileName is the shared cache file on the CPFS. The paper creates
@@ -109,14 +106,6 @@ type Config struct {
 	// Rebuilder fetches them later; when false, read misses are cached
 	// eagerly in the request path (ablation).
 	LazyFetch bool
-	// Concurrency selects the engine build. Values <= 1 (the default)
-	// build the deterministic single-threaded simulator engine here;
-	// values > 1 request the sharded concurrent engine, which runs on a
-	// wall clock and goroutine-safe backends — use NewConcurrent with a
-	// ConcurrentConfig for that. New rejects Concurrency > 1 so the
-	// virtual-time experiment tables can never silently pick up a
-	// nondeterministic serve path.
-	Concurrency int
 	// CachePolicy selects the cache-space eviction/admission policy by
 	// name (cachespace.PolicyNames). Empty means the clean-LRU default.
 	CachePolicy string
@@ -142,83 +131,41 @@ type Config struct {
 	RecoverBatch int
 }
 
-// S4D is one S4D-Cache instance.
+// S4D is one S4D-Cache instance: the virtual-time driver of the shared
+// engine. It owns one shard — the whole DMT, CDT and cost-model state —
+// and a one-region cache space, and keeps only the code that fixes the
+// deterministic event order of the paper's experiments: the pooled
+// request join that fires through the engine, the read fan-out order
+// (hits, then gaps, no pins), the whole-cycle Rebuilder with in-flight
+// fetch dedup, recovery pacing, metadata I/O charging and eager fetch
+// (DESIGN.md §11).
 type S4D struct {
-	eng     *sim.Engine
-	opfs    *pfs.FS
-	cpfs    *pfs.FS
-	model   costmodel.Params
-	policy  AdmissionPolicy
-	lazy    bool
-	tracker *costmodel.Tracker
-	cdt     *cdt.Table
-	dmt     *dmt.Table
-	space   *cachespace.Manager
+	engine
+	eng *sim.Engine
+	// sh is the one shard (engine.shards[0]).
+	sh   *cshard
+	lazy bool
 
-	// Adaptive policy engine (characterizer.go). admitThreshold is the
-	// live criticality threshold: initialized from the model's
-	// CriticalThreshold and retuned each adaptTick when adaptation is
-	// on. cacheCap and baseCDTMax remember the configured sizes the
-	// engine adapts around.
-	cacheCap       int64
-	baseCDTMax     int64
-	admitThreshold time.Duration
-	chz            *Characterizer
-	adaptTicker    *sim.Ticker
-
-	rebuildBatch   int
 	ticker         *sim.Ticker
+	adaptTicker    *sim.Ticker
+	snapTicker     *sim.Ticker
 	rebuildBusy    bool
 	rebuildWaiters []func()
-	// fileEpoch is keyed by the shared arena's dense file id — the same
-	// interning the DMT and CDT use — so per-file bookkeeping never
-	// duplicates name bytes (16B string headers become 4B ids).
-	fileEpoch map[uint32]uint64
-	arena     *names.Arena
-	// dmtOpts is the table option set New built (arena, budget, hooks);
-	// beginRecovery reuses it when it swaps in the post-replay table.
-	dmtOpts       []dmt.Option
-	locality      *localityTracker
-	metaOff       int64
-	chargeMeta    bool
-	inFlightFetch map[string]bool
-	metaStore     *kvstore.Store
+	inFlightFetch  map[string]bool
 
-	// Fault state (see faulty.go). faulty is set at construction when
-	// either pfs instance carries a fault plan (sub-requests issued before
-	// the first failure must already route through the failover wrappers);
-	// healthy testbeds pay one false bool check on the serve path.
-	faulty        bool
-	downC         map[int]bool
-	degradedSince time.Duration
-	deferred      []deferredRead
+	// Metadata I/O charging: DMT commits and fault-ins issue CPFS I/O
+	// when chargeMeta is set (ChargeMetaIO with a MetaStore).
+	chargeMeta            bool
+	metaOff               int64
+	metaWrites, metaReads uint64
 
-	// Warm-restart state (recovery.go). recovering gates admissions and
-	// Rebuilder fetches until the clean-extent queue drains; the pending
-	// maps exist only during recovery.
-	recovering    bool
-	recoverQueue  []*pendingExt
-	recoverByFile map[string][]*pendingExt
-	recoverBatch  int
-	recoverStart  time.Duration
-	recCrits      []staterec.Critical
-	snapEpoch     uint64
-	snap          snapWriter
-	snapTicker    *sim.Ticker
+	// recoverFiles lists the files with pending recovered clean extents
+	// (sh.pending), in replay order; recoverStep drains them in batches.
+	recoverFiles []string
 
-	// hitsBuf/gapsBuf are the serve path's reusable DMT lookup buffers.
-	// Serve calls never nest (completions run from engine events), so one
-	// pair per instance is safe.
-	hitsBuf []dmt.Hit
-	gapsBuf []extent.Gap
-	// insertsBuf is absorbWrite's reusable fragment-mapping scratch
-	// (InsertBatch does not retain it).
-	insertsBuf []dmt.FragmentInsert
 	// joinPool recycles per-request segment countdowns; in-flight joins are
 	// simply absent from the pool until their last segment completes.
 	joinPool []*reqJoin
-
-	stats Stats
 }
 
 // reqJoin is the pooled per-request countdown of the serve path: it joins
@@ -279,108 +226,56 @@ func New(cfg Config) (*S4D, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("core: engine is required")
 	}
-	if cfg.Concurrency > 1 {
-		return nil, fmt.Errorf("core: Concurrency=%d requires the concurrent engine; use NewConcurrent", cfg.Concurrency)
-	}
 	if cfg.OPFS == nil || cfg.CPFS == nil {
 		return nil, fmt.Errorf("core: OPFS and CPFS are required")
 	}
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.CacheCapacity <= 0 {
-		return nil, fmt.Errorf("core: cache capacity must be positive, got %d", cfg.CacheCapacity)
-	}
-	var space *cachespace.Manager
-	var err error
-	if cfg.CachePolicy != "" {
-		pol, perr := cachespace.NewPolicy(cfg.CachePolicy, cfg.CacheCapacity)
-		if perr != nil {
-			return nil, fmt.Errorf("core: %w", perr)
-		}
-		space, err = cachespace.NewWithPolicy(cfg.CacheCapacity, pol)
-	} else {
-		space, err = cachespace.New(cfg.CacheCapacity)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.Policy == 0 {
-		cfg.Policy = PolicyBenefit
-	}
-	if cfg.RebuildBatch <= 0 {
-		cfg.RebuildBatch = 64
-	}
-	if cfg.RecoverBatch <= 0 {
-		cfg.RecoverBatch = defaultRecoverBatch
-	}
-	if (cfg.WarmRestart || cfg.SnapshotPeriod > 0) && cfg.MetaStore == nil {
-		return nil, fmt.Errorf("core: WarmRestart/SnapshotPeriod require MetaStore")
-	}
-	if cfg.MetaBudget > 0 && cfg.MetaStore == nil {
-		return nil, fmt.Errorf("core: MetaBudget requires MetaStore")
-	}
-	// One arena interns every file name once, shared by the DMT, the CDT
-	// and the per-file epoch map.
-	arena := names.NewArena()
 	s := &S4D{
-		eng:            cfg.Engine,
-		opfs:           cfg.OPFS,
-		cpfs:           cfg.CPFS,
-		model:          cfg.Model,
-		policy:         cfg.Policy,
-		lazy:           cfg.LazyFetch,
-		tracker:        costmodel.NewTracker(),
-		cdt:            cdt.New(cfg.CDTMaxBytes, cdt.WithArena(arena)),
-		space:          space,
-		cacheCap:       cfg.CacheCapacity,
-		baseCDTMax:     cfg.CDTMaxBytes,
-		admitThreshold: cfg.Model.CriticalThreshold,
-		rebuildBatch:   cfg.RebuildBatch,
-		fileEpoch:      make(map[uint32]uint64),
-		arena:          arena,
-		chargeMeta:     cfg.ChargeMetaIO && cfg.MetaStore != nil,
-		inFlightFetch:  make(map[string]bool),
-		metaStore:      cfg.MetaStore,
-		faulty:         cfg.OPFS.Faulty() || cfg.CPFS.Faulty(),
-		downC:          make(map[int]bool),
-		recoverBatch:   cfg.RecoverBatch,
+		eng:           cfg.Engine,
+		lazy:          cfg.LazyFetch,
+		chargeMeta:    cfg.ChargeMetaIO && cfg.MetaStore != nil,
+		inFlightFetch: make(map[string]bool),
 	}
-	s.dmtOpts = []dmt.Option{
-		dmt.WithArena(arena),
-		// Fault-in reads are metadata I/O: charge them like commits, in
-		// extent-record units (s is fully built before any table op runs).
-		dmt.WithFaultIO(func(n int) { s.chargeMetaFaultIn(n) }),
+	err := s.init(engineConfig{
+		clock:        cfg.Engine,
+		opfs:         cfg.OPFS,
+		cpfs:         cfg.CPFS,
+		model:        cfg.Model,
+		capacity:     cfg.CacheCapacity,
+		cdtMax:       cfg.CDTMaxBytes,
+		shards:       1,
+		policy:       cfg.Policy,
+		cachePolicy:  cfg.CachePolicy,
+		rebuildBatch: cfg.RebuildBatch,
+		metaStore:    cfg.MetaStore,
+		metaBudget:   cfg.MetaBudget,
+		spillRead:    cfg.SpillRead,
+		adaptive:     cfg.AdaptivePeriod > 0,
+		snapshot:     cfg.SnapshotPeriod > 0,
+		warm:         cfg.WarmRestart,
+		recoverBatch: cfg.RecoverBatch,
+		// Sub-requests issued before the first failure must already route
+		// through the failover wrappers; healthy testbeds pay one false
+		// check on the serve path.
+		faulty: cfg.OPFS.Faulty() || cfg.CPFS.Faulty(),
+	}, s)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MetaBudget > 0 {
-		s.dmtOpts = append(s.dmtOpts, dmt.WithMetaBudget(cfg.MetaBudget))
-	}
-	if cfg.SpillRead != nil {
-		s.dmtOpts = append(s.dmtOpts, dmt.WithSpillRead(cfg.SpillRead))
-	}
-	table := dmt.New(s.dmtOpts...)
-	if cfg.MetaStore != nil && !cfg.WarmRestart {
-		// With WarmRestart the log replays through the recovery path below
-		// instead, installing only verified extents.
-		table, err = dmt.Open(cfg.MetaStore, s.dmtOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("core: open DMT: %w", err)
-		}
-	}
-	s.dmt = table
-	if cfg.Policy == PolicyLocality {
-		s.locality = newLocalityTracker(0, 0)
-	}
+	s.sh = &s.shards[0]
 	if cfg.WarmRestart {
-		if err := s.beginRecovery(cfg.MetaStore); err != nil {
+		files, err := s.stageRecovery()
+		if err != nil {
 			return nil, err
+		}
+		if len(files) > 0 {
+			s.recoverFiles = files
+			s.eng.After(recoverStepDelay, s.recoverStep)
 		}
 	}
 	if cfg.RebuildPeriod > 0 {
 		s.ticker = cfg.Engine.Every(cfg.RebuildPeriod, func() { s.RebuildNow(nil) })
 	}
 	if cfg.AdaptivePeriod > 0 {
-		s.chz = NewCharacterizer()
 		s.adaptTicker = cfg.Engine.Every(cfg.AdaptivePeriod, s.adaptTick)
 	}
 	if cfg.SnapshotPeriod > 0 {
@@ -405,46 +300,21 @@ func (s *S4D) Close() {
 	}
 }
 
-// adaptTick is one adaptation step: snapshot the characterizer window,
-// swap the cache policy if the profile calls for a different one, and
-// retune the criticality threshold and CDT bound (DESIGN.md §13.4).
-// It runs from the engine ticker in virtual time, so it is serialized
-// with the serve path and fully deterministic.
-func (s *S4D) adaptTick() {
-	s.stats.AdaptTicks++
-	prof := s.chz.SnapshotReset()
-	if prof.Total() == 0 {
-		return
-	}
-	if name := ChoosePolicy(prof, s.cacheCap, s.space.PolicyName()); name != "" && name != s.space.PolicyName() {
-		if pol, err := cachespace.NewPolicy(name, s.cacheCap); err == nil {
-			s.space.SetPolicy(pol)
-			s.stats.PolicySwaps++
-		}
-	}
-	if thrashing(prof, s.cacheCap) {
-		// Cache-defeating scan: only clearly above-typical requests stay
-		// critical, and the CDT is capped so scan extents cannot crowd
-		// out the resident hot set's records.
-		s.admitThreshold = s.model.CriticalThreshold + prof.MeanBenefit
-		s.cdt.SetMaxBytes(s.cacheCap)
-	} else {
-		s.admitThreshold = s.model.CriticalThreshold
-		s.cdt.SetMaxBytes(s.baseCDTMax)
-	}
-}
-
 // DMT exposes the mapping table (read-mostly: reports and tests).
-func (s *S4D) DMT() *dmt.Table { return s.dmt }
+func (s *S4D) DMT() *dmt.Table { return s.sh.dmt }
 
 // CDT exposes the critical data table.
-func (s *S4D) CDT() *cdt.Table { return s.cdt }
+func (s *S4D) CDT() *cdt.Table { return s.sh.cdt }
 
-// Space exposes the cache space manager.
-func (s *S4D) Space() *cachespace.Manager { return s.space }
-
-// Model returns the cost model in use.
-func (s *S4D) Model() costmodel.Params { return s.model }
+// Stats returns a snapshot of the instance counters: the engine's, the
+// charged metadata I/O, and the PFS layers' transient-error retries.
+func (s *S4D) Stats() Stats {
+	st := s.engine.Stats()
+	st.Retries = s.opfs.(*pfs.FS).Stats().Retries + s.cpfs.(*pfs.FS).Stats().Retries
+	st.MetaWrites = s.metaWrites
+	st.MetaReads = s.metaReads
+	return st
+}
 
 // Write intercepts an application write of file[off, off+size) by rank.
 // data may be nil in performance mode. done runs in virtual time when all
@@ -457,45 +327,46 @@ func (s *S4D) Write(rank int, file string, off, size int64, data []byte, done fu
 		s.completeErr(done)
 		return nil
 	}
-	s.stats.Writes++
-	s.stats.BytesWritten += size
-	s.fileEpoch[s.arena.Intern(file)]++
-	if s.recovering {
+	sh := s.sh
+	sh.stats.writes.Add(1)
+	sh.stats.bytesWritten.Add(size)
+	sh.fileEpoch[s.arena.Intern(file)]++
+	if s.recovering.Load() {
 		// The write's bytes supersede any still-queued recovered extents it
 		// overlaps; dropping them durably keeps a crash mid-recovery from
 		// resurrecting the stale cache image over the new data.
-		s.supersedePending(file, off, size)
+		s.supersede(sh, file, off, size)
 	}
 
-	benefit, _ := s.identify(rank, file, off, size, true)
+	benefit, _ := s.identify(sh, rank, file, off, size, true)
 
-	s.hitsBuf, s.gapsBuf = s.dmt.AppendLookup(s.hitsBuf[:0], s.gapsBuf[:0], file, off, size)
-	hits, gaps := s.hitsBuf, s.gapsBuf
+	sh.hitsBuf, sh.gapsBuf = sh.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
+	hits, gaps := sh.hitsBuf, sh.gapsBuf
 	join := s.getJoin(len(hits)+len(gaps), done)
 
 	// DMT hits: the cache holds the range — write there and re-dirty
 	// (Algorithm 1, line 22).
 	for _, h := range hits {
-		if s.faulty && s.cacheRangeDown(h.CacheOff, h.Len) {
+		if s.faulty.Load() && s.cpfs.RangeDown(h.CacheOff, h.Len) {
 			// The cached copy sits on a crashed CServer. The write
 			// supersedes it: drop the mapping and fail the segment over to
 			// the DServers.
-			s.stats.Failovers++
-			if err := s.dmt.Delete(file, h.Off, h.Len); err != nil {
+			sh.stats.failovers.Add(1)
+			if err := sh.dmt.Delete(file, h.Off, h.Len); err != nil {
 				return fmt.Errorf("core: failover unmap: %w", err)
 			}
 			s.space.FreeRange(h.CacheOff, h.Len)
 			s.chargeMetaIO()
-			s.stats.SegWritesDisk++
-			s.stats.BytesWriteDisk += h.Len
+			sh.stats.segWritesDisk.Add(1)
+			sh.stats.bytesWriteDisk.Add(h.Len)
 			if err := s.opfs.Write(file, h.Off, h.Len, sim.PriorityHigh, slice(data, off, h.Off, h.Len), join.doneFn); err != nil {
 				return err
 			}
 			continue
 		}
-		s.stats.SegWritesCache++
-		s.stats.BytesWriteCache += h.Len
-		if err := s.dmt.SetDirty(file, h.Off, h.Len); err != nil {
+		sh.stats.segWritesCache.Add(1)
+		sh.stats.bytesWriteCache.Add(h.Len)
+		if err := sh.dmt.SetDirty(file, h.Off, h.Len); err != nil {
 			return fmt.Errorf("core: set dirty: %w", err)
 		}
 		s.space.MarkDirty(h.CacheOff, h.Len)
@@ -503,7 +374,7 @@ func (s *S4D) Write(rank int, file string, off, size int64, data []byte, done fu
 		s.chargeMetaIO()
 		seg := slice(data, off, h.Off, h.Len)
 		cb := join.doneFn
-		if s.faulty {
+		if s.faulty.Load() {
 			// An aborted cache write leaves a mapping whose bytes never
 			// landed; fail the segment over (fault path — allocation fine).
 			h := h
@@ -524,9 +395,9 @@ func (s *S4D) Write(rank int, file string, off, size int64, data []byte, done fu
 	// While degraded (any CServer down) nothing new is admitted — critical
 	// traffic fails over to the DServers.
 	for _, g := range gaps {
-		if s.admitWrite(file, g.Off, g.Len, benefit) {
-			if s.faulty && s.degraded() {
-				s.stats.Failovers++
+		if s.admitWrite(sh, file, g.Off, g.Len, benefit) {
+			if s.faulty.Load() && s.degradedNow() {
+				sh.stats.failovers.Add(1)
 			} else {
 				if err := s.absorbWrite(file, g.Off, g.Len, slice(data, off, g.Off, g.Len), join); err != nil {
 					return err
@@ -534,8 +405,8 @@ func (s *S4D) Write(rank int, file string, off, size int64, data []byte, done fu
 				continue
 			}
 		}
-		s.stats.SegWritesDisk++
-		s.stats.BytesWriteDisk += g.Len
+		sh.stats.segWritesDisk.Add(1)
+		sh.stats.bytesWriteDisk.Add(g.Len)
 		if err := s.opfs.Write(file, g.Off, g.Len, sim.PriorityHigh, slice(data, off, g.Off, g.Len), join.doneFn); err != nil {
 			return err
 		}
@@ -545,6 +416,8 @@ func (s *S4D) Write(rank int, file string, off, size int64, data []byte, done fu
 
 // Read intercepts an application read of file[off, off+size) by rank. buf
 // may be nil in performance mode; otherwise it is filled by completion.
+// Hits issue before gaps, and no hit is pinned: in virtual time nothing
+// can reclaim the space before the read completes.
 func (s *S4D) Read(rank int, file string, off, size int64, buf []byte, done func(error)) error {
 	if err := checkRange(off, size, buf); err != nil {
 		return err
@@ -553,28 +426,29 @@ func (s *S4D) Read(rank int, file string, off, size int64, buf []byte, done func
 		s.completeErr(done)
 		return nil
 	}
-	s.stats.Reads++
-	s.stats.BytesRead += size
+	sh := s.sh
+	sh.stats.reads.Add(1)
+	sh.stats.bytesRead.Add(size)
 
-	benefit, recorded := s.identify(rank, file, off, size, false)
+	benefit, recorded := s.identify(sh, rank, file, off, size, false)
 
-	s.hitsBuf, s.gapsBuf = s.dmt.AppendLookup(s.hitsBuf[:0], s.gapsBuf[:0], file, off, size)
-	hits, gaps := s.hitsBuf, s.gapsBuf
+	sh.hitsBuf, sh.gapsBuf = sh.dmt.AppendLookup(sh.hitsBuf[:0], sh.gapsBuf[:0], file, off, size)
+	hits, gaps := sh.hitsBuf, sh.gapsBuf
 	join := s.getJoin(len(hits)+len(gaps), done)
 
 	for _, h := range hits {
-		if s.faulty && s.cacheRangeDown(h.CacheOff, h.Len) {
+		if s.faulty.Load() && s.cpfs.RangeDown(h.CacheOff, h.Len) {
 			// The only up-to-date copy is dirty cache data on a crashed
 			// CServer that will restart: park the segment until then.
-			s.deferRead(file, h.Off, h.Len, slice(buf, off, h.Off, h.Len), join.doneFn)
+			s.deferRead(sh, file, h.Off, h.Len, slice(buf, off, h.Off, h.Len), join.doneFn)
 			continue
 		}
-		s.stats.SegReadsCache++
-		s.stats.BytesReadCache += h.Len
+		sh.stats.segReadsCache.Add(1)
+		sh.stats.bytesReadCache.Add(h.Len)
 		s.space.Touch(h.CacheOff, h.Len)
 		seg := slice(buf, off, h.Off, h.Len)
 		cb := join.doneFn
-		if s.faulty {
+		if s.faulty.Load() {
 			// A crash mid-read aborts the sub-request; re-resolve through
 			// the post-crash mapping (fault path — allocation fine).
 			h := h
@@ -591,15 +465,15 @@ func (s *S4D) Read(rank int, file string, off, size int64, buf []byte, done func
 		}
 	}
 	for _, g := range gaps {
-		critical := benefit > s.admitThreshold || s.cdt.Contains(file, g.Off, g.Len)
+		critical := benefit > s.threshold() || sh.cdt.Contains(file, g.Off, g.Len)
 		if critical && s.lazy {
 			// Lazy caching: mark for the Rebuilder (line 18).
 			fr := flagRange(recorded, off, size, g)
-			s.cdt.SetCFlag(file, fr.Off, fr.Len)
-			s.stats.LazyMarks++
+			sh.cdt.SetCFlag(file, fr.Off, fr.Len)
+			sh.stats.lazyMarks.Add(1)
 		}
-		s.stats.SegReadsDisk++
-		s.stats.BytesReadDisk += g.Len
+		sh.stats.segReadsDisk.Add(1)
+		sh.stats.bytesReadDisk.Add(g.Len)
 		payload := slice(buf, off, g.Off, g.Len)
 		cb := join.doneFn
 		if critical && !s.lazy {
@@ -620,103 +494,34 @@ func (s *S4D) Read(rank int, file string, off, size int64, buf []byte, done func
 	return nil
 }
 
-// identify runs the Data Identifier: compute the benefit (Eq. 8) and
-// record critical requests in the CDT. Under PolicyLocality the
-// criterion is temporal locality instead of the cost model. Returns the
-// benefit (zero when the policy replaces the model) and whether the
-// request was recorded in the CDT. write feeds the adaptive
-// characterizer's read/write mix; it does not change routing.
-func (s *S4D) identify(rank int, file string, off, size int64, write bool) (time.Duration, bool) {
-	s.stats.Identified++
-	if s.policy == PolicyLocality {
-		if s.locality.Touch(file, off, size) {
-			s.stats.Critical++
-			s.cdt.Add(file, off, size)
-			return time.Nanosecond, true // admissible marker
-		}
-		return 0, false
-	}
-	dist := s.tracker.Observe(costmodel.StreamKey{File: file, Rank: rank}, off, size)
-	benefit := s.model.Benefit(costmodel.Request{Offset: off, Size: size, Distance: dist})
-	if s.chz != nil {
-		s.chz.Note(write, dist, file, off, size, benefit)
-	}
-	if benefit > s.admitThreshold {
-		s.stats.Critical++
-		if s.policy != PolicyNone {
-			s.cdt.Add(file, off, size)
-			return benefit, true
-		}
-	}
-	return benefit, false
-}
-
-// flagRange is the range a critical read miss segment g marks for lazy
-// fetching: the whole request when identify recorded it in the CDT
-// (Algorithm 1 marks req), else the segment alone.
-func flagRange(recorded bool, off, size int64, g extent.Gap) extent.Gap {
-	if recorded {
-		return extent.Gap{Off: off, Len: size}
-	}
-	return g
-}
-
-// admitWrite decides whether a write miss segment is absorbed by the
-// CServers (Algorithm 1, line 3).
-func (s *S4D) admitWrite(file string, off, length int64, benefit time.Duration) bool {
-	if s.recovering {
-		// Degraded until warm: the allocator's map still has holes where
-		// pending extents will land, so nothing new is admitted.
-		return false
-	}
-	switch s.policy {
-	case PolicyNone:
-		return false
-	case PolicyAll:
-		return true
-	default:
-		// PolicyBenefit and PolicyLocality: the identifier has already
-		// encoded its verdict in benefit/CDT membership.
-		return benefit > s.admitThreshold || s.cdt.Contains(file, off, length)
-	}
-}
-
 // absorbWrite allocates cache space for a critical write miss and writes
 // the segment to the CServers (Algorithm 1, lines 4–13). On allocation
-// failure the segment falls back to the DServers.
+// failure the segment falls back to the DServers. Eviction victims are
+// unmapped (and their commits charged) by the space's eviction hook.
 func (s *S4D) absorbWrite(file string, off, length int64, data []byte, join *reqJoin) error {
-	frags, evicted, err := s.space.Allocate(length, cachespace.Owner{File: file, FileOff: off}, true)
-	// Evicted mappings must be dropped even when the allocation itself
-	// failed: with pinned space (concurrent engine) Allocate can evict
-	// some fragments and still come up short. Sequentially evicted is
-	// always nil on error, so the order change is invisible.
-	for _, ev := range evicted {
-		if derr := s.dmt.Delete(ev.Owner.File, ev.Owner.FileOff, ev.Len); derr != nil {
-			return fmt.Errorf("core: evict mapping: %w", derr)
-		}
-		s.chargeMetaIO()
-	}
+	sh := s.sh
+	frags, _, err := s.space.Allocate(0, length, cachespace.Owner{File: file, FileOff: off}, true)
 	if err != nil {
 		// No free or clean space: the request goes to the DServers.
-		s.stats.AdmitFailures++
-		s.stats.SegWritesDisk++
-		s.stats.BytesWriteDisk += length
+		sh.stats.admitFailures.Add(1)
+		sh.stats.segWritesDisk.Add(1)
+		sh.stats.bytesWriteDisk.Add(length)
 		return s.opfs.Write(file, off, length, sim.PriorityHigh, data, join.doneFn)
 	}
-	s.stats.Admissions++
-	s.stats.SegWritesCache++
-	s.stats.BytesWriteCache += length
+	sh.stats.admissions.Add(1)
+	sh.stats.segWritesCache.Add(1)
+	sh.stats.bytesWriteCache.Add(length)
 	// Map every fragment atomically (one DMT transaction per admitted
 	// segment), then issue the cache writes.
-	s.insertsBuf = s.insertsBuf[:0]
+	sh.insertsBuf = sh.insertsBuf[:0]
 	pos := off
 	for _, fr := range frags {
-		s.insertsBuf = append(s.insertsBuf, dmt.FragmentInsert{
+		sh.insertsBuf = append(sh.insertsBuf, dmt.FragmentInsert{
 			Off: pos, Length: fr.Len, CacheOff: fr.CacheOff, Dirty: true,
 		})
 		pos += fr.Len
 	}
-	if err := s.dmt.InsertBatch(file, s.insertsBuf); err != nil {
+	if err := sh.dmt.InsertBatch(file, sh.insertsBuf); err != nil {
 		return fmt.Errorf("core: map fragments: %w", err)
 	}
 	s.chargeMetaIO()
@@ -726,7 +531,7 @@ func (s *S4D) absorbWrite(file string, off, length int64, data []byte, join *req
 	for _, fr := range frags {
 		seg := slice(data, off, pos, fr.Len)
 		cb := sub.Done
-		if s.faulty {
+		if s.faulty.Load() {
 			// Aborted absorb: the fragment's mapping is bogus — fail it
 			// over to the DServers (fault path — allocation fine).
 			fr, pos := fr, pos
@@ -750,25 +555,21 @@ func (s *S4D) absorbWrite(file string, off, length int64, data []byte, join *req
 // It only proceeds for fully unmapped ranges: partially mapped ranges may
 // hold dirty cache data that a disk-sourced insert would clobber.
 func (s *S4D) eagerFetch(file string, off, length int64, data []byte) {
-	if s.recovering {
+	if s.recovering.Load() {
 		return
 	}
-	if hits, _ := s.dmt.Lookup(file, off, length); len(hits) > 0 {
+	sh := s.sh
+	if hits, _ := sh.dmt.Lookup(file, off, length); len(hits) > 0 {
 		return
 	}
-	frags, evicted, err := s.space.Allocate(length, cachespace.Owner{File: file, FileOff: off}, false)
-	for _, ev := range evicted {
-		if s.dmt.Delete(ev.Owner.File, ev.Owner.FileOff, ev.Len) != nil {
-			return
-		}
-	}
+	frags, _, err := s.space.Allocate(0, length, cachespace.Owner{File: file, FileOff: off}, false)
 	if err != nil {
 		return // no space: skip caching
 	}
-	s.stats.Fetches++
+	s.fetches.Add(1)
 	pos := off
 	for _, fr := range frags {
-		if s.dmt.Insert(file, pos, fr.Len, fr.CacheOff, false) != nil {
+		if sh.dmt.Insert(file, pos, fr.Len, fr.CacheOff, false) != nil {
 			return
 		}
 		s.chargeMetaIO()
@@ -778,34 +579,13 @@ func (s *S4D) eagerFetch(file string, off, length int64, data []byte) {
 	}
 }
 
-// pruneEpochs drops write-epoch counters for files no longer referenced by
-// the DMT or the CDT. Without this the fileEpoch map grows with every file
-// ever written, even after its cache residency is long gone. It runs at
-// Rebuilder cycle boundaries, when no flush or fetch holds a captured
-// epoch; a pruned file that is written again simply restarts at epoch 1,
-// which at worst makes a later data movement retry conservatively.
-func (s *S4D) pruneEpochs() {
-	for id := range s.fileEpoch {
-		file := s.arena.Name(id)
-		if s.dmt.FileMapped(file) || s.cdt.FileTracked(file) {
-			continue
-		}
-		delete(s.fileEpoch, id)
-		s.stats.EpochsPruned++
-	}
-}
-
-// TrackedEpochs returns the number of files with a live write-epoch
-// counter (tests and reports).
-func (s *S4D) TrackedEpochs() int { return len(s.fileEpoch) }
-
 // chargeMetaIO issues a CPFS write for the synchronous DMT commit, so
 // metadata persistence consumes simulated CServer time (§III.D).
 func (s *S4D) chargeMetaIO() {
 	if !s.chargeMeta {
 		return
 	}
-	s.stats.MetaWrites++
+	s.metaWrites++
 	_ = s.cpfs.Write(MetaFileName, s.metaOff, dmt.EntryBytes, sim.PriorityHigh, nil, nil)
 	s.metaOff += dmt.EntryBytes
 }
@@ -814,25 +594,11 @@ func (s *S4D) chargeMetaIO() {
 // extent records, so re-reading spilled metadata consumes simulated
 // CServer time like writing it did (DESIGN.md §16).
 func (s *S4D) chargeMetaFaultIn(n int) {
-	s.stats.MetaFaultIns++
 	if !s.chargeMeta {
 		return
 	}
-	s.stats.MetaReads++
+	s.metaReads++
 	_ = s.cpfs.Read(MetaFileName, 0, int64(n)*dmt.EntryBytes, sim.PriorityHigh, nil, nil)
-}
-
-func (s *S4D) complete(done func()) {
-	if done != nil {
-		s.eng.After(0, done)
-	}
-}
-
-// completeErr reports a zero-work request done in virtual time.
-func (s *S4D) completeErr(done func(error)) {
-	if done != nil {
-		s.eng.After(0, func() { done(nil) })
-	}
 }
 
 func checkRange(off, size int64, payload []byte) error {

@@ -43,47 +43,46 @@ type deferredRead struct {
 // OnCServerState is the pfs crash/restart hook (pfs.StateFunc for the
 // CPFS). It runs at the crash or restart instant, before any aborted
 // completion is delivered, so the serve paths always observe
-// post-transition mapping state.
-func (s *S4D) OnCServerState(server int, down, restarts bool) {
-	s.faulty = true
+// post-transition mapping state. Safe against concurrent serve traffic;
+// state transitions themselves must be serialized (one fault-injection
+// driver).
+func (e *engine) OnCServerState(server int, down, restarts bool) {
+	e.faulty.Store(true)
 	if down {
-		s.cserverCrashed(server, restarts)
-	} else {
-		s.cserverRestarted(server)
+		e.downMu.Lock()
+		if len(e.downC) == 0 {
+			e.degradedSince = e.clock.Now()
+		}
+		e.downC[server] = true
+		e.downCount.Store(int32(len(e.downC)))
+		e.downMu.Unlock()
+		e.invalidateServer(server, restarts)
+		return
 	}
-}
-
-func (s *S4D) cserverCrashed(server int, restarts bool) {
-	if !s.degraded() {
-		s.degradedSince = s.eng.Now()
+	e.downMu.Lock()
+	delete(e.downC, server)
+	e.downCount.Store(int32(len(e.downC)))
+	if len(e.downC) == 0 {
+		e.degradedTime += e.clock.Now() - e.degradedSince
 	}
-	s.downC[server] = true
-	s.invalidateServer(server, restarts)
+	e.downMu.Unlock()
+	e.flushDeferredReads()
 }
 
-func (s *S4D) cserverRestarted(server int) {
-	delete(s.downC, server)
-	if !s.degraded() {
-		s.stats.DegradedTime += s.eng.Now() - s.degradedSince
-	}
-	s.flushDeferredReads()
-}
+// degradedNow reports whether any CServer is down (lock-free).
+func (e *engine) degradedNow() bool { return e.downCount.Load() > 0 }
 
-// degraded reports whether at least one CServer is down.
-func (s *S4D) degraded() bool { return len(s.downC) > 0 }
-
-// cacheRangeDown reports whether the cache-file range backing a DMT hit
-// touches a crashed CServer. Only called on faulty testbeds.
-func (s *S4D) cacheRangeDown(cacheOff, length int64) bool {
-	return s.cpfs.RangeDown(cacheOff, length)
-}
-
-// invalidateServer walks the DMT and resolves every mapping that touches
-// the crashed server per the fail-stop policy above.
-func (s *S4D) invalidateServer(server int, restarts bool) {
-	resolve := func(extents []dmt.Hit, dirty bool) {
-		for _, h := range extents {
-			if !s.extentOnServer(h.CacheOff, h.Len, server) {
+// invalidateServer resolves every mapping touching the crashed server per
+// the fail-stop policy above: clean extents and unrecoverable dirty
+// extents are unmapped; dirty extents that will come back with the server
+// are kept (reads defer, writes supersede). The table snapshot is taken
+// one shard at a time, so each extent is re-validated under its shard
+// mutex before mutation — an extent that moved or changed dirty state
+// since the snapshot belongs to whichever path moved it.
+func (e *engine) invalidateServer(server int, restarts bool) {
+	resolve := func(snap []dmt.Hit, dirty bool) {
+		for _, h := range snap {
+			if !e.extentOnServer(h.CacheOff, h.Len, server) {
 				continue
 			}
 			if dirty && restarts {
@@ -91,27 +90,39 @@ func (s *S4D) invalidateServer(server int, restarts bool) {
 				// mapping and let reads defer / writes fail over.
 				continue
 			}
-			if s.dmt.Delete(h.File, h.Off, h.Len) != nil {
-				continue
+			sh, _ := e.shard(h.File)
+			sh.mu.Lock()
+			hits, _ := sh.dmt.Lookup(h.File, h.Off, h.Len)
+			for _, hh := range hits {
+				if hh.Dirty != dirty {
+					continue
+				}
+				if hh.CacheOff != h.CacheOff+(hh.Off-h.Off) {
+					continue // remapped since the snapshot
+				}
+				if sh.dmt.Delete(h.File, hh.Off, hh.Len) != nil {
+					continue
+				}
+				e.space.FreeRange(hh.CacheOff, hh.Len)
+				e.drv.chargeMetaIO()
+				if dirty {
+					sh.stats.dirtyLost.Add(hh.Len)
+				}
 			}
-			s.space.FreeRange(h.CacheOff, h.Len)
-			s.chargeMetaIO()
-			if dirty {
-				s.stats.DirtyLost += h.Len
-			}
+			sh.mu.Unlock()
 		}
 	}
-	resolve(s.dmt.CleanExtents(0), false)
-	resolve(s.dmt.DirtyExtents(0), true)
+	resolve(DMTView{e}.CleanExtents(0), false)
+	resolve(DMTView{e}.DirtyExtents(0), true)
 }
 
 // extentOnServer reports whether the cache-file extent touches the given
-// CServer under the CPFS striping.
-func (s *S4D) extentOnServer(cacheOff, length int64, server int) bool {
+// CServer under the CPFS striping (pure layout math, no locks).
+func (e *engine) extentOnServer(cacheOff, length int64, server int) bool {
 	if length <= 0 {
 		return false
 	}
-	l := s.cpfs.Layout()
+	l := e.cpfs.Layout()
 	m := int64(l.Servers)
 	first := cacheOff / l.StripeSize
 	last := (cacheOff + length - 1) / l.StripeSize
@@ -129,24 +140,27 @@ func (s *S4D) extentOnServer(cacheOff, length int64, server int) bool {
 // deferRead parks a read segment until the crashed server holding its
 // (dirty) cache bytes restarts. Only reached for mappings retained by
 // invalidateServer, i.e. dirty extents with a scheduled restart — so every
-// parked read is eventually flushed.
-func (s *S4D) deferRead(file string, off, length int64, buf []byte, cb func(error)) {
-	s.stats.DeferredReads++
-	s.deferred = append(s.deferred, deferredRead{file: file, off: off, lng: length, buf: buf, cb: cb})
+// parked read is eventually flushed. Called under sh.mu in Concurrent;
+// deferMu is a leaf below it.
+func (e *engine) deferRead(sh *cshard, file string, off, length int64, buf []byte, cb func(error)) {
+	sh.stats.deferredReads.Add(1)
+	e.deferMu.Lock()
+	e.deferred = append(e.deferred, deferredRead{file: file, off: off, lng: length, buf: buf, cb: cb})
+	e.deferMu.Unlock()
 }
 
 // flushDeferredReads re-issues every parked read after a restart. Each is
 // re-looked-up from scratch: the mapping may have been superseded by a
 // write (failover) or still hit the cache — and may even defer again if a
-// different CServer is down.
-func (s *S4D) flushDeferredReads() {
-	if len(s.deferred) == 0 {
-		return
-	}
-	parked := s.deferred
-	s.deferred = nil
+// different CServer is down. The list is swapped out under deferMu and
+// replayed without it, so re-parking cannot deadlock.
+func (e *engine) flushDeferredReads() {
+	e.deferMu.Lock()
+	parked := e.deferred
+	e.deferred = nil
+	e.deferMu.Unlock()
 	for _, d := range parked {
-		s.readSegment(d.file, d.off, d.lng, d.buf, d.cb)
+		e.drv.readSegment(d.file, d.off, d.lng, d.buf, d.cb)
 	}
 }
 
@@ -157,13 +171,14 @@ func (s *S4D) flushDeferredReads() {
 // to the DServers with the data still in hand. The client never sees the
 // failure.
 func (s *S4D) absorbFailed(file string, off, length, cacheOff int64, data []byte, cb func(error)) {
-	s.stats.Failovers++
-	if s.dmt.Delete(file, off, length) == nil {
+	sh := s.sh
+	sh.stats.failovers.Add(1)
+	if sh.dmt.Delete(file, off, length) == nil {
 		s.space.FreeRange(cacheOff, length)
 		s.chargeMetaIO()
 	}
-	s.stats.SegWritesDisk++
-	s.stats.BytesWriteDisk += length
+	sh.stats.segWritesDisk.Add(1)
+	sh.stats.bytesWriteDisk.Add(length)
 	if err := s.opfs.Write(file, off, length, sim.PriorityHigh, data, cb); err != nil {
 		cb(err)
 	}
@@ -177,27 +192,28 @@ func (s *S4D) absorbFailed(file string, off, length, cacheOff int64, data []byte
 // for clean bytes; for dirty bytes the cache holds the only up-to-date
 // copy, so the original error surfaces.
 func (s *S4D) readFailed(orig error, file string, off, length int64, buf []byte, cb func(error)) {
-	s.stats.Failovers++
-	hits, gaps := s.dmt.Lookup(file, off, length)
+	sh := s.sh
+	sh.stats.failovers.Add(1)
+	hits, gaps := sh.dmt.Lookup(file, off, length)
 	join := s.getJoin(len(hits)+len(gaps), cb)
 	for _, h := range hits {
 		seg := slice(buf, off, h.Off, h.Len)
 		switch {
-		case s.cacheRangeDown(h.CacheOff, h.Len):
-			s.deferRead(file, h.Off, h.Len, seg, join.doneFn)
+		case s.cpfs.RangeDown(h.CacheOff, h.Len):
+			s.deferRead(sh, file, h.Off, h.Len, seg, join.doneFn)
 		case h.Dirty:
 			join.doneFn(orig)
 		default:
-			s.stats.SegReadsDisk++
-			s.stats.BytesReadDisk += h.Len
+			sh.stats.segReadsDisk.Add(1)
+			sh.stats.bytesReadDisk.Add(h.Len)
 			if err := s.opfs.Read(file, h.Off, h.Len, sim.PriorityHigh, seg, join.doneFn); err != nil {
 				join.doneFn(err)
 			}
 		}
 	}
 	for _, g := range gaps {
-		s.stats.SegReadsDisk++
-		s.stats.BytesReadDisk += g.Len
+		sh.stats.segReadsDisk.Add(1)
+		sh.stats.bytesReadDisk.Add(g.Len)
 		if err := s.opfs.Read(file, g.Off, g.Len, sim.PriorityHigh, slice(buf, off, g.Off, g.Len), join.doneFn); err != nil {
 			join.doneFn(err)
 		}
@@ -209,15 +225,16 @@ func (s *S4D) readFailed(orig error, file string, off, length int64, buf []byte,
 // restart events, outside the serve path, so the shared lookup buffers may
 // be in use conceptually; allocation here is fine — it is a fault path).
 func (s *S4D) readSegment(file string, off, length int64, buf []byte, cb func(error)) {
-	hits, gaps := s.dmt.Lookup(file, off, length)
+	sh := s.sh
+	hits, gaps := sh.dmt.Lookup(file, off, length)
 	join := s.getJoin(len(hits)+len(gaps), cb)
 	for _, h := range hits {
-		if s.cacheRangeDown(h.CacheOff, h.Len) {
-			s.deferRead(file, h.Off, h.Len, slice(buf, off, h.Off, h.Len), join.doneFn)
+		if s.cpfs.RangeDown(h.CacheOff, h.Len) {
+			s.deferRead(sh, file, h.Off, h.Len, slice(buf, off, h.Off, h.Len), join.doneFn)
 			continue
 		}
-		s.stats.SegReadsCache++
-		s.stats.BytesReadCache += h.Len
+		sh.stats.segReadsCache.Add(1)
+		sh.stats.bytesReadCache.Add(h.Len)
 		s.space.Touch(h.CacheOff, h.Len)
 		h := h
 		seg := slice(buf, off, h.Off, h.Len)
@@ -233,8 +250,8 @@ func (s *S4D) readSegment(file string, off, length int64, buf []byte, cb func(er
 		}
 	}
 	for _, g := range gaps {
-		s.stats.SegReadsDisk++
-		s.stats.BytesReadDisk += g.Len
+		sh.stats.segReadsDisk.Add(1)
+		sh.stats.bytesReadDisk.Add(g.Len)
 		if err := s.opfs.Read(file, g.Off, g.Len, sim.PriorityHigh, slice(buf, off, g.Off, g.Len), join.doneFn); err != nil {
 			join.doneFn(err)
 		}

@@ -23,11 +23,11 @@ func (s *S4D) RebuildNow(done func()) {
 		return
 	}
 	s.rebuildBusy = true
-	s.stats.RebuildCycles++
+	s.rebuildCycles.Add(1)
 
-	flushes := s.dmt.DirtyExtents(s.rebuildBatch)
-	fetches := s.cdt.PendingFetches(s.rebuildBatch)
-	if (s.faulty && s.degraded()) || s.recovering {
+	flushes := s.sh.dmt.DirtyExtents(s.rebuildBatch)
+	fetches := s.sh.cdt.PendingFetches(s.rebuildBatch)
+	if (s.faulty.Load() && s.degradedNow()) || s.recovering.Load() {
 		// While a CServer is down — or recovery still owns unadmitted
 		// cache ranges — the Rebuilder does not populate the cache;
 		// pending fetches retry once the outage/warm-up ends. Flushing
@@ -54,70 +54,40 @@ func (s *S4D) RebuildNow(done func()) {
 	}
 }
 
-// RebuildPending reports whether dirty data or pending fetches remain. It
-// reads the tables' incremental byte counters — O(1) and allocation-free
-// (pinned by TestRebuildPendingZeroAllocs) — because the periodic ticker
-// polls it every cycle; the old DirtyExtents(1)/PendingFetches(1) probe
-// built slices just to check emptiness.
-func (s *S4D) RebuildPending() bool {
-	return s.dmt.HasDirty() || s.cdt.HasPending()
-}
-
-// DrainRebuild runs Rebuilder cycles until no dirty data or pending
-// fetches remain, then calls done. Used between benchmark phases (e.g.
-// before the "second run" read measurements) and at shutdown. If a cycle
-// completes without moving any data (e.g. every pending fetch fails for
-// lack of reclaimable space), the drain stops rather than spinning; the
-// leftover work retries on later cycles.
-func (s *S4D) DrainRebuild(done func()) {
-	if !s.RebuildPending() {
-		s.complete(done)
-		return
-	}
-	before := s.stats.Flushes + s.stats.Fetches
-	s.RebuildNow(func() {
-		progressed := s.stats.Flushes+s.stats.Fetches > before
-		if s.RebuildPending() && progressed {
-			s.DrainRebuild(done)
-			return
-		}
-		s.complete(done)
-	})
-}
-
 // flushExtent writes one dirty cache extent back to the DServers: read
 // from CPFS, write to OPFS, then mark clean — unless the file was written
 // again while the flush was in flight (epoch check), in which case the
 // extent stays dirty and is retried next cycle.
 func (s *S4D) flushExtent(file string, off, length, cacheOff int64, join *sim.Join) {
-	if s.faulty && s.cacheRangeDown(cacheOff, length) {
+	if s.faulty.Load() && s.cpfs.RangeDown(cacheOff, length) {
 		// The extent's stripes touch a crashed CServer; it stays dirty and
 		// retries after the restart.
-		s.stats.FlushRetries++
+		s.flushRetries.Add(1)
 		join.Done()
 		return
 	}
+	sh := s.sh
 	fid := s.arena.Intern(file)
-	epoch := s.fileEpoch[fid]
-	buf := s.flushBuffer(length)
+	epoch := sh.fileEpoch[fid]
+	buf := s.flushBuf(length)
 	if err := s.cpfs.Read(CacheFileName, cacheOff, length, sim.PriorityLow, buf, func(rerr error) {
 		if rerr != nil {
 			// Cache read failed (I/O error or a crash during the read); the
 			// extent stays dirty and retries next cycle.
-			s.stats.FlushRetries++
+			s.flushRetries.Add(1)
 			join.Done()
 			return
 		}
 		if err := s.opfs.Write(file, off, length, sim.PriorityLow, buf, func(werr error) {
-			if werr == nil && s.fileEpoch[fid] == epoch {
-				if err := s.dmt.SetClean(file, off, length); err == nil {
+			if werr == nil && sh.fileEpoch[fid] == epoch {
+				if err := sh.dmt.SetClean(file, off, length); err == nil {
 					s.space.MarkClean(cacheOff, length)
-					s.stats.Flushes++
-					s.stats.BytesFlushed += length
+					s.flushes.Add(1)
+					s.bytesFlushed.Add(length)
 					s.chargeMetaIO()
 				}
 			} else {
-				s.stats.FlushRetries++
+				s.flushRetries.Add(1)
 			}
 			join.Done()
 		}); err != nil {
@@ -126,27 +96,6 @@ func (s *S4D) flushExtent(file string, off, length, cacheOff int64, join *sim.Jo
 	}); err != nil {
 		join.Done()
 	}
-}
-
-// flushBuffer returns a payload buffer when the OPFS or CPFS stores real
-// bytes (functional mode), nil otherwise: pfs accepts nil payloads, and a
-// buffer would only be gathered and scattered for nothing.
-func (s *S4D) flushBuffer(length int64) []byte {
-	if !s.opfs.StoresPayload() && !s.cpfs.StoresPayload() {
-		return nil
-	}
-	return payloadBuf(length)
-}
-
-// payloadBuf returns a length-byte Rebuilder payload buffer, or nil past
-// 16 MiB: metadata-only runs use multi-GB extents rarely, functional tests
-// use small ones, and a buffer that large would only waste memory.
-func payloadBuf(length int64) []byte {
-	const maxBuf = 16 << 20
-	if length <= 0 || length > maxBuf {
-		return nil
-	}
-	return make([]byte, length)
 }
 
 // fetchExtent reads one C_flag-marked range from the DServers into the
@@ -161,10 +110,11 @@ func (s *S4D) fetchExtent(file string, off, length int64, join *sim.Join) {
 		join.Done()
 		return
 	}
-	_, gaps := s.dmt.Lookup(file, off, length)
+	sh := s.sh
+	_, gaps := sh.dmt.Lookup(file, off, length)
 	if len(gaps) == 0 {
 		// Fully mapped since the flag was set; nothing to fetch.
-		s.cdt.ClearCFlag(file, off, length)
+		sh.cdt.ClearCFlag(file, off, length)
 		join.Done()
 		return
 	}
@@ -173,8 +123,8 @@ func (s *S4D) fetchExtent(file string, off, length int64, join *sim.Join) {
 		delete(s.inFlightFetch, key)
 		// Clear the flag only if everything is now mapped; failed gaps
 		// (no space / epoch conflicts) retry next cycle.
-		if s.dmt.Contains(file, off, length) {
-			s.cdt.ClearCFlag(file, off, length)
+		if sh.dmt.Contains(file, off, length) {
+			sh.cdt.ClearCFlag(file, off, length)
 		}
 		join.Done()
 	})
@@ -184,27 +134,19 @@ func (s *S4D) fetchExtent(file string, off, length int64, join *sim.Join) {
 }
 
 // fetchGap moves one unmapped gap from the DServers into the cache.
+// Eviction victims are unmapped by the space's eviction hook.
 func (s *S4D) fetchGap(file string, off, length int64, join *sim.Join) {
-	frags, evicted, err := s.space.Allocate(length, cachespace.Owner{File: file, FileOff: off}, true)
-	// Drop evicted mappings before inspecting err: an allocation stalled
-	// on pinned space still evicts (nil evicted sequentially, where pins
-	// never exist).
-	for _, ev := range evicted {
-		if err := s.dmt.Delete(ev.Owner.File, ev.Owner.FileOff, ev.Len); err != nil {
-			join.Done()
-			return
-		}
-		s.chargeMetaIO()
-	}
+	frags, _, err := s.space.Allocate(0, length, cachespace.Owner{File: file, FileOff: off}, true)
 	if err != nil {
 		// No reclaimable space; retry after future flushes free space.
-		s.stats.FetchFailures++
+		s.fetchFailures.Add(1)
 		join.Done()
 		return
 	}
+	sh := s.sh
 	fid := s.arena.Intern(file)
-	epoch := s.fileEpoch[fid]
-	buf := s.flushBuffer(length)
+	epoch := sh.fileEpoch[fid]
+	buf := s.flushBuf(length)
 	abort := func() {
 		for _, fr := range frags {
 			s.space.FreeRange(fr.CacheOff, fr.Len)
@@ -212,17 +154,17 @@ func (s *S4D) fetchGap(file string, off, length int64, join *sim.Join) {
 		join.Done()
 	}
 	if err := s.opfs.Read(file, off, length, sim.PriorityLow, buf, func(rerr error) {
-		if rerr != nil || s.fileEpoch[fid] != epoch {
+		if rerr != nil || sh.fileEpoch[fid] != epoch {
 			// The read failed, or the file was written during the fetch (so
 			// the disk bytes may be stale relative to new cache mappings).
 			// Drop this fetch; the C_flag retries it next cycle.
-			s.stats.FetchRetries++
+			s.fetchRetries.Add(1)
 			abort()
 			return
 		}
 		sub := sim.NewJoin(len(frags), func() {
-			s.stats.Fetches++
-			s.stats.BytesFetched += length
+			s.fetches.Add(1)
+			s.bytesFetched.Add(length)
 			join.Done()
 		})
 		pos := off
@@ -232,13 +174,13 @@ func (s *S4D) fetchGap(file string, off, length int64, join *sim.Join) {
 			if err := s.cpfs.Write(CacheFileName, fr.CacheOff, fr.Len, sim.PriorityLow, slice(buf, off, segPos, fr.Len), func(werr error) {
 				// Map clean and unpin only once the data is in place, and
 				// only if the population write landed and no write raced it.
-				if werr == nil && s.fileEpoch[fid] == epoch {
-					if err := s.dmt.Insert(file, segPos, fr.Len, fr.CacheOff, false); err == nil {
+				if werr == nil && sh.fileEpoch[fid] == epoch {
+					if err := sh.dmt.Insert(file, segPos, fr.Len, fr.CacheOff, false); err == nil {
 						s.space.MarkClean(fr.CacheOff, fr.Len)
 						s.chargeMetaIO()
 					}
 				} else {
-					s.stats.FetchRetries++
+					s.fetchRetries.Add(1)
 					s.space.FreeRange(fr.CacheOff, fr.Len)
 				}
 				sub.Done()

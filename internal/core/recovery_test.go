@@ -538,8 +538,12 @@ func TestRecoveryTortureCutsAndBitflips(t *testing.T) {
 	if err != nil || len(walRaw) == 0 {
 		t.Fatalf("no WAL to torture (err=%v)", err)
 	}
+	tb := newTestbed(t, nil)
 	check := func(tag string, wal []byte) {
 		t.Helper()
+		// Whatever survives, a warm restart over it must come up with
+		// consistent tables and cache space.
+		checkRecoveredInvariants(t, tb, openDamaged(t, wal, nil), 0)
 		nb := kvstore.NewMemBackend()
 		if len(wal) > 0 {
 			if err := nb.Replace("dmt.wal", wal); err != nil {
@@ -651,7 +655,7 @@ func warmRestartUnderTraffic(t *testing.T, shards int, capacity int64) {
 			return tb.eng.Write(r, wrFile(r), critOff, extLen, images[r], done)
 		})
 	}
-	tb.eng.snapshotTickConc()
+	tb.eng.snapshotTick()
 	if tb.eng.Stats().Snapshots != 1 {
 		t.Fatal("snapshot did not run")
 	}
@@ -802,6 +806,7 @@ func warmRestartUnderTraffic(t *testing.T, shards int, capacity int64) {
 	if eng2.Stats().Admissions <= before {
 		t.Fatal("admissions did not resume after warm-up")
 	}
+	checkInvariants(t, &eng2.engine)
 	if !reshard {
 		return
 	}
@@ -881,4 +886,5 @@ func warmRestartUnderTraffic(t *testing.T, shards int, capacity int64) {
 		}
 		return true
 	})
+	checkInvariants(t, &eng2.engine)
 }

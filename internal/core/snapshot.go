@@ -158,7 +158,7 @@ func readBundles[R any](img *snapImage, store *kvstore.Store, prefix string, dec
 
 // snapSource is one table's side of a snapshot tick: which files changed
 // since the previous tick, and a file's current records. dmt.Table,
-// cdt.Table and the concurrent engine's DMTView and CDTView implement it.
+// cdt.Table and the engine's DMTView and CDTView implement it.
 type snapSource[E any] interface {
 	TakeChanged(all bool, fn func(file string, ord uint64))
 	AppendFile(dst []E, file string) []E

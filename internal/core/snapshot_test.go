@@ -210,7 +210,7 @@ func TestSnapshotCritOrderMatchesExtents(t *testing.T) {
 type shardCDT struct{ CDTView }
 
 func (s shardCDT) Add(file string, off, length int64) {
-	sh, _ := s.c.shard(file)
+	sh, _ := s.e.shard(file)
 	sh.cdt.Add(file, off, length)
 }
 

@@ -134,8 +134,12 @@ func TestSpillTortureCutsAndBitflips(t *testing.T) {
 		t.Fatalf("no compacted snapshot to carry (err=%v)", err)
 	}
 
+	tb := newTestbed(t, nil)
 	check := func(tag string, wal []byte, allowQuarantine bool) {
 		t.Helper()
+		// Whatever survives, a warm restart over it — under the history's
+		// resident budget — must come up with consistent tables and space.
+		checkRecoveredInvariants(t, tb, openDamaged(t, wal, snapRaw), 700)
 		nb := kvstore.NewMemBackend()
 		if err := nb.Replace("dmt.snap", snapRaw); err != nil {
 			t.Fatal(err)

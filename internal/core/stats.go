@@ -140,42 +140,6 @@ type Stats struct {
 	MetaSnapQuarantined bool
 }
 
-// Stats returns a snapshot of the instance counters, folding in the
-// PFS-layer retry counts, the metadata store's replay count, and any
-// still-open degraded interval.
-func (s *S4D) Stats() Stats {
-	st := s.stats
-	st.Retries = s.opfs.Stats().Retries + s.cpfs.Stats().Retries
-	if s.metaStore != nil {
-		ms := s.metaStore.Stats()
-		st.WALReplays = uint64(ms.RecoveredRecords)
-		st.MetaGroupCommits = ms.GroupCommits
-		st.MetaGroupedRecords = ms.GroupedRecords
-		st.MetaTornWALBytes = ms.TornWALBytes
-		st.MetaSnapQuarantined = ms.SnapQuarantined
-	}
-	ds := s.dmt.Stats()
-	st.MetaResidentBytes = ds.ResidentBytes
-	st.MetaMemoryBytes = ds.MemoryBytes
-	st.MetaSpilledFiles = ds.SpilledFiles
-	st.MetaSpills = ds.Spills
-	st.MetaFaultInsTable = ds.FaultIns
-	st.MetaSpillQuarantined = ds.SpillQuarantined
-	st.Recovering = s.recovering
-	if s.degraded() {
-		st.DegradedTime += s.eng.Now() - s.degradedSince
-	}
-	st.CachePolicy = s.space.PolicyName()
-	st.CacheTouches = s.space.Touches()
-	st.CacheEvictions = s.space.Evictions()
-	st.PolicyAdmitRejected = s.space.AdmitRejected()
-	pc := s.space.PolicyCounters()
-	st.PolicyGhostHits = pc.GhostHits
-	st.PolicyPromotions = pc.Promotions
-	st.PolicyQueueLen = s.space.PolicyQueueLen()
-	return st
-}
-
 // CacheWriteShare returns the fraction of written bytes absorbed by the
 // CServers — the paper's Table III "CServers %" for writes.
 func (st Stats) CacheWriteShare() float64 {
