@@ -37,7 +37,8 @@ bench-metascale:
 # and identify paths, the metadata store's durable commit path, the
 # DMT/CDT dirty/pending counters and criticality check, the
 # packed-extent lookup and resident-budget spill bookkeeping, every cache
-# policy's touch/eviction paths, the latency histogram's record path,
+# policy's touch path and hooked allocate-with-eviction path (the
+# engine's Sharded.Allocate entry point), the latency histogram's record path,
 # and the network server's decode→dispatch→encode request path, at 0
 # allocs/op; and the concurrent engine's covered read hit at its
 # measured count (join + completion closure).

@@ -259,7 +259,7 @@ func runMeta(cfg Config) (*Table, error) {
 	table := tb.S4D.DMT()
 	entries := table.Entries()
 	metaBytes := table.MetadataBytes()
-	used := tb.S4D.Space().UsedBytes()
+	used := tb.S4D.Space().Stats().UsedBytes
 	measured := 0.0
 	if used > 0 {
 		measured = float64(metaBytes) / float64(used) * 100

@@ -10,29 +10,23 @@ import "fmt"
 // outside the current capacity) is an integrity conflict: the caller
 // quarantines the extent and treats it as a miss.
 
-// Adopt installs a recovered extent at its exact prior cache offset. The
-// range must lie inside the capacity and be entirely free; otherwise an
-// error is returned and nothing changes. Clean adoptions register with the
-// eviction policy like any resident clean fragment.
-func (m *Manager) Adopt(cacheOff, length int64, owner Owner, dirty bool) error {
-	if length <= 0 {
-		return fmt.Errorf("cachespace: adopt length must be positive, got %d", length)
-	}
-	if cacheOff < 0 || cacheOff+length > m.capacity {
-		return fmt.Errorf("cachespace: adopt [%d,+%d) outside capacity %d", cacheOff, length, m.capacity)
-	}
-	m.ov = m.used.AppendOverlaps(m.ov[:0], cacheOff, length)
-	if len(m.ov) > 0 {
+// adopt installs a recovered extent at its exact region-local offset. The
+// range must be entirely free; otherwise an error is returned and nothing
+// changes. Clean adoptions register with the eviction policy like any
+// resident clean fragment.
+func (r *region) adopt(cacheOff, length int64, owner Owner, dirty bool) error {
+	r.ov = r.used.AppendOverlaps(r.ov[:0], cacheOff, length)
+	if len(r.ov) > 0 {
 		return fmt.Errorf("cachespace: adopt [%d,+%d) conflicts with resident [%d,+%d)",
-			cacheOff, length, m.ov[0].Off, m.ov[0].Len)
+			r.base+cacheOff, length, r.base+r.ov[0].Off, r.ov[0].Len)
 	}
-	seq := m.nextSeq()
-	m.used.Insert(cacheOff, length, unit{owner: owner, dirty: dirty, seq: seq})
-	m.usedB += length
+	seq := r.nextSeq()
+	r.used.Insert(cacheOff, length, unit{owner: owner, dirty: dirty, seq: seq})
+	r.usedB += length
 	if dirty {
-		m.dirtyB += length
+		r.dirtyB += length
 	} else {
-		m.policy.NoteClean(Cand{Seq: seq, Off: cacheOff, Len: length}, owner)
+		r.policy.NoteClean(Cand{Seq: seq, Off: cacheOff, Len: length}, owner)
 	}
 	return nil
 }
@@ -53,12 +47,12 @@ func (s *Sharded) Adopt(cacheOff, length int64, owner Owner, dirty bool) error {
 	}
 	var adopted int64
 	var adoptErr error
-	s.each(cacheOff, length, func(r *shardRegion, off, n int64) {
+	s.each(cacheOff, length, func(r *region, off, n int64) {
 		if adoptErr != nil {
 			return
 		}
 		pieceOwner := Owner{File: owner.File, FileOff: owner.FileOff + adopted}
-		if err := r.m.Adopt(off, n, pieceOwner, dirty); err != nil {
+		if err := r.adopt(off, n, pieceOwner, dirty); err != nil {
 			adoptErr = err
 			return
 		}

@@ -5,43 +5,42 @@ import (
 	"testing"
 )
 
-// newSteadyManager returns a full cache in eviction steady state: every
-// byte allocated clean, so each further allocation must reclaim.
-func newSteadyManager(tb testing.TB, policy string) *Manager {
+// newSteadySpace returns a full one-region space in eviction steady
+// state: every byte allocated clean, so each further allocation must
+// reclaim.
+func newSteadySpace(tb testing.TB, policy string) *Sharded {
 	tb.Helper()
-	p, err := NewPolicy(policy, 1<<20)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m, err := NewWithPolicy(1<<20, p)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	s := newSpace(tb, 1<<20, policy)
+	var frags []Fragment
 	for off := int64(0); off < 1<<20; off += 16 << 10 {
-		if _, _, err := m.Allocate(16<<10, Owner{File: "seed", FileOff: off}, false); err != nil {
+		var err error
+		if frags, err = s.Allocate(frags[:0], 0, 16<<10, Owner{File: "seed", FileOff: off}, false); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return m
+	return s
 }
 
 // TestAllocateZeroAllocs pins the eviction-path allocation cost of every
-// policy at 0 allocs/op: with caller-owned result buffers, a steady-state
-// allocate-over-full-cache (pop victims, gate, evict, take free space)
+// policy at 0 allocs/op: with an eviction hook installed and a
+// caller-owned fragment buffer, a steady-state allocate-over-full-cache
+// (pop victims, gate, report through the hook, evict, take free space)
 // performs no heap allocation — including TinyLFU rejections, which
 // return the fixed ErrAdmissionRejected.
 func TestAllocateZeroAllocs(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
-			m := newSteadyManager(t, policy)
-			var (
-				frags   []Fragment
-				evicted []Evicted
-			)
+			s := newSteadySpace(t, policy)
+			var evicted int64
+			s.SetEvictHook(func(_ Owner, _, length int64) bool {
+				evicted += length
+				return true
+			})
+			var frags []Fragment
 			off := int64(0)
 			alloc := func() {
 				var err error
-				frags, evicted, err = m.AllocateInto(frags[:0], evicted[:0], 16<<10, Owner{File: "in", FileOff: off}, false)
+				frags, err = s.Allocate(frags[:0], 0, 16<<10, Owner{File: "in", FileOff: off}, false)
 				if err != nil && !errors.Is(err, ErrNoSpace) {
 					t.Fatal(err)
 				}
@@ -54,6 +53,9 @@ func TestAllocateZeroAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(200, alloc); n != 0 {
 				t.Fatalf("%s Allocate: %v allocs/op, want 0", policy, n)
 			}
+			if evicted == 0 {
+				t.Fatalf("%s: no eviction reached the hook", policy)
+			}
 		})
 	}
 }
@@ -64,10 +66,10 @@ func TestAllocateZeroAllocs(t *testing.T) {
 func TestTouchZeroAllocs(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
-			m := newSteadyManager(t, policy)
+			s := newSteadySpace(t, policy)
 			i := 0
 			touch := func() {
-				m.Touch(int64(i%64)*(16<<10), 16<<10)
+				s.Touch(int64(i%64)*(16<<10), 16<<10)
 				i++
 			}
 			for j := 0; j < 200; j++ {
@@ -88,14 +90,14 @@ func TestTouchZeroAllocs(t *testing.T) {
 func BenchmarkTouchHotRange(b *testing.B) {
 	for _, policy := range PolicyNames() {
 		b.Run(policy, func(b *testing.B) {
-			m := newSteadyManager(b, policy)
+			s := newSteadySpace(b, policy)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Touch(0, 16<<10)
+				s.Touch(0, 16<<10)
 			}
 			b.StopTimer()
-			if q := m.policy.QueueLen(); q > 128 {
+			if q := s.Stats().PolicyQueueLen; q > 128 {
 				b.Fatalf("queue grew to %d over %d hot touches", q, b.N)
 			}
 		})
@@ -107,16 +109,13 @@ func BenchmarkTouchHotRange(b *testing.B) {
 func BenchmarkAllocateEvict(b *testing.B) {
 	for _, policy := range PolicyNames() {
 		b.Run(policy, func(b *testing.B) {
-			m := newSteadyManager(b, policy)
-			var (
-				frags   []Fragment
-				evicted []Evicted
-			)
+			s := newSteadySpace(b, policy)
+			var frags []Fragment
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				frags, evicted, err = m.AllocateInto(frags[:0], evicted[:0], 16<<10, Owner{File: "in", FileOff: int64(i) * (16 << 10)}, false)
+				frags, err = s.Allocate(frags[:0], 0, 16<<10, Owner{File: "in", FileOff: int64(i) * (16 << 10)}, false)
 				if err != nil && !errors.Is(err, ErrNoSpace) {
 					b.Fatal(err)
 				}
@@ -128,42 +127,39 @@ func BenchmarkAllocateEvict(b *testing.B) {
 // TestRejectionErrIsFixed guards the allocation-free rejection contract:
 // two rejections return the same error value.
 func TestRejectionErrIsFixed(t *testing.T) {
-	m := mustNewPolicy(t, 4096, PolicyTinyLFU)
-	if _, _, err := m.Allocate(4096, Owner{File: "hot"}, false); err != nil {
+	s := newSpace(t, 4096, PolicyTinyLFU)
+	if _, err := alloc(s, 4096, Owner{File: "hot"}, false); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		m.Touch(0, 4096)
+		s.Touch(0, 4096)
 	}
-	_, _, err1 := m.Allocate(4096, Owner{File: "cold1"}, true)
-	_, _, err2 := m.Allocate(4096, Owner{File: "cold2"}, true)
+	_, err1 := alloc(s, 4096, Owner{File: "cold1"}, true)
+	_, err2 := alloc(s, 4096, Owner{File: "cold2"}, true)
 	if err1 != ErrAdmissionRejected || err2 != ErrAdmissionRejected {
 		t.Fatalf("rejections not the fixed sentinel: %v / %v", err1, err2)
 	}
 }
 
 // BenchmarkAllocateFull measures 8 KiB clean allocations into a full
-// manager of 8k 8 KiB units: every allocation reclaims the least
-// recently used unit and takes its space back through first fit.
+// space of 8k 8 KiB units: every allocation reclaims the least recently
+// used unit and takes its space back through first fit.
 func BenchmarkAllocateFull(b *testing.B) {
 	const unitB, units = 8 << 10, 8 << 10
-	m, err := New(unitB * units)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := newSpace(b, unitB*units, "")
 	var (
-		frags   []Fragment
-		evicted []Evicted
+		frags []Fragment
+		err   error
 	)
 	for i := int64(0); i < units; i++ {
-		if frags, evicted, err = m.AllocateInto(frags[:0], evicted[:0], unitB, Owner{File: "seed", FileOff: i * unitB}, false); err != nil {
+		if frags, err = s.Allocate(frags[:0], 0, unitB, Owner{File: "seed", FileOff: i * unitB}, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if frags, evicted, err = m.AllocateInto(frags[:0], evicted[:0], unitB, Owner{File: "in", FileOff: int64(i) * unitB}, false); err != nil {
+		if frags, err = s.Allocate(frags[:0], 0, unitB, Owner{File: "in", FileOff: int64(i) * unitB}, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,13 +12,16 @@
 //
 // Allocations may be scattered (a request can receive several fragments),
 // matching an extent-based cache file; every fragment carries the identity
-// of the original-file range it caches, so evictions can be translated
-// back into DMT deletions by the caller.
+// of the original-file range it caches, and the eviction hook
+// (Sharded.SetEvictHook) reports each reclaimed fragment under that
+// identity, so the caller can drop its DMT mapping before the bytes are
+// reused.
 package cachespace
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"s4dcache/internal/extent"
 )
@@ -49,36 +52,34 @@ type Fragment struct {
 	Len int64
 }
 
-// Evicted reports a clean fragment reclaimed by an allocation.
-type Evicted struct {
-	Owner    Owner
-	CacheOff int64
-	Len      int64
-}
-
 type unit struct {
 	owner Owner
 	dirty bool
 	seq   uint64 // LRU timestamp: larger = more recently used
 }
 
-// Manager tracks one cache file's space. Use New.
-type Manager struct {
-	capacity int64
-	used     *extent.Map[unit]
-	usedB    int64
-	dirtyB   int64
-	seq      uint64
+// region is one shard's slice of the cache file: its allocation map,
+// policy, pin table and counters, all guarded by mu. Offsets inside a
+// region's methods are region-local; Sharded translates at its boundary.
+type region struct {
+	mu   sync.Mutex
+	base int64 // global offset of the region's first byte
+	size int64
+
+	used   *extent.Map[unit]
+	usedB  int64
+	dirtyB int64
+	seq    uint64
 
 	// lowWater is a first-fit hint: every byte below it is allocated, so
-	// no free gap starts before it. FreeRange lowers it; takeFree raises
+	// no free gap starts before it. freeRange lowers it; takeFree raises
 	// it to the end of the last fragment it takes and starts its gap walk
 	// there, instead of rescanning the used map from offset 0.
 	lowWater int64
 
 	// policy owns the queue of reclaim candidates and the admission
 	// gate. Candidates are lazily invalidated: every transition that
-	// creates or refreshes clean space (allocate-clean, MarkClean, Touch
+	// creates or refreshes clean space (allocate-clean, markClean, touch
 	// under a restamping policy) registers one carrying the unit's
 	// then-current seq; reclaim pops candidates and validates them
 	// against the live map (same seq, still clean), silently dropping
@@ -88,69 +89,54 @@ type Manager struct {
 	// fragment, and the policy never has to delete entries.
 	policy Policy
 
-	ov      []extent.Entry[unit] // scratch for overlap scans
-	gaps    []extent.Gap         // scratch for free-gap scans
-	skipped []Cand               // scratch for reclaim's set-aside candidates
-
-	// pinned, when set, reports whether any byte of [off, off+length) is
-	// held by an in-flight cache read; reclaim skips such candidates so an
-	// eviction can never reuse space whose old bytes are still being read.
-	// Sharded installs it on every region; with no pins held it never
-	// skips, and reclaim's victim order is that of a bare manager.
-	pinned func(off, length int64) bool
+	// pins maps ranges held by in-flight cache reads to reference counts;
+	// reclaim skips any candidate a pin overlaps, so an eviction can never
+	// reuse space whose old bytes are still being read. With no pins held
+	// it never skips.
+	pins *extent.Map[int64]
 
 	// evict, when set, runs for every fragment reclaim is about to evict,
-	// in victim order, before the fragment's bytes rejoin the free pool.
-	// The core engine installs a hook that unmaps the fragment's DMT range
-	// (and, in virtual time, charges the commit), making unmap-before-free
-	// a manager invariant: the unmap lands (under this manager's lock)
-	// before the space is reusable, so no DMT lookup can return a mapping
-	// to bytes recycled to a new owner. Returning false vetoes the
-	// eviction (the mapping could not be dropped); the fragment is set
-	// aside like pinned space.
+	// in victim order, with the fragment's global cache offset, before its
+	// bytes rejoin the free pool. The core engine installs a hook that
+	// unmaps the fragment's DMT range (and, in virtual time, charges the
+	// commit), making unmap-before-free a space invariant: the unmap lands
+	// (under this region's lock) before the space is reusable, so no DMT
+	// lookup can return a mapping to bytes recycled to a new owner.
+	// Returning false vetoes the eviction (the mapping could not be
+	// dropped); the fragment is set aside like pinned space.
 	evict func(owner Owner, cacheOff, length int64) bool
+
+	ov      []extent.Entry[unit]  // scratch for overlap scans
+	gaps    []extent.Gap          // scratch for free-gap scans
+	skipped []Cand                // scratch for reclaim's set-aside candidates
+	pinOv   []extent.Entry[int64] // scratch for pin scans
+	pinGaps []extent.Gap          // scratch for pin gaps
 
 	evictions     uint64
 	failures      uint64
 	touches       uint64
 	admitRejected uint64
+
+	// Padding: regions sit in one slice and their mutexes are the hottest
+	// words on the serve path; keep neighbours off each other's cache
+	// line.
+	_ [64]byte
 }
 
-// New returns a manager for a cache file of the given capacity in bytes,
-// using the default clean-first LRU policy.
-func New(capacity int64) (*Manager, error) {
-	return NewWithPolicy(capacity, nil)
+func (r *region) init(base, size int64) {
+	r.base, r.size = base, size
+	r.used = extent.New[unit](func(u unit, delta int64) unit {
+		return unit{owner: Owner{File: u.owner.File, FileOff: u.owner.FileOff + delta}, dirty: u.dirty, seq: u.seq}
+	})
+	r.pins = extent.New[int64](nil)
 }
 
-// NewWithPolicy returns a manager using the given eviction/admission
-// policy. A nil policy means clean-first LRU.
-func NewWithPolicy(capacity int64, p Policy) (*Manager, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("cachespace: capacity must be positive, got %d", capacity)
-	}
-	if p == nil {
-		p = NewCleanLRU()
-	}
-	return &Manager{
-		capacity: capacity,
-		policy:   p,
-		used: extent.New[unit](func(u unit, delta int64) unit {
-			return unit{owner: Owner{File: u.owner.File, FileOff: u.owner.FileOff + delta}, dirty: u.dirty, seq: u.seq}
-		}),
-	}, nil
-}
-
-// SetPolicy installs p as the eviction/admission policy (nil restores
-// clean-first LRU) and re-registers every live clean fragment with it in
-// cache-offset order, so the every-clean-byte-has-a-candidate invariant
-// survives the swap. The cache contents are untouched; the swap is safe
-// between any two operations.
-func (m *Manager) SetPolicy(p Policy) {
-	if p == nil {
-		p = NewCleanLRU()
-	}
-	m.policy = p
-	m.used.Walk(func(e extent.Entry[unit]) bool {
+// setPolicy installs p and re-registers every live clean fragment with it
+// in cache-offset order, so the every-clean-byte-has-a-candidate
+// invariant survives the swap. The cache contents are untouched.
+func (r *region) setPolicy(p Policy) {
+	r.policy = p
+	r.used.Walk(func(e extent.Entry[unit]) bool {
 		if !e.Val.dirty {
 			p.NoteClean(Cand{Seq: e.Val.seq, Off: e.Off, Len: e.Len}, e.Val.owner)
 		}
@@ -158,182 +144,116 @@ func (m *Manager) SetPolicy(p Policy) {
 	})
 }
 
-// PolicyName returns the active policy's registered name.
-func (m *Manager) PolicyName() string { return m.policy.Name() }
-
-// PolicyCounters returns the active policy's cumulative decision
-// counters. They reset when the policy is swapped.
-func (m *Manager) PolicyCounters() PolicyCounters { return m.policy.Counters() }
-
-// Touches returns how many fragment-level cache-hit touches the manager
-// has recorded.
-func (m *Manager) Touches() uint64 { return m.touches }
-
-// PolicyQueueLen returns the active policy's candidate queue length
-// (live + stale entries); a diagnostic for queue-growth pathologies.
-func (m *Manager) PolicyQueueLen() int { return m.policy.QueueLen() }
-
-// AdmitRejected returns how many allocations the policy's admission gate
-// has denied. Unlike PolicyCounters it survives policy swaps.
-func (m *Manager) AdmitRejected() uint64 { return m.admitRejected }
-
-// Capacity returns the total space.
-func (m *Manager) Capacity() int64 { return m.capacity }
-
-// FreeBytes returns unallocated space.
-func (m *Manager) FreeBytes() int64 { return m.capacity - m.usedB }
-
-// UsedBytes returns allocated space (clean + dirty).
-func (m *Manager) UsedBytes() int64 { return m.usedB }
-
-// DirtyBytes returns allocated space awaiting flush.
-func (m *Manager) DirtyBytes() int64 { return m.dirtyB }
-
-// CleanBytes returns allocated reclaimable space.
-func (m *Manager) CleanBytes() int64 { return m.usedB - m.dirtyB }
-
-// Evictions returns how many clean fragments have been reclaimed.
-func (m *Manager) Evictions() uint64 { return m.evictions }
-
-// Failures returns how many allocations returned ErrNoSpace.
-func (m *Manager) Failures() uint64 { return m.failures }
-
-// Allocate reserves size bytes for owner. The first fragment caches
-// owner.FileOff, the second owner.FileOff + len(first), and so on. If the
-// free space is insufficient, clean fragments are reclaimed in LRU order;
-// the reclaimed ranges are returned so the caller can drop their DMT
-// mappings. Returns ErrNoSpace if free + clean space is insufficient.
-func (m *Manager) Allocate(size int64, owner Owner, dirty bool) ([]Fragment, []Evicted, error) {
-	return m.AllocateInto(nil, nil, size, owner, dirty)
-}
-
-// AllocateInto is Allocate with caller-owned result buffers: fragments
-// and evictions are appended to frags and evicted (pass them re-sliced to
-// length zero to reuse their backing arrays), allowing steady-state
-// allocation at 0 allocs/op. The returned slices alias the arguments.
-func (m *Manager) AllocateInto(frags []Fragment, evicted []Evicted, size int64, owner Owner, dirty bool) ([]Fragment, []Evicted, error) {
+// allocate reserves size bytes for owner, appending region-local fragments
+// to frags. The first fragment caches owner.FileOff, the second
+// owner.FileOff + len(first), and so on. If the free space is
+// insufficient, clean fragments are reclaimed in the policy's victim order
+// (each reported through the eviction hook). Returns ErrNoSpace if free +
+// clean space is insufficient.
+func (r *region) allocate(frags []Fragment, size int64, owner Owner, dirty bool) ([]Fragment, error) {
 	if size <= 0 {
-		return frags, evicted, fmt.Errorf("cachespace: allocation size must be positive, got %d", size)
+		return frags, fmt.Errorf("cachespace: allocation size must be positive, got %d", size)
 	}
-	m.policy.NoteAccess(owner, size)
-	if size > m.FreeBytes()+m.CleanBytes() {
-		m.failures++
-		return frags, evicted, fmt.Errorf("%w: need %d, free %d, clean %d", ErrNoSpace, size, m.FreeBytes(), m.CleanBytes())
+	r.policy.NoteAccess(owner, size)
+	free := r.size - r.usedB
+	if clean := r.usedB - r.dirtyB; size > free+clean {
+		r.failures++
+		return frags, fmt.Errorf("%w: need %d, free %d, clean %d", ErrNoSpace, size, free, clean)
 	}
-	var rejected bool
-	if size > m.FreeBytes() {
-		evicted, rejected = m.reclaim(evicted, size-m.FreeBytes(), owner)
+	if size > free && r.reclaim(size-free, owner) {
+		// The policy refused to evict for this allocation. Evictions
+		// already performed have been reported through the hook.
+		r.failures++
+		r.admitRejected++
+		return frags, ErrAdmissionRejected
 	}
-	if rejected {
-		// The policy refused to evict for this allocation. Any evictions
-		// already performed are returned — the caller must still drop
-		// their DMT mappings.
-		m.failures++
-		m.admitRejected++
-		return frags, evicted, ErrAdmissionRejected
-	}
-	if size > m.FreeBytes() {
+	if free = r.size - r.usedB; size > free {
 		// Reclaim came up short: some clean space is pinned by in-flight
-		// reads. The evictions already performed are returned with the
-		// error — the caller must still drop their DMT mappings. With no
-		// pins held reclaim always satisfies a feasible request, so this
-		// branch is unreachable for a caller that never pins.
-		m.failures++
-		return frags, evicted, fmt.Errorf("%w: need %d, free %d after reclaim (pinned space held)", ErrNoSpace, size, m.FreeBytes())
+		// reads or vetoed by the hook. With no pins held and no vetoes
+		// reclaim always satisfies a feasible request.
+		r.failures++
+		return frags, fmt.Errorf("%w: need %d, free %d after reclaim (pinned space held)", ErrNoSpace, size, free)
 	}
-	frags = m.takeFree(frags, size, owner, dirty)
-	return frags, evicted, nil
+	return r.takeFree(frags, size, owner, dirty), nil
 }
 
-// SetPinned installs the in-flight-read pin predicate consulted by
-// reclaim. Passing nil removes it.
-func (m *Manager) SetPinned(fn func(off, length int64) bool) { m.pinned = fn }
-
-// SetEvictHook installs the pre-free eviction callback (see the evict
-// field). Passing nil removes it.
-func (m *Manager) SetEvictHook(fn func(owner Owner, cacheOff, length int64) bool) { m.evict = fn }
-
-// FreeRange releases [cacheOff, cacheOff+length) back to the free pool,
-// regardless of state. Callers use it when a DMT mapping is dropped or
-// overwritten.
-func (m *Manager) FreeRange(cacheOff, length int64) {
+// freeRange releases [cacheOff, cacheOff+length) back to the free pool,
+// regardless of state.
+func (r *region) freeRange(cacheOff, length int64) {
 	if length <= 0 {
 		return
 	}
-	m.accountRemoval(cacheOff, length)
-	m.used.Delete(cacheOff, length)
-	m.lowWater = min(m.lowWater, cacheOff)
+	r.ov = r.used.AppendOverlaps(r.ov[:0], cacheOff, length)
+	for _, e := range r.ov {
+		lo, hi := clip(e.Off, e.End(), cacheOff, cacheOff+length)
+		r.usedB -= hi - lo
+		if e.Val.dirty {
+			r.dirtyB -= hi - lo
+		}
+	}
+	r.used.Delete(cacheOff, length)
+	r.lowWater = min(r.lowWater, cacheOff)
 }
 
-// MarkClean clears the dirty state of allocated fragments overlapping
+// markClean clears the dirty state of allocated fragments overlapping
 // [cacheOff, cacheOff+length), making them reclaimable (flush completed).
-func (m *Manager) MarkClean(cacheOff, length int64) {
-	m.ov = m.used.AppendOverlaps(m.ov[:0], cacheOff, length)
-	for _, e := range m.ov {
+func (r *region) markClean(cacheOff, length int64) {
+	r.ov = r.used.AppendOverlaps(r.ov[:0], cacheOff, length)
+	for _, e := range r.ov {
 		if !e.Val.dirty {
 			continue
 		}
 		lo, hi := clip(e.Off, e.End(), cacheOff, cacheOff+length)
-		u := e.Val
-		u.dirty = false
-		u.seq = m.nextSeq()
-		delta := lo - e.Off
-		u.owner.FileOff += delta
-		m.dirtyB -= hi - lo
-		m.used.Insert(lo, hi-lo, unit{owner: u.owner, dirty: false, seq: u.seq})
-		m.policy.NoteClean(Cand{Seq: u.seq, Off: lo, Len: hi - lo}, u.owner)
+		owner := e.Val.owner
+		owner.FileOff += lo - e.Off
+		seq := r.nextSeq()
+		r.dirtyB -= hi - lo
+		r.used.Insert(lo, hi-lo, unit{owner: owner, dirty: false, seq: seq})
+		r.policy.NoteClean(Cand{Seq: seq, Off: lo, Len: hi - lo}, owner)
 	}
 }
 
-// MarkDirty sets the dirty state of allocated fragments overlapping
+// markDirty sets the dirty state of allocated fragments overlapping
 // [cacheOff, cacheOff+length) (a cached range was re-written).
-func (m *Manager) MarkDirty(cacheOff, length int64) {
-	m.ov = m.used.AppendOverlaps(m.ov[:0], cacheOff, length)
-	for _, e := range m.ov {
+func (r *region) markDirty(cacheOff, length int64) {
+	r.ov = r.used.AppendOverlaps(r.ov[:0], cacheOff, length)
+	for _, e := range r.ov {
 		if e.Val.dirty {
 			continue
 		}
 		lo, hi := clip(e.Off, e.End(), cacheOff, cacheOff+length)
-		u := e.Val
-		delta := lo - e.Off
-		u.owner.FileOff += delta
-		m.dirtyB += hi - lo
-		m.used.Insert(lo, hi-lo, unit{owner: u.owner, dirty: true, seq: m.nextSeq()})
+		owner := e.Val.owner
+		owner.FileOff += lo - e.Off
+		r.dirtyB += hi - lo
+		r.used.Insert(lo, hi-lo, unit{owner: owner, dirty: true, seq: r.nextSeq()})
 	}
 }
 
-// Touch records a cache hit on fragments overlapping the range. Under a
+// touch records a cache hit on fragments overlapping the range. Under a
 // recency policy (Restamp) the fragments' seqs are refreshed and their
 // clean ranges re-registered; under a FIFO-family policy the hit is pure
 // counter accounting.
-func (m *Manager) Touch(cacheOff, length int64) {
-	m.ov = m.used.AppendOverlaps(m.ov[:0], cacheOff, length)
-	restamp := m.policy.Restamp()
-	for _, e := range m.ov {
-		m.touches++
-		m.policy.NoteTouch(e.Val.owner, e.Off, e.Len, e.Val.dirty)
+func (r *region) touch(cacheOff, length int64) {
+	r.ov = r.used.AppendOverlaps(r.ov[:0], cacheOff, length)
+	restamp := r.policy.Restamp()
+	for _, e := range r.ov {
+		r.touches++
+		r.policy.NoteTouch(e.Val.owner, e.Off, e.Len, e.Val.dirty)
 		if !restamp {
 			continue
 		}
 		u := e.Val
-		u.seq = m.nextSeq()
-		m.used.Insert(e.Off, e.Len, u)
+		u.seq = r.nextSeq()
+		r.used.Insert(e.Off, e.Len, u)
 		if !u.dirty {
-			m.policy.NoteClean(Cand{Seq: u.seq, Off: e.Off, Len: e.Len}, u.owner)
+			r.policy.NoteClean(Cand{Seq: u.seq, Off: e.Off, Len: e.Len}, u.owner)
 		}
 	}
 }
 
-// Walk visits every allocated fragment in cache-offset order.
-func (m *Manager) Walk(fn func(cacheOff, length int64, owner Owner, dirty bool) bool) {
-	m.used.Walk(func(e extent.Entry[unit]) bool {
-		return fn(e.Off, e.Len, e.Val.owner, e.Val.dirty)
-	})
-}
-
-func (m *Manager) nextSeq() uint64 {
-	m.seq++
-	return m.seq
+func (r *region) nextSeq() uint64 {
+	r.seq++
+	return r.seq
 }
 
 // reclaimKeepBudget caps VictimKeep second chances per reclaim pass.
@@ -348,22 +268,22 @@ func (m *Manager) nextSeq() uint64 {
 const reclaimKeepBudget = 32
 
 // reclaim frees at least need bytes of clean space in the policy's
-// victim order, appending evictions to out. Callers have already
-// verified feasibility. The second result reports that the policy's
-// admission gate rejected the incoming allocation (reclaim stopped
-// early; state is consistent, the unprocessed tail was requeued).
-func (m *Manager) reclaim(out []Evicted, need int64, incoming Owner) ([]Evicted, bool) {
+// victim order, reporting each victim through the eviction hook before
+// freeing it. Callers have already verified feasibility. It reports
+// whether the policy's admission gate rejected the incoming allocation
+// (reclaim stopped early; state is consistent, the unprocessed tail was
+// requeued).
+func (r *region) reclaim(need int64, incoming Owner) (rejected bool) {
 	var reclaimed int64
-	skipped := m.skipped[:0]
-	rejected := false
+	skipped := r.skipped[:0]
 	keeps := 0
-	restamp := m.policy.Restamp()
-	for reclaimed < need {
-		c, ok := m.policy.PopVictim()
+	restamp := r.policy.Restamp()
+	for reclaimed < need && !rejected {
+		c, ok := r.policy.PopVictim()
 		if !ok {
 			break
 		}
-		if m.pinned != nil && m.pinned(c.Off, c.Len) {
+		if r.pinOv = r.pins.AppendOverlaps(r.pinOv[:0], c.Off, c.Len); len(r.pinOv) > 0 {
 			// An in-flight read holds (part of) this range. Set it aside —
 			// requeued after the loop so one reclaim pass cannot spin on
 			// it — and try the next-oldest candidate.
@@ -373,10 +293,11 @@ func (m *Manager) reclaim(out []Evicted, need int64, incoming Owner) ([]Evicted,
 		cEnd := c.Off + c.Len
 		// Validate against the live map: only subranges that are still
 		// clean and still carry the candidate's seq belong to this queue
-		// entry; everything else was refreshed or overwritten since.
-		m.ov = m.used.AppendOverlaps(m.ov[:0], c.Off, c.Len)
-		start := len(out)
-		for _, e := range m.ov {
+		// entry; everything else was refreshed or overwritten since. The
+		// scan works on a copy of the overlaps, and each victim frees only
+		// its own range, so freeing inside the loop leaves the rest valid.
+		r.ov = r.used.AppendOverlaps(r.ov[:0], c.Off, c.Len)
+		for _, e := range r.ov {
 			if e.Val.dirty || e.Val.seq != c.Seq {
 				continue
 			}
@@ -403,32 +324,33 @@ func (m *Manager) reclaim(out []Evicted, need int64, incoming Owner) ([]Evicted,
 			owner.FileOff += lo - e.Off
 			action := VictimEvict
 			if keeps < reclaimKeepBudget {
-				action = m.policy.Victim(incoming, owner, c, lo, hi-lo)
+				action = r.policy.Victim(incoming, owner, c, lo, hi-lo)
 			}
-			switch action {
-			case VictimKeep:
+			if action == VictimKeep {
 				// The policy re-registered this fragment's coverage
 				// itself (e.g. an S3-FIFO promotion); not a victim.
 				keeps++
 				continue
-			case VictimReject:
+			}
+			if action == VictimReject {
 				// Admission denied. Requeue the candidate's unprocessed
 				// tail (lazy validation tolerates the stale head) and
 				// stop reclaiming.
 				skipped = append(skipped, Cand{Seq: c.Seq, Off: lo, Len: cEnd - lo, Queue: c.Queue})
 				rejected = true
-			}
-			if rejected {
 				break
 			}
-			if m.evict != nil && !m.evict(owner, lo, take) {
+			if r.evict != nil && !r.evict(owner, r.base+lo, take) {
 				// The hook could not unmap this fragment; it must not be
 				// freed. Requeue it like pinned space and move on.
 				skipped = append(skipped, Cand{Seq: c.Seq, Off: lo, Len: hi - lo, Queue: c.Queue})
 				continue
 			}
-			out = append(out, Evicted{Owner: owner, CacheOff: lo, Len: take})
-			m.policy.NoteEvicted(owner, take)
+			r.policy.NoteEvicted(owner, take)
+			r.usedB -= take
+			r.used.Delete(lo, take)
+			r.lowWater = min(r.lowWater, lo)
+			r.evictions++
 			reclaimed += take
 			if reclaimed >= need {
 				// Requeue the candidate's unreclaimed remainder so the
@@ -437,60 +359,68 @@ func (m *Manager) reclaim(out []Evicted, need int64, incoming Owner) ([]Evicted,
 					cut = hi
 				}
 				if cut < cEnd {
-					m.policy.Requeue(Cand{Seq: c.Seq, Off: cut, Len: cEnd - cut, Queue: c.Queue})
+					r.policy.Requeue(Cand{Seq: c.Seq, Off: cut, Len: cEnd - cut, Queue: c.Queue})
 				}
 				break
 			}
 		}
-		// Free after the scan: FreeRange reuses the m.ov scratch.
-		for _, ev := range out[start:] {
-			m.FreeRange(ev.CacheOff, ev.Len)
-			m.evictions++
-		}
-		if rejected {
-			break
-		}
 	}
 	for _, c := range skipped {
-		m.policy.Requeue(c)
+		r.policy.Requeue(c)
 	}
-	m.skipped = skipped[:0]
-	return out, rejected
+	r.skipped = skipped[:0]
+	return rejected
 }
 
 // takeFree allocates size bytes from the free gaps (first fit, scattered),
 // appending to frags. The gap walk starts at the low-water offset and
 // stops at the gap that completes the request, so it returns exactly the
 // gaps a scan from offset 0 would use.
-func (m *Manager) takeFree(frags []Fragment, size int64, owner Owner, dirty bool) []Fragment {
+func (r *region) takeFree(frags []Fragment, size int64, owner Owner, dirty bool) []Fragment {
 	var taken int64
-	m.gaps = m.used.AppendGapsUpTo(m.gaps[:0], m.lowWater, m.capacity-m.lowWater, size)
-	for _, g := range m.gaps {
+	r.gaps = r.used.AppendGapsUpTo(r.gaps[:0], r.lowWater, r.size-r.lowWater, size)
+	for _, g := range r.gaps {
 		n := min(g.Len, size-taken)
 		fragOwner := Owner{File: owner.File, FileOff: owner.FileOff + taken}
-		seq := m.nextSeq()
-		m.used.Insert(g.Off, n, unit{owner: fragOwner, dirty: dirty, seq: seq})
+		seq := r.nextSeq()
+		r.used.Insert(g.Off, n, unit{owner: fragOwner, dirty: dirty, seq: seq})
 		if !dirty {
-			m.policy.NoteClean(Cand{Seq: seq, Off: g.Off, Len: n}, fragOwner)
+			r.policy.NoteClean(Cand{Seq: seq, Off: g.Off, Len: n}, fragOwner)
 		}
-		m.usedB += n
+		r.usedB += n
 		if dirty {
-			m.dirtyB += n
+			r.dirtyB += n
 		}
 		frags = append(frags, Fragment{CacheOff: g.Off, Len: n})
 		taken += n
-		m.lowWater = g.Off + n
+		r.lowWater = g.Off + n
 	}
 	return frags
 }
 
-func (m *Manager) accountRemoval(cacheOff, length int64) {
-	m.ov = m.used.AppendOverlaps(m.ov[:0], cacheOff, length)
-	for _, e := range m.ov {
-		lo, hi := clip(e.Off, e.End(), cacheOff, cacheOff+length)
-		m.usedB -= hi - lo
-		if e.Val.dirty {
-			m.dirtyB -= hi - lo
+func (r *region) pin(off, length int64) {
+	end := off + length
+	// Gaps first (coverage changes below), then bump existing counts.
+	r.pinGaps = r.pins.AppendGaps(r.pinGaps[:0], off, length)
+	r.pinOv = r.pins.AppendOverlaps(r.pinOv[:0], off, length)
+	for _, e := range r.pinOv {
+		lo, hi := clip(e.Off, e.End(), off, end)
+		r.pins.Insert(lo, hi-lo, e.Val+1)
+	}
+	for _, g := range r.pinGaps {
+		r.pins.Insert(g.Off, g.Len, 1)
+	}
+}
+
+func (r *region) unpin(off, length int64) {
+	end := off + length
+	r.pinOv = r.pins.AppendOverlaps(r.pinOv[:0], off, length)
+	for _, e := range r.pinOv {
+		lo, hi := clip(e.Off, e.End(), off, end)
+		if e.Val <= 1 {
+			r.pins.Delete(lo, hi-lo)
+		} else {
+			r.pins.Insert(lo, hi-lo, e.Val-1)
 		}
 	}
 }

@@ -52,26 +52,24 @@ func TestTakeFreeMatchesFullScanFirstFit(t *testing.T) {
 	const capacity = 256 << 10
 	for _, policy := range []string{PolicyCleanLRU, PolicyS3FIFO} {
 		t.Run(policy, func(t *testing.T) {
-			p, err := NewPolicy(policy, capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := NewWithPolicy(capacity, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := newSpace(t, capacity, policy)
+			r := &s.regions[0]
+			var evictions int
+			s.SetEvictHook(func(Owner, int64, int64) bool {
+				evictions++
+				return true
+			})
 			rng := rand.New(rand.NewSource(1))
 			randRange := func() (int64, int64) {
 				off := rng.Int63n(capacity)
 				return off, min(1+rng.Int63n(24<<10), capacity-off)
 			}
-			var allocs, evictions, adopts int
+			var allocs, adopts int
 			for op := 0; op < 6000; op++ {
 				switch k := rng.Intn(10); {
 				case k < 4:
 					size := 1 + rng.Int63n(20<<10)
-					frags, ev, err := m.Allocate(size, Owner{File: "f", FileOff: int64(op) << 20}, rng.Intn(3) == 0)
-					evictions += len(ev)
+					frags, err := alloc(s, size, Owner{File: "f", FileOff: int64(op) << 20}, rng.Intn(3) == 0)
 					if err != nil {
 						if !errors.Is(err, ErrNoSpace) {
 							t.Fatal(err)
@@ -79,7 +77,7 @@ func TestTakeFreeMatchesFullScanFirstFit(t *testing.T) {
 						break
 					}
 					allocs++
-					before := mergeGaps(m.used.AppendGaps(nil, 0, capacity), frags)
+					before := mergeGaps(r.used.AppendGaps(nil, 0, capacity), frags)
 					want := firstFit(before, size)
 					if len(frags) != len(want) {
 						t.Fatalf("op %d: takeFree gave %v, full-scan first fit %v", op, frags, want)
@@ -90,20 +88,20 @@ func TestTakeFreeMatchesFullScanFirstFit(t *testing.T) {
 						}
 					}
 				case k < 6:
-					m.FreeRange(randRange())
+					s.FreeRange(randRange())
 				case k == 6:
-					m.MarkClean(randRange())
+					s.MarkClean(randRange())
 				case k == 7:
-					m.MarkDirty(randRange())
+					s.MarkDirty(randRange())
 				case k == 8:
-					m.Touch(randRange())
+					s.Touch(randRange())
 				default:
 					// Adopt a piece of a random gap (a warm-restart
 					// re-admission), or collide with resident space.
-					gaps := m.used.AppendGaps(nil, 0, capacity)
+					gaps := r.used.AppendGaps(nil, 0, capacity)
 					if len(gaps) == 0 || rng.Intn(4) == 0 {
 						off, n := randRange()
-						if err := m.Adopt(off, n, Owner{File: "a", FileOff: off}, false); err == nil {
+						if err := s.Adopt(off, n, Owner{File: "a", FileOff: off}, false); err == nil {
 							adopts++
 						}
 						break
@@ -111,13 +109,13 @@ func TestTakeFreeMatchesFullScanFirstFit(t *testing.T) {
 					g := gaps[rng.Intn(len(gaps))]
 					off := g.Off + rng.Int63n(g.Len)
 					n := 1 + rng.Int63n(g.Off+g.Len-off)
-					if err := m.Adopt(off, n, Owner{File: "a", FileOff: off}, rng.Intn(2) == 0); err != nil {
+					if err := s.Adopt(off, n, Owner{File: "a", FileOff: off}, rng.Intn(2) == 0); err != nil {
 						t.Fatalf("op %d: adopt of free [%d,+%d): %v", op, off, n, err)
 					}
 					adopts++
 				}
-				if gaps := m.used.Gaps(0, capacity); len(gaps) > 0 && gaps[0].Off < m.lowWater {
-					t.Fatalf("op %d: free gap %+v starts below low water %d", op, gaps[0], m.lowWater)
+				if gaps := r.used.Gaps(0, capacity); len(gaps) > 0 && gaps[0].Off < r.lowWater {
+					t.Fatalf("op %d: free gap %+v starts below low water %d", op, gaps[0], r.lowWater)
 				}
 			}
 			if allocs < 500 || evictions < 100 || adopts < 100 {

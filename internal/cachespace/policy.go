@@ -2,8 +2,8 @@ package cachespace
 
 import "fmt"
 
-// Registered policy names, accepted by NewPolicy and the CachePolicy
-// configuration knobs up the stack.
+// Registered policy names, accepted by NewSharded, Sharded.SetPolicy and
+// the CachePolicy configuration knobs up the stack.
 const (
 	// PolicyCleanLRU is the paper's policy: reclaim clean space in LRU
 	// order, admit everything the cost model marked critical.
@@ -22,29 +22,29 @@ const (
 // PolicyNames lists the registered policy names in canonical order.
 func PolicyNames() []string { return []string{PolicyCleanLRU, PolicyS3FIFO, PolicyTinyLFU} }
 
-// NewPolicy returns a fresh policy instance by name, sized for a cache of
+// newPolicy returns a fresh policy instance by name, sized for a cache of
 // the given capacity in bytes. The empty name means PolicyCleanLRU.
-func NewPolicy(name string, capacity int64) (Policy, error) {
+func newPolicy(name string, capacity int64) (Policy, error) {
 	switch name {
 	case "", PolicyCleanLRU:
-		return NewCleanLRU(), nil
+		return newCleanLRU(), nil
 	case PolicyS3FIFO:
-		return NewS3FIFO(capacity), nil
+		return newS3FIFO(capacity), nil
 	case PolicyTinyLFU:
-		return NewTinyLFU(capacity), nil
+		return newTinyLFU(capacity), nil
 	}
 	return nil, fmt.Errorf("cachespace: unknown policy %q (have %v)", name, PolicyNames())
 }
 
 // Cand is one reclaim candidate: at registration time, [Off, Off+Len) was
 // clean space whose fragments carried Seq. Candidates are lazily
-// invalidated — the Manager revalidates them against the live extent map
+// invalidated — the region revalidates them against the live extent map
 // at eviction time, so a policy never needs to delete stale entries.
 type Cand struct {
 	Seq      uint64
 	Off, Len int64
 	// Queue is policy-private placement state (S3-FIFO's small vs main);
-	// the Manager preserves it across Requeue.
+	// the region preserves it across Requeue.
 	Queue uint8
 }
 
@@ -56,7 +56,7 @@ const (
 	VictimEvict VictimAction = iota
 	// VictimKeep retains the fragment; the policy has re-registered its
 	// coverage internally (e.g. an S3-FIFO small→main promotion) and the
-	// Manager moves on to the next victim.
+	// region moves on to the next victim.
 	VictimKeep
 	// VictimReject denies the incoming allocation itself: reclaim stops
 	// and the allocation fails with ErrAdmissionRejected. TinyLFU returns
@@ -90,13 +90,13 @@ func (a PolicyCounters) Add(b PolicyCounters) PolicyCounters {
 	return a
 }
 
-// Policy decides which clean space a Manager reclaims and whether an
-// allocation that needs eviction is admitted at all. Implementations are
-// single-threaded: each Manager owns one instance and calls it under its
-// own synchronization (per-region locks in Sharded). All methods must be
-// allocation-free in steady state — they sit on the serve path.
+// Policy decides which clean space a Sharded region reclaims and whether
+// an allocation that needs eviction is admitted at all. Implementations
+// are single-threaded: each region owns one instance and calls it under
+// the region's lock. All methods must be allocation-free in steady state —
+// they sit on the serve path.
 //
-// The Manager keeps the bookkeeping contract of the original clean queue:
+// The region keeps the bookkeeping contract of the original clean queue:
 // every transition that creates or refreshes clean space reports it via
 // NoteClean, so "every clean byte has a live candidate" remains an
 // invariant for any policy, and reclaim feasibility (free+clean ≥ size)
@@ -119,7 +119,7 @@ type Policy interface {
 	// c.Off+c.Len) was just (re)stamped with c.Seq, so any queued
 	// candidate with the exact same range is fully superseded.
 	NoteClean(c Cand, owner Owner)
-	// Requeue puts back a candidate the Manager could not consume
+	// Requeue puts back a candidate the region could not consume
 	// (pinned, vetoed, or a partially reclaimed remainder). Unlike
 	// NoteClean the range may only partially carry c.Seq, so it must not
 	// displace other queued candidates.
@@ -249,15 +249,15 @@ func (h *lruHeap) pop() (Cand, bool) {
 	return top.Cand, true
 }
 
-// heapPolicy is the paper's clean-first LRU, extracted from the Manager's
+// heapPolicy is the paper's clean-first LRU, extracted from the space's
 // original clean queue. It evicts unconditionally in (seq, off) order and
 // admits everything.
 type heapPolicy struct {
 	h lruHeap
 }
 
-// NewCleanLRU returns the default clean-first LRU policy.
-func NewCleanLRU() Policy { return &heapPolicy{} }
+// newCleanLRU returns the default clean-first LRU policy.
+func newCleanLRU() Policy { return &heapPolicy{} }
 
 func (p *heapPolicy) Name() string                        { return PolicyCleanLRU }
 func (p *heapPolicy) Restamp() bool                       { return true }

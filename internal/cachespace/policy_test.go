@@ -7,34 +7,21 @@ import (
 	"testing"
 )
 
-func mustNewPolicy(t *testing.T, capacity int64, name string) *Manager {
-	t.Helper()
-	p, err := NewPolicy(name, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewWithPolicy(capacity, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 func TestNewPolicyNames(t *testing.T) {
 	for _, name := range append(PolicyNames(), "") {
-		p, err := NewPolicy(name, 1<<20)
+		p, err := newPolicy(name, 1<<20)
 		if err != nil {
-			t.Fatalf("NewPolicy(%q): %v", name, err)
+			t.Fatalf("newPolicy(%q): %v", name, err)
 		}
 		want := name
 		if want == "" {
 			want = PolicyCleanLRU
 		}
 		if p.Name() != want {
-			t.Fatalf("NewPolicy(%q).Name() = %q", name, p.Name())
+			t.Fatalf("newPolicy(%q).Name() = %q", name, p.Name())
 		}
 	}
-	if _, err := NewPolicy("no-such-policy", 1<<20); err == nil {
+	if _, err := newPolicy("no-such-policy", 1<<20); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -47,16 +34,16 @@ func TestPolicyAccountingOracle(t *testing.T) {
 	for _, name := range PolicyNames() {
 		t.Run(name, func(t *testing.T) {
 			const capacity = 1 << 16
-			m := mustNewPolicy(t, capacity, name)
+			s := newSpace(t, capacity, name)
 			rng := rand.New(rand.NewSource(7))
-			type alloc struct{ off, n int64 }
-			var live []alloc
+			type span struct{ off, n int64 }
+			var live []span
 			for i := 0; i < 2000; i++ {
 				switch rng.Intn(5) {
 				case 0, 1: // allocate
 					size := int64(rng.Intn(4096) + 1)
 					owner := Owner{File: fmt.Sprintf("f%d", rng.Intn(8)), FileOff: int64(rng.Intn(1 << 18))}
-					frags, _, err := m.Allocate(size, owner, rng.Intn(2) == 0)
+					frags, err := alloc(s, size, owner, rng.Intn(2) == 0)
 					if err != nil {
 						if !errors.Is(err, ErrNoSpace) {
 							t.Fatal(err)
@@ -64,23 +51,23 @@ func TestPolicyAccountingOracle(t *testing.T) {
 						continue
 					}
 					for _, f := range frags {
-						live = append(live, alloc{f.CacheOff, f.Len})
+						live = append(live, span{f.CacheOff, f.Len})
 					}
 				case 2: // flush
 					if len(live) == 0 {
 						continue
 					}
 					a := live[rng.Intn(len(live))]
-					m.MarkClean(a.off, a.n)
+					s.MarkClean(a.off, a.n)
 				case 3: // re-dirty or touch
 					if len(live) == 0 {
 						continue
 					}
 					a := live[rng.Intn(len(live))]
 					if rng.Intn(2) == 0 {
-						m.MarkDirty(a.off, a.n)
+						s.MarkDirty(a.off, a.n)
 					} else {
-						m.Touch(a.off, a.n)
+						s.Touch(a.off, a.n)
 					}
 				case 4: // drop
 					if len(live) == 0 {
@@ -89,25 +76,26 @@ func TestPolicyAccountingOracle(t *testing.T) {
 					i := rng.Intn(len(live))
 					a := live[i]
 					live = append(live[:i], live[i+1:]...)
-					m.FreeRange(a.off, a.n)
+					s.FreeRange(a.off, a.n)
 				}
-				if m.UsedBytes() < 0 || m.UsedBytes() > capacity || m.DirtyBytes() < 0 || m.DirtyBytes() > m.UsedBytes() {
-					t.Fatalf("step %d: accounting out of range: used=%d dirty=%d", i, m.UsedBytes(), m.DirtyBytes())
+				if st := s.Stats(); st.UsedBytes < 0 || st.UsedBytes > capacity || st.DirtyBytes < 0 || st.DirtyBytes > st.UsedBytes {
+					t.Fatalf("step %d: accounting out of range: used=%d dirty=%d", i, st.UsedBytes, st.DirtyBytes)
 				}
 			}
-			checkAccountingOracle(t, m, capacity)
+			checkAccountingOracle(t, s, capacity)
 			// Coverage invariant: everything that is free or clean must be
 			// allocatable in one request (admission gates allowing — flood
 			// the incoming range's frequency first so TinyLFU admits it).
-			want := m.FreeBytes() + m.CleanBytes()
+			st := s.Stats()
+			want := st.FreeBytes + st.CleanBytes
 			if want == 0 {
 				return
 			}
 			in := Owner{File: "incoming", FileOff: 0}
 			for i := 0; i < 64; i++ {
-				m.policy.NoteAccess(in, 1)
+				s.regions[0].policy.NoteAccess(in, 1)
 			}
-			if _, _, err := m.Allocate(want, in, true); err != nil {
+			if _, err := alloc(s, want, in, true); err != nil {
 				t.Fatalf("free+clean=%d not allocatable: %v", want, err)
 			}
 		})
@@ -115,23 +103,24 @@ func TestPolicyAccountingOracle(t *testing.T) {
 }
 
 // checkAccountingOracle recomputes used/dirty/clean from a full walk and
-// compares them to the manager's counters.
-func checkAccountingOracle(t *testing.T, m *Manager, capacity int64) {
+// compares them to the space's counters.
+func checkAccountingOracle(t *testing.T, s *Sharded, capacity int64) {
 	t.Helper()
 	var used, dirty int64
-	m.Walk(func(_, length int64, _ Owner, d bool) bool {
+	s.Walk(func(_, length int64, _ Owner, d bool) bool {
 		used += length
 		if d {
 			dirty += length
 		}
 		return true
 	})
-	if used != m.UsedBytes() || dirty != m.DirtyBytes() {
+	st := s.Stats()
+	if used != st.UsedBytes || dirty != st.DirtyBytes {
 		t.Fatalf("oracle mismatch: walked used=%d dirty=%d, counters used=%d dirty=%d",
-			used, dirty, m.UsedBytes(), m.DirtyBytes())
+			used, dirty, st.UsedBytes, st.DirtyBytes)
 	}
-	if m.CleanBytes() != used-dirty {
-		t.Fatalf("clean=%d, want %d", m.CleanBytes(), used-dirty)
+	if st.CleanBytes != used-dirty {
+		t.Fatalf("clean=%d, want %d", st.CleanBytes, used-dirty)
 	}
 	if used > capacity {
 		t.Fatalf("used=%d beyond capacity %d", used, capacity)
@@ -142,21 +131,21 @@ func checkAccountingOracle(t *testing.T, m *Manager, capacity int64) {
 // touches of the same clean range must update the queued candidate in
 // place, not append one stale duplicate per hit.
 func TestTouchHotRangeQueueBounded(t *testing.T) {
-	m := mustNew(t, 1<<20)
+	s := newSpace(t, 1<<20, "")
 	for i := 0; i < 16; i++ {
-		if _, _, err := m.Allocate(4096, Owner{File: "f", FileOff: int64(i) * 4096}, false); err != nil {
+		if _, err := alloc(s, 4096, Owner{File: "f", FileOff: int64(i) * 4096}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base := m.policy.QueueLen()
+	base := s.Stats().PolicyQueueLen
 	for i := 0; i < 10000; i++ {
-		m.Touch(0, 4096)
+		s.Touch(0, 4096)
 	}
-	if got := m.policy.QueueLen(); got != base {
+	if got := s.Stats().PolicyQueueLen; got != base {
 		t.Fatalf("queue grew from %d to %d over 10k hot touches", base, got)
 	}
-	if m.Touches() != 10000 {
-		t.Fatalf("Touches() = %d, want 10000", m.Touches())
+	if got := s.Stats().Touches; got != 10000 {
+		t.Fatalf("Touches = %d, want 10000", got)
 	}
 }
 
@@ -164,21 +153,22 @@ func TestTouchHotRangeQueueBounded(t *testing.T) {
 // yields correct LRU victims: the least recently touched range is
 // evicted first.
 func TestTouchKeepsLRUOrder(t *testing.T) {
-	m := mustNew(t, 3*4096)
+	s := newSpace(t, 3*4096, "")
+	evicted := recordVictims(s)
 	for i := 0; i < 3; i++ {
-		if _, _, err := m.Allocate(4096, Owner{File: "f", FileOff: int64(i) * 4096}, false); err != nil {
+		if _, err := alloc(s, 4096, Owner{File: "f", FileOff: int64(i) * 4096}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Refresh ranges 0 and 2; range 1 becomes the LRU victim.
-	m.Touch(0, 4096)
-	m.Touch(2*4096, 4096)
-	_, evicted, err := m.Allocate(4096, Owner{File: "g"}, true)
-	if err != nil {
+	s.Touch(0, 4096)
+	s.Touch(2*4096, 4096)
+	if _, err := alloc(s, 4096, Owner{File: "g"}, true); err != nil {
 		t.Fatal(err)
 	}
-	if len(evicted) != 1 || evicted[0].Owner.FileOff != 4096 {
-		t.Fatalf("evicted %+v, want the untouched middle range", evicted)
+	want := victim{Owner{File: "f", FileOff: 4096}, 4096, 4096}
+	if len(*evicted) != 1 || (*evicted)[0] != want {
+		t.Fatalf("evicted %+v, want the untouched middle range %+v", *evicted, want)
 	}
 }
 
@@ -186,24 +176,24 @@ func TestTouchKeepsLRUOrder(t *testing.T) {
 // that gets re-referenced survives the eviction that would have removed
 // it, and the one-hit wonder next to it is evicted instead.
 func TestS3FIFOPromotion(t *testing.T) {
-	m := mustNewPolicy(t, 2*4096, PolicyS3FIFO)
+	s := newSpace(t, 2*4096, PolicyS3FIFO)
+	evicted := recordVictims(s)
 	hot := Owner{File: "hot"}
 	cold := Owner{File: "cold"}
-	if _, _, err := m.Allocate(4096, hot, false); err != nil {
+	if _, err := alloc(s, 4096, hot, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Allocate(4096, cold, false); err != nil {
+	if _, err := alloc(s, 4096, cold, false); err != nil {
 		t.Fatal(err)
 	}
-	m.Touch(0, 4096) // re-reference hot while probationary
-	_, evicted, err := m.Allocate(4096, Owner{File: "new"}, true)
-	if err != nil {
+	s.Touch(0, 4096) // re-reference hot while probationary
+	if _, err := alloc(s, 4096, Owner{File: "new"}, true); err != nil {
 		t.Fatal(err)
 	}
-	if len(evicted) != 1 || evicted[0].Owner.File != "cold" {
-		t.Fatalf("evicted %+v, want cold", evicted)
+	if want := (victim{cold, 4096, 4096}); len(*evicted) != 1 || (*evicted)[0] != want {
+		t.Fatalf("evicted %+v, want cold %+v", *evicted, want)
 	}
-	if c := m.PolicyCounters(); c.Promotions == 0 {
+	if c := s.Stats().PolicyCounters; c.Promotions == 0 {
 		t.Fatalf("no promotion recorded: %+v", c)
 	}
 }
@@ -212,33 +202,37 @@ func TestS3FIFOPromotion(t *testing.T) {
 // queue re-enters via the main queue (ghost hit) and then outlives a
 // fresh probationary range.
 func TestS3FIFOGhostReadmission(t *testing.T) {
-	m := mustNewPolicy(t, 2*4096, PolicyS3FIFO)
+	s := newSpace(t, 2*4096, PolicyS3FIFO)
+	evicted := recordVictims(s)
 	a := Owner{File: "a"}
-	if _, _, err := m.Allocate(4096, a, false); err != nil {
+	if _, err := alloc(s, 4096, a, false); err != nil {
 		t.Fatal(err)
 	}
 	// Evict a (never touched: one-hit wonder).
-	if _, evicted, err := m.Allocate(2*4096, Owner{File: "filler"}, true); err != nil || len(evicted) == 0 {
-		t.Fatalf("expected eviction of a: %v %v", evicted, err)
-	}
-	m.FreeRange(0, 2*4096)
-	// Re-admit a: the ghost table should route it to main.
-	if _, _, err := m.Allocate(4096, a, false); err != nil {
+	if _, err := alloc(s, 2*4096, Owner{File: "filler"}, true); err != nil {
 		t.Fatal(err)
 	}
-	if c := m.PolicyCounters(); c.GhostHits != 1 {
+	if want := (victim{a, 0, 4096}); len(*evicted) != 1 || (*evicted)[0] != want {
+		t.Fatalf("evicted %+v, want a %+v", *evicted, want)
+	}
+	s.FreeRange(0, 2*4096)
+	// Re-admit a: the ghost table should route it to main.
+	if _, err := alloc(s, 4096, a, false); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Stats().PolicyCounters; c.GhostHits != 1 {
 		t.Fatalf("GhostHits = %d, want 1: %+v", c.GhostHits, c)
 	}
 	// A fresh probationary neighbour should now be the preferred victim.
-	if _, _, err := m.Allocate(4096, Owner{File: "b"}, false); err != nil {
+	if _, err := alloc(s, 4096, Owner{File: "b"}, false); err != nil {
 		t.Fatal(err)
 	}
-	_, evicted, err := m.Allocate(4096, Owner{File: "c"}, true)
-	if err != nil {
+	*evicted = nil
+	if _, err := alloc(s, 4096, Owner{File: "c"}, true); err != nil {
 		t.Fatal(err)
 	}
-	if len(evicted) != 1 || evicted[0].Owner.File != "b" {
-		t.Fatalf("evicted %+v, want the probationary b", evicted)
+	if want := (victim{Owner{File: "b"}, 4096, 4096}); len(*evicted) != 1 || (*evicted)[0] != want {
+		t.Fatalf("evicted %+v, want the probationary b %+v", *evicted, want)
 	}
 }
 
@@ -246,34 +240,31 @@ func TestS3FIFOGhostReadmission(t *testing.T) {
 // is colder than the victim is rejected with ErrAdmissionRejected, and
 // that a hotter incoming range is admitted.
 func TestTinyLFUAdmissionGate(t *testing.T) {
-	m := mustNewPolicy(t, 4096, PolicyTinyLFU)
+	s := newSpace(t, 4096, PolicyTinyLFU)
 	hot := Owner{File: "hot"}
-	if _, _, err := m.Allocate(4096, hot, false); err != nil {
+	if _, err := alloc(s, 4096, hot, false); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		m.Touch(0, 4096) // victim frequency climbs
+		s.Touch(0, 4096) // victim frequency climbs
 	}
 	cold := Owner{File: "cold"}
-	_, _, err := m.Allocate(4096, cold, true)
+	_, err := alloc(s, 4096, cold, true)
 	if !errors.Is(err, ErrAdmissionRejected) {
 		t.Fatalf("cold allocation err = %v, want ErrAdmissionRejected", err)
 	}
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatal("ErrAdmissionRejected must wrap ErrNoSpace")
 	}
-	if m.AdmitRejected() != 1 {
-		t.Fatalf("AdmitRejected = %d, want 1", m.AdmitRejected())
-	}
-	if m.UsedBytes() != 4096 {
-		t.Fatalf("rejection must leave contents intact, used=%d", m.UsedBytes())
+	if st := s.Stats(); st.AdmitRejected != 1 || st.UsedBytes != 4096 {
+		t.Fatalf("AdmitRejected = %d, want 1; used = %d, want 4096 (rejection leaves contents intact)", st.AdmitRejected, st.UsedBytes)
 	}
 	// Now make the incoming range hotter than the victim: repeated
 	// admission attempts raise its sketch estimate past the victim's.
 	warm := Owner{File: "warm"}
 	var admitted bool
 	for i := 0; i < 32; i++ {
-		if _, _, err := m.Allocate(4096, warm, true); err == nil {
+		if _, err := alloc(s, 4096, warm, true); err == nil {
 			admitted = true
 			break
 		} else if !errors.Is(err, ErrNoSpace) {
@@ -292,28 +283,26 @@ func TestSetPolicyPreservesCoverage(t *testing.T) {
 	for _, from := range names {
 		for _, to := range names {
 			t.Run(from+"→"+to, func(t *testing.T) {
-				m := mustNewPolicy(t, 8*4096, from)
+				s := newSpace(t, 8*4096, from)
 				for i := 0; i < 8; i++ {
-					if _, _, err := m.Allocate(4096, Owner{File: "f", FileOff: int64(i) * 4096}, false); err != nil {
+					if _, err := alloc(s, 4096, Owner{File: "f", FileOff: int64(i) * 4096}, false); err != nil {
 						t.Fatal(err)
 					}
 				}
-				p, err := NewPolicy(to, 8*4096)
-				if err != nil {
+				if err := s.SetPolicy(to); err != nil {
 					t.Fatal(err)
 				}
-				m.SetPolicy(p)
-				if m.PolicyName() != to {
-					t.Fatalf("PolicyName = %q, want %q", m.PolicyName(), to)
+				if got := s.Stats().Policy; got != to {
+					t.Fatalf("Policy = %q, want %q", got, to)
 				}
 				in := Owner{File: "incoming"}
 				for i := 0; i < 64; i++ {
-					m.policy.NoteAccess(in, 1)
+					s.regions[0].policy.NoteAccess(in, 1)
 				}
-				if _, _, err := m.Allocate(8*4096, in, true); err != nil {
+				if _, err := alloc(s, 8*4096, in, true); err != nil {
 					t.Fatalf("clean space lost across %s→%s swap: %v", from, to, err)
 				}
-				checkAccountingOracle(t, m, 8*4096)
+				checkAccountingOracle(t, s, 8*4096)
 			})
 		}
 	}

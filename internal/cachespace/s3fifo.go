@@ -58,9 +58,9 @@ type s3fifoPolicy struct {
 	ctr PolicyCounters
 }
 
-// NewS3FIFO returns an S3-FIFO policy sized for a cache of the given
+// newS3FIFO returns an S3-FIFO policy sized for a cache of the given
 // capacity in bytes.
-func NewS3FIFO(capacity int64) Policy {
+func newS3FIFO(capacity int64) Policy {
 	// One frequency slot per 4 KB of capacity, clamped so tiny or huge
 	// caches stay reasonable.
 	slots := nextPow2(capacity>>12, 1<<10, 1<<20)

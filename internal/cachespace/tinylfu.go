@@ -17,9 +17,9 @@ type tinylfuPolicy struct {
 	ctr    PolicyCounters
 }
 
-// NewTinyLFU returns a TinyLFU admission policy sized for a cache of the
+// newTinyLFU returns a TinyLFU admission policy sized for a cache of the
 // given capacity in bytes.
-func NewTinyLFU(capacity int64) Policy {
+func newTinyLFU(capacity int64) Policy {
 	p := &tinylfuPolicy{}
 	// One counter column per 4 KB of capacity, like the S3-FIFO tables.
 	p.sketch.init(nextPow2(capacity>>12, 1<<10, 1<<20))

@@ -25,7 +25,7 @@ func TestShardedPolicySwapTorture(t *testing.T) {
 		rounds   = 12
 		opsPer   = 300
 	)
-	s, err := NewSharded(capacity, shards)
+	s, err := NewSharded(capacity, shards, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,7 @@ func TestShardedPolicySwapTorture(t *testing.T) {
 		return true
 	})
 
-	policies := []func(regionCapacity int64) Policy{
-		nil, // clean-LRU
-		func(c int64) Policy { return NewS3FIFO(c) },
-		func(c int64) Policy { return NewTinyLFU(c) },
-	}
+	policies := PolicyNames()
 
 	roundStart := make([]chan struct{}, rounds)
 	for i := range roundStart {
@@ -74,7 +70,7 @@ func TestShardedPolicySwapTorture(t *testing.T) {
 					case 0, 1:
 						size := int64(rng.Intn(8192) + 1)
 						owner := Owner{File: fmt.Sprintf("w%d-f%d", w, rng.Intn(4)), FileOff: int64(rng.Intn(1 << 20))}
-						frags, _, err := s.Allocate(shard, size, owner, rng.Intn(2) == 0)
+						frags, err := s.Allocate(nil, shard, size, owner, rng.Intn(2) == 0)
 						if err != nil {
 							if !errors.Is(err, ErrNoSpace) {
 								errs <- err
@@ -127,12 +123,13 @@ func TestShardedPolicySwapTorture(t *testing.T) {
 			}
 			return true
 		})
-		if used != s.UsedBytes() || dirty != s.DirtyBytes() {
+		st := s.Stats()
+		if used != st.UsedBytes || dirty != st.DirtyBytes {
 			t.Errorf("round %d: oracle mismatch: walked used=%d dirty=%d, counters used=%d dirty=%d",
-				round, used, dirty, s.UsedBytes(), s.DirtyBytes())
+				round, used, dirty, st.UsedBytes, st.DirtyBytes)
 		}
-		if s.CleanBytes() != used-dirty {
-			t.Errorf("round %d: clean=%d, want %d", round, s.CleanBytes(), used-dirty)
+		if st.CleanBytes != used-dirty {
+			t.Errorf("round %d: clean=%d, want %d", round, st.CleanBytes, used-dirty)
 		}
 		if used < 0 || used > capacity {
 			t.Errorf("round %d: used=%d out of [0,%d]", round, used, capacity)
@@ -143,7 +140,9 @@ func TestShardedPolicySwapTorture(t *testing.T) {
 	for round := 0; round < rounds && !t.Failed(); round++ {
 		close(roundStart[round])
 		// One swap racing the writers mid-round…
-		s.SetPolicy(policies[swapRng.Intn(len(policies))])
+		if err := s.SetPolicy(policies[swapRng.Intn(len(policies))]); err != nil {
+			t.Fatal(err)
+		}
 		// …then wait for every writer to reach the round barrier (an
 		// erroring writer sends its token before exiting).
 		for i := 0; i < writers; i++ {
@@ -155,7 +154,9 @@ func TestShardedPolicySwapTorture(t *testing.T) {
 		default:
 		}
 		// Quiesced swap + exact accounting oracle.
-		s.SetPolicy(policies[swapRng.Intn(len(policies))])
+		if err := s.SetPolicy(policies[swapRng.Intn(len(policies))]); err != nil {
+			t.Fatal(err)
+		}
 		oracle(round)
 	}
 	// Release any rounds not yet started (early-failure path) so the
@@ -184,16 +185,18 @@ func TestShardedPolicySwapTorture(t *testing.T) {
 	// Coverage finale: with vetoes disabled, every region's free+clean
 	// space must be allocatable — the invariant survived every swap.
 	s.SetEvictHook(nil)
-	s.SetPolicy(nil) // clean-LRU admits everything
+	if err := s.SetPolicy(PolicyCleanLRU); err != nil { // admits everything
+		t.Fatal(err)
+	}
 	for shard := 0; shard < shards; shard++ {
 		r := &s.regions[shard]
 		r.mu.Lock()
-		want := r.m.FreeBytes() + r.m.CleanBytes()
+		want := r.size - r.dirtyB // free + clean
 		r.mu.Unlock()
 		if want == 0 {
 			continue
 		}
-		if _, _, err := s.Allocate(shard, want, Owner{File: "finale"}, true); err != nil {
+		if _, err := s.Allocate(nil, shard, want, Owner{File: "finale"}, true); err != nil {
 			t.Fatalf("shard %d: free+clean=%d not allocatable after swaps: %v", shard, want, err)
 		}
 	}

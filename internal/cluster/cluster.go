@@ -366,7 +366,6 @@ func (tb *Testbed) RestartS4D(opts RestartOptions) error {
 		LazyFetch:      !p.EagerFetch,
 		CachePolicy:    p.CachePolicy,
 		AdaptivePeriod: p.AdaptivePeriod,
-		WarmRestart:    opts.Warm,
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: restart: %w", err)

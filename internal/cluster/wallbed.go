@@ -104,7 +104,7 @@ func NewWallS4D(p WallParams) (*WallTestbed, error) {
 	if p.PersistMeta {
 		tb.MetaBackend = kvstore.NewMemBackend()
 	}
-	if err := tb.buildEngine(false); err != nil {
+	if err := tb.buildEngine(tb.MetaBackend); err != nil {
 		return nil, err
 	}
 	if err := tb.serve(""); err != nil {
@@ -114,9 +114,10 @@ func NewWallS4D(p WallParams) (*WallTestbed, error) {
 	return tb, nil
 }
 
-// buildEngine constructs the concurrent engine, opening the durable meta
-// store when PersistMeta is set.
-func (tb *WallTestbed) buildEngine(warm bool) error {
+// buildEngine constructs the concurrent engine; given a meta backend it
+// opens the durable meta store there, and the engine recovers whatever
+// that store holds.
+func (tb *WallTestbed) buildEngine(meta *kvstore.MemBackend) error {
 	cfg := core.ConcurrentConfig{
 		Clock:         tb.Clock,
 		OPFS:          tb.OPFS,
@@ -125,14 +126,13 @@ func (tb *WallTestbed) buildEngine(warm bool) error {
 		CacheCapacity: tb.params.CacheCapacity,
 		Concurrency:   tb.params.Shards,
 	}
-	if tb.MetaBackend != nil {
-		store, err := kvstore.Open(tb.MetaBackend, "dmt", kvstore.Options{})
+	if meta != nil {
+		store, err := kvstore.Open(meta, "dmt", kvstore.Options{})
 		if err != nil {
 			return fmt.Errorf("cluster: wall meta store: %w", err)
 		}
 		cfg.MetaStore = store
 		cfg.SnapshotPeriod = 20 * time.Millisecond
-		cfg.WarmRestart = warm
 	}
 	eng, err := core.NewConcurrent(cfg)
 	if err != nil {
@@ -187,22 +187,14 @@ func (tb *WallTestbed) RestartS4D(opts WallRestartOptions) error {
 	}
 	tb.Server.Close()
 	tb.Eng.Close()
-	if opts.Warm {
-		if err := tb.buildEngine(true); err != nil {
-			return err
-		}
-	} else {
+	meta := tb.MetaBackend
+	if !opts.Warm && meta != nil {
 		// Cold: fresh meta state; the old durable bytes stay on
 		// MetaBackend for a later warm restart, mirroring Testbed.
-		old := tb.MetaBackend
-		if old != nil {
-			tb.MetaBackend = kvstore.NewMemBackend()
-		}
-		err := tb.buildEngine(false)
-		tb.MetaBackend = old
-		if err != nil {
-			return err
-		}
+		meta = kvstore.NewMemBackend()
+	}
+	if err := tb.buildEngine(meta); err != nil {
+		return err
 	}
 	return tb.serve(tb.addr)
 }

@@ -156,7 +156,7 @@ func TestAdaptiveSwapsOnShift(t *testing.T) {
 		cfg.AdaptivePeriod = 5 * time.Millisecond
 		cfg.LazyFetch = false
 	})
-	if got := tb.s4d.Space().PolicyName(); got != cachespace.PolicyS3FIFO {
+	if got := tb.s4d.Space().Stats().Policy; got != cachespace.PolicyS3FIFO {
 		t.Fatalf("initial policy = %q", got)
 	}
 	// The self-rearming adapt ticker keeps the event queue non-empty, so
@@ -182,7 +182,7 @@ func TestAdaptiveSwapsOnShift(t *testing.T) {
 		off := critOff + int64(i)*(1<<20)
 		write(i%4, "burst", off, pattern(1, 16<<10))
 	}
-	if got := tb.s4d.Space().PolicyName(); got != cachespace.PolicyCleanLRU {
+	if got := tb.s4d.Space().Stats().Policy; got != cachespace.PolicyCleanLRU {
 		t.Fatalf("policy after write burst = %q, want %q", got, cachespace.PolicyCleanLRU)
 	}
 
@@ -191,7 +191,7 @@ func TestAdaptiveSwapsOnShift(t *testing.T) {
 		off := critOff + int64(i)*(1<<20) + (512 << 20)
 		read(i%4, "scan", off, 16<<10)
 	}
-	if got := tb.s4d.Space().PolicyName(); got != cachespace.PolicyTinyLFU {
+	if got := tb.s4d.Space().Stats().Policy; got != cachespace.PolicyTinyLFU {
 		t.Fatalf("policy after scan = %q, want %q", got, cachespace.PolicyTinyLFU)
 	}
 

@@ -279,7 +279,7 @@ func (c *Concurrent) fetchGap(sh *cshard, shardIdx int, file string, off, length
 	}
 	// Eviction victims are unmapped by the cachespace eviction hook, under
 	// the region mutex (unmap-before-free, DESIGN.md §12).
-	frags, _, err := c.space.Allocate(shardIdx, length, cachespace.Owner{File: file, FileOff: off}, true)
+	frags, err := c.space.Allocate(nil, shardIdx, length, cachespace.Owner{File: file, FileOff: off}, true)
 	if err != nil {
 		c.fetchFailures.Add(1)
 		sh.mu.Unlock()

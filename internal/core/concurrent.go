@@ -69,7 +69,11 @@ type ConcurrentConfig struct {
 	// RebuildWorkers sizes the Rebuilder's worker pool; 0 means 4.
 	RebuildWorkers int
 	// MetaStore, if non-nil, persists the DMT through this store (each
-	// shard's table logs into the same store).
+	// shard's table logs into the same store). The engine recovers the
+	// cache residency the store records at construction (DESIGN.md §14):
+	// dirty extents re-admit synchronously, clean extents incrementally on
+	// the Rebuilder workers while the engine serves degraded
+	// (read-around). A fresh store starts cold.
 	MetaStore *kvstore.Store
 	// MetaBudget bounds the DMT's resident metadata bytes across all
 	// shards (DESIGN.md §16): over budget, cold clean files spill to
@@ -102,11 +106,6 @@ type ConcurrentConfig struct {
 	// period, riding the DMT's copy-on-write compaction (DESIGN.md §14).
 	// Zero disables snapshotting. Requires MetaStore.
 	SnapshotPeriod time.Duration
-	// WarmRestart recovers cache residency from MetaStore at construction:
-	// dirty extents re-admit synchronously, clean extents incrementally on
-	// the Rebuilder workers while the engine serves degraded (read-around).
-	// Requires MetaStore.
-	WarmRestart bool
 	// RecoverBatch caps clean extents re-admitted per shard-mutex hold
 	// during recovery; 0 means 256.
 	RecoverBatch int
@@ -174,7 +173,6 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		spillRead:    cfg.SpillRead,
 		adaptive:     cfg.AdaptivePeriod > 0,
 		snapshot:     cfg.SnapshotPeriod > 0,
-		warm:         cfg.WarmRestart,
 		recoverBatch: cfg.RecoverBatch,
 		faulty:       cfg.Faulty,
 	}, c)
@@ -186,7 +184,7 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		c.workerCh[i] = make(chan crTask, 2*c.rebuildBatch)
 		go c.rebuildWorker(c.workerCh[i])
 	}
-	if cfg.WarmRestart {
+	if cfg.MetaStore != nil {
 		// After the workers: clean-extent re-admission rides their
 		// channels. Before any ticker: the synchronous dirty installs must
 		// finish before other goroutines touch the engine.
@@ -517,7 +515,8 @@ func (c *Concurrent) absorbWrite(sh *cshard, shardIdx int, file string, off, len
 	// Eviction victims have their DMT mappings dropped by the cachespace
 	// eviction hook, under the region mutex and before the bytes rejoin
 	// the free pool (unmap-before-free, DESIGN.md §12).
-	frags, _, err := c.space.Allocate(shardIdx, length, cachespace.Owner{File: file, FileOff: off}, true)
+	frags, err := c.space.Allocate(sh.fragsBuf[:0], shardIdx, length, cachespace.Owner{File: file, FileOff: off}, true)
+	sh.fragsBuf = frags
 	if err != nil {
 		sh.stats.admitFailures.Add(1)
 		sh.stats.segWritesDisk.Add(1)

@@ -642,7 +642,7 @@ func TestConcurrentReadEvictionChurn(t *testing.T) {
 		}(cl)
 	}
 	wg.Wait()
-	if tb.eng.Space().Evictions() == 0 {
+	if tb.eng.Space().Stats().Evictions == 0 {
 		t.Fatal("no evictions occurred; churn test exercises nothing")
 	}
 	checkInvariants(t, &tb.eng.engine)

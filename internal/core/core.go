@@ -84,7 +84,12 @@ type Config struct {
 	// RebuildBatch caps the extents flushed and fetched per cycle; 0
 	// means 64.
 	RebuildBatch int
-	// MetaStore, if non-nil, persists the DMT through this store.
+	// MetaStore, if non-nil, persists the DMT through this store. The
+	// engine recovers the cache residency the store records at
+	// construction (a warm restart, DESIGN.md §14): dirty extents re-admit
+	// synchronously, clean extents incrementally in the background while
+	// the engine serves degraded (read-around). A fresh store starts
+	// cold.
 	MetaStore *kvstore.Store
 	// ChargeMetaIO, when true (and MetaStore is set), issues a CPFS write
 	// for every DMT commit so metadata persistence consumes simulated
@@ -121,11 +126,6 @@ type Config struct {
 	// restarted engine comes back warm (DESIGN.md §14). Zero disables
 	// snapshotting. Requires MetaStore.
 	SnapshotPeriod time.Duration
-	// WarmRestart recovers cache residency from MetaStore at construction:
-	// dirty extents re-admit synchronously, clean extents incrementally in
-	// the background while the engine serves degraded (read-around).
-	// Requires MetaStore.
-	WarmRestart bool
 	// RecoverBatch caps clean extents re-admitted per recovery step; 0
 	// means 256.
 	RecoverBatch int
@@ -251,7 +251,6 @@ func New(cfg Config) (*S4D, error) {
 		spillRead:    cfg.SpillRead,
 		adaptive:     cfg.AdaptivePeriod > 0,
 		snapshot:     cfg.SnapshotPeriod > 0,
-		warm:         cfg.WarmRestart,
 		recoverBatch: cfg.RecoverBatch,
 		// Sub-requests issued before the first failure must already route
 		// through the failover wrappers; healthy testbeds pay one false
@@ -262,7 +261,7 @@ func New(cfg Config) (*S4D, error) {
 		return nil, err
 	}
 	s.sh = &s.shards[0]
-	if cfg.WarmRestart {
+	if cfg.MetaStore != nil {
 		files, err := s.stageRecovery()
 		if err != nil {
 			return nil, err
@@ -500,7 +499,8 @@ func (s *S4D) Read(rank int, file string, off, size int64, buf []byte, done func
 // unmapped (and their commits charged) by the space's eviction hook.
 func (s *S4D) absorbWrite(file string, off, length int64, data []byte, join *reqJoin) error {
 	sh := s.sh
-	frags, _, err := s.space.Allocate(0, length, cachespace.Owner{File: file, FileOff: off}, true)
+	frags, err := s.space.Allocate(sh.fragsBuf[:0], 0, length, cachespace.Owner{File: file, FileOff: off}, true)
+	sh.fragsBuf = frags
 	if err != nil {
 		// No free or clean space: the request goes to the DServers.
 		sh.stats.admitFailures.Add(1)
@@ -562,7 +562,7 @@ func (s *S4D) eagerFetch(file string, off, length int64, data []byte) {
 	if hits, _ := sh.dmt.Lookup(file, off, length); len(hits) > 0 {
 		return
 	}
-	frags, _, err := s.space.Allocate(0, length, cachespace.Owner{File: file, FileOff: off}, false)
+	frags, err := s.space.Allocate(nil, 0, length, cachespace.Owner{File: file, FileOff: off}, false)
 	if err != nil {
 		return // no space: skip caching
 	}

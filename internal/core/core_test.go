@@ -192,8 +192,8 @@ func TestCriticalWriteAbsorbedByCache(t *testing.T) {
 	if !tb.s4d.DMT().Contains("f", critOff, 16<<10) {
 		t.Fatal("written range not mapped in DMT")
 	}
-	if tb.s4d.Space().DirtyBytes() != 16<<10 {
-		t.Fatalf("DirtyBytes = %d, want 16KB", tb.s4d.Space().DirtyBytes())
+	if tb.s4d.Space().Stats().DirtyBytes != 16<<10 {
+		t.Fatalf("DirtyBytes = %d, want 16KB", tb.s4d.Space().Stats().DirtyBytes)
 	}
 	// The data must live on the CServers, not the DServers.
 	if tb.cpfs.Stats().BytesWritten != 16<<10 {
@@ -245,8 +245,8 @@ func TestWriteHitReDirtiesMapping(t *testing.T) {
 	// Flush so the mapping is clean.
 	tb.s4d.RebuildNow(nil)
 	tb.eng.Run()
-	if tb.s4d.Space().DirtyBytes() != 0 {
-		t.Fatalf("flush left %d dirty bytes", tb.s4d.Space().DirtyBytes())
+	if tb.s4d.Space().Stats().DirtyBytes != 0 {
+		t.Fatalf("flush left %d dirty bytes", tb.s4d.Space().Stats().DirtyBytes)
 	}
 	// Overwrite the same range: must hit the mapping and re-dirty it.
 	newData := pattern(9, 16<<10)
@@ -255,7 +255,7 @@ func TestWriteHitReDirtiesMapping(t *testing.T) {
 	if st.SegWritesCache != 2 {
 		t.Fatalf("overwrite did not hit the cache: %+v", st)
 	}
-	if tb.s4d.Space().DirtyBytes() != 16<<10 {
+	if tb.s4d.Space().Stats().DirtyBytes != 16<<10 {
 		t.Fatal("overwrite did not re-dirty the space")
 	}
 	if got := tb.read(t, 0, "f", critOff, 16<<10); !bytes.Equal(got, newData) {
@@ -597,7 +597,7 @@ func TestFlushEpochPreventsLostUpdate(t *testing.T) {
 	}
 	tb.eng.Run()
 	// The flush must not have marked the re-written data clean.
-	if tb.s4d.Space().DirtyBytes() == 0 {
+	if tb.s4d.Space().Stats().DirtyBytes == 0 {
 		t.Fatal("concurrent flush lost the overwrite's dirtiness")
 	}
 	if tb.s4d.Stats().FlushRetries == 0 {
@@ -609,7 +609,7 @@ func TestFlushEpochPreventsLostUpdate(t *testing.T) {
 	}
 	tb.s4d.DrainRebuild(nil)
 	tb.eng.Run()
-	if tb.s4d.Space().DirtyBytes() != 0 {
+	if tb.s4d.Space().Stats().DirtyBytes != 0 {
 		t.Fatal("drain left dirty data")
 	}
 	buf := make([]byte, 16<<10)
@@ -728,7 +728,7 @@ func TestSpaceDMTAgreementProperty(t *testing.T) {
 		}
 		tb.s4d.DrainRebuild(nil)
 		tb.eng.Run()
-		return tb.s4d.Space().UsedBytes() == tb.s4d.DMT().Bytes()
+		return tb.s4d.Space().Stats().UsedBytes == tb.s4d.DMT().Bytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)

@@ -147,10 +147,11 @@ type cshard struct {
 	// re-admission, per file in replay order; non-nil only during warm
 	// recovery, mutated only under mu (writer supersedes and adopts).
 	pending map[string][]*pendingExt
-	// Write-path lookup scratch, reused under mu.
+	// Write-path lookup and allocation scratch, reused under mu.
 	hitsBuf    []dmt.Hit
 	gapsBuf    []extent.Gap
 	insertsBuf []dmt.FragmentInsert
+	fragsBuf   []cachespace.Fragment
 	stats      cstats
 	_          [64]byte
 }
@@ -216,7 +217,6 @@ type engineConfig struct {
 	spillRead    func(name string, data []byte) []byte
 	adaptive     bool
 	snapshot     bool
-	warm         bool
 	recoverBatch int
 	faulty       bool
 }
@@ -224,8 +224,9 @@ type engineConfig struct {
 // init validates cfg and builds the shared state in place: the cache
 // space, the name arena, the DMT options and tables, the shards and the
 // unmap-before-free eviction hook. drv must be fully built: the hooks
-// call it. A warm restart is staged by the caller (stageRecovery), whose
-// pacing is the driver's.
+// call it. With a MetaStore the caller then stages recovery
+// (stageRecovery), whose pacing is the driver's: it attaches the tables
+// to the store and re-admits whatever the store holds.
 func (e *engine) init(cfg engineConfig, drv driver) error {
 	if cfg.clock == nil {
 		return fmt.Errorf("core: clock is required")
@@ -239,8 +240,8 @@ func (e *engine) init(cfg engineConfig, drv driver) error {
 	if cfg.capacity <= 0 {
 		return fmt.Errorf("core: cache capacity must be positive, got %d", cfg.capacity)
 	}
-	if (cfg.warm || cfg.snapshot) && cfg.metaStore == nil {
-		return fmt.Errorf("core: WarmRestart/SnapshotPeriod require MetaStore")
+	if cfg.snapshot && cfg.metaStore == nil {
+		return fmt.Errorf("core: SnapshotPeriod requires MetaStore")
 	}
 	if cfg.metaBudget > 0 && cfg.metaStore == nil {
 		return fmt.Errorf("core: MetaBudget requires MetaStore")
@@ -254,16 +255,7 @@ func (e *engine) init(cfg engineConfig, drv driver) error {
 	if cfg.recoverBatch <= 0 {
 		cfg.recoverBatch = defaultRecoverBatch
 	}
-	var newPolicy func(regionCapacity int64) cachespace.Policy
-	if cfg.cachePolicy != "" {
-		// Validate the name once up front; the per-region factory then
-		// cannot fail.
-		if _, err := cachespace.NewPolicy(cfg.cachePolicy, cfg.capacity); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		newPolicy = policyFactory(cfg.cachePolicy)
-	}
-	space, err := cachespace.NewShardedPolicy(cfg.capacity, cfg.shards, newPolicy)
+	space, err := cachespace.NewSharded(cfg.capacity, cfg.shards, cfg.cachePolicy)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -301,15 +293,6 @@ func (e *engine) init(cfg engineConfig, drv driver) error {
 		e.dmtOpts = append(e.dmtOpts, dmt.WithSpillRead(cfg.spillRead))
 	}
 	tables := dmt.NewShards(cfg.shards, e.dmtOpts...)
-	if cfg.metaStore != nil && !cfg.warm {
-		// With a warm restart the log replays through stageRecovery
-		// instead, installing only verified extents.
-		route := func(file string) int { return lane(file, cfg.shards) }
-		tables, err = dmt.OpenShards(cfg.metaStore, cfg.shards, route, e.dmtOpts...)
-		if err != nil {
-			return fmt.Errorf("core: open DMT: %w", err)
-		}
-	}
 	// Unmap-before-free: every eviction drops its DMT mapping under the
 	// region mutex, before the bytes rejoin the free pool, so no lookup
 	// can return a mapping to space another owner has been given. The
@@ -336,15 +319,6 @@ func (e *engine) init(cfg engineConfig, drv driver) error {
 		}
 	}
 	return nil
-}
-
-// policyFactory returns the per-region constructor of a validated cache
-// policy name.
-func policyFactory(name string) func(regionCapacity int64) cachespace.Policy {
-	return func(regionCapacity int64) cachespace.Policy {
-		p, _ := cachespace.NewPolicy(name, regionCapacity)
-		return p
-	}
 }
 
 // ceilShare splits a table bound (the CDT's bytes, the DMT's resident
@@ -478,8 +452,8 @@ func (e *engine) adaptTick() {
 	if prof.Total() == 0 {
 		return
 	}
-	if name := ChoosePolicy(prof, e.cacheCap, e.space.PolicyName()); name != "" && name != e.space.PolicyName() {
-		e.space.SetPolicy(policyFactory(name))
+	current := e.space.Stats().Policy
+	if name := ChoosePolicy(prof, e.cacheCap, current); name != "" && name != current && e.space.SetPolicy(name) == nil {
 		e.policySwaps.Add(1)
 	}
 	cdtMax := e.baseCDTMax
@@ -608,16 +582,16 @@ func (e *engine) Stats() Stats {
 		st.DegradedTime += e.clock.Now() - e.degradedSince
 	}
 	e.downMu.Unlock()
-	st.CachePolicy = e.space.PolicyName()
-	st.CacheTouches = e.space.Touches()
-	st.CacheEvictions = e.space.Evictions()
-	st.PolicyAdmitRejected = e.space.AdmitRejected()
-	pc := e.space.PolicyCounters()
-	st.PolicyGhostHits = pc.GhostHits
-	st.PolicyPromotions = pc.Promotions
+	sp := e.space.Stats()
+	st.CachePolicy = sp.Policy
+	st.CacheTouches = sp.Touches
+	st.CacheEvictions = sp.Evictions
+	st.PolicyAdmitRejected = sp.AdmitRejected
+	st.PolicyGhostHits = sp.PolicyCounters.GhostHits
+	st.PolicyPromotions = sp.PolicyCounters.Promotions
 	st.PolicySwaps = e.policySwaps.Load()
 	st.AdaptTicks = e.adaptTicks.Load()
-	st.PolicyQueueLen = e.space.PolicyQueueLen()
+	st.PolicyQueueLen = sp.PolicyQueueLen
 	st.Snapshots = e.snapshots.Load()
 	st.SnapshotRecords = e.snapshotRecords.Load()
 	st.RecoveredDirty = e.recoveredDirty.Load()

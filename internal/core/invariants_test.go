@@ -89,7 +89,7 @@ func checkRecoveredInvariants(t *testing.T, tb *testbed, store *kvstore.Store, b
 	s, err := New(Config{
 		Engine: tb.eng, OPFS: tb.opfs, CPFS: tb.cpfs, Model: tb.s4d.Model(),
 		CacheCapacity: 1 << 30, MetaStore: store, MetaBudget: budget,
-		LazyFetch: true, WarmRestart: true,
+		LazyFetch: true,
 	})
 	if err != nil {
 		t.Fatal(err)

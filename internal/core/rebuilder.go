@@ -136,7 +136,7 @@ func (s *S4D) fetchExtent(file string, off, length int64, join *sim.Join) {
 // fetchGap moves one unmapped gap from the DServers into the cache.
 // Eviction victims are unmapped by the space's eviction hook.
 func (s *S4D) fetchGap(file string, off, length int64, join *sim.Join) {
-	frags, _, err := s.space.Allocate(0, length, cachespace.Owner{File: file, FileOff: off}, true)
+	frags, err := s.space.Allocate(nil, 0, length, cachespace.Owner{File: file, FileOff: off}, true)
 	if err != nil {
 		// No reclaimable space; retry after future flushes free space.
 		s.fetchFailures.Add(1)

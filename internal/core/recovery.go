@@ -8,7 +8,7 @@ import (
 	"s4dcache/internal/dmt"
 )
 
-// Warm restart (DESIGN.md §14). On construction with WarmRestart the
+// Warm restart (DESIGN.md §14). On construction with a MetaStore the
 // op-log replays into a staging table; dirty extents — whose only
 // up-to-date copy is the cache — re-admit synchronously before the first
 // request, and clean extents queue for incremental background
@@ -28,9 +28,11 @@ const defaultRecoverBatch = 256
 // of virtual time even for large tables.
 const recoverStepDelay = 100 * time.Microsecond
 
-// stageRecovery replays the durable state for a warm restart: the op-log
-// into a staging table, fresh persisted tables attached to the same log,
-// the snapshot image, and the synchronous dirty installs. Clean extents
+// stageRecovery replays the MetaStore's durable state: the op-log into a
+// staging table, fresh persisted tables attached to the same log, the
+// snapshot image, and the synchronous dirty installs. Every constructor
+// given a MetaStore runs it, so every mapping the tables hold owns its
+// cache range; an empty store (a cold start) stages nothing. Clean extents
 // queue in their shards' pending lists; it returns their files in replay
 // order, or nil when nothing is pending (recovery has then finished).
 // The driver paces the clean re-admissions. Runs before the engine

@@ -46,7 +46,7 @@ func restartWarm(t *testing.T, tb *testbed, backend kvstore.Backend, mutate func
 	cfg := Config{
 		Engine: tb.eng, OPFS: tb.opfs, CPFS: tb.cpfs, Model: tb.s4d.Model(),
 		CacheCapacity: 4 << 20, MetaStore: openMetaStore(t, backend),
-		LazyFetch: true, WarmRestart: true,
+		LazyFetch: true,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -86,14 +86,54 @@ func TestWarmRestartConfigValidation(t *testing.T) {
 	tb := newTestbed(t, nil)
 	base := Config{Engine: tb.eng, OPFS: tb.opfs, CPFS: tb.cpfs, Model: tb.s4d.Model(), CacheCapacity: 1 << 20}
 	bad := base
-	bad.WarmRestart = true
-	if _, err := New(bad); err == nil {
-		t.Fatal("WarmRestart without MetaStore accepted")
-	}
-	bad = base
 	bad.SnapshotPeriod = time.Second
 	if _, err := New(bad); err == nil {
 		t.Fatal("SnapshotPeriod without MetaStore accepted")
+	}
+}
+
+// TestReopenedStoreOwnsItsCacheSpace builds an S4D over a store that
+// already maps a file: every constructor given a MetaStore recovers it,
+// so the recorded mapping owns its cache range and a new file's admission
+// cannot be handed the same offsets. The mapping is dirty (adopted before
+// the first request) or flushed clean (re-admitted in the background).
+func TestReopenedStoreOwnsItsCacheSpace(t *testing.T) {
+	for _, flushed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "dirty", true: "clean"}[flushed], func(t *testing.T) {
+			backend := kvstore.NewMemBackend()
+			tb := newTestbed(t, func(c *Config) { c.MetaStore = openMetaStore(t, backend) })
+			fa, fb := pattern(1, 16<<10), pattern(2, 16<<10)
+			tb.write(t, 0, "fa", critOff, fa)
+			if flushed {
+				tb.s4d.DrainRebuild(nil)
+				tb.eng.Run()
+				if st := tb.s4d.Space().Stats(); st.DirtyBytes != 0 || st.CleanBytes != 16<<10 {
+					t.Fatalf("setup: dirty=%d clean=%d, want 0/16K", st.DirtyBytes, st.CleanBytes)
+				}
+			}
+			s2, err := New(Config{
+				Engine: tb.eng, OPFS: tb.opfs, CPFS: tb.cpfs, Model: tb.s4d.Model(),
+				CacheCapacity: 4 << 20, MetaStore: openMetaStore(t, backend), LazyFetch: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.eng.Run() // finish any background re-admission
+			if err := s2.Write(0, "fb", critOff, int64(len(fb)), fb, nil); err != nil {
+				t.Fatal(err)
+			}
+			tb.eng.Run()
+			if st := s2.Stats(); st.Admissions != 1 || st.Recovering {
+				t.Fatalf("fb not admitted after recovery: admissions=%d recovering=%v", st.Admissions, st.Recovering)
+			}
+			if got := readFrom(t, tb, s2, "fa", critOff, 16<<10); !bytes.Equal(got, fa) {
+				t.Fatal("fa reads another file's bytes after the reopened engine admitted fb")
+			}
+			if got := readFrom(t, tb, s2, "fb", critOff, 16<<10); !bytes.Equal(got, fb) {
+				t.Fatal("fb reads wrong bytes")
+			}
+			checkInvariants(t, &s2.engine)
+		})
 	}
 }
 
@@ -449,7 +489,7 @@ func TestWarmRestartCorruptStoreSnapshot(t *testing.T) {
 	}
 	s2, err := New(Config{
 		Engine: tb.eng, OPFS: tb.opfs, CPFS: tb.cpfs, Model: tb.s4d.Model(),
-		CacheCapacity: 4 << 20, MetaStore: store2, LazyFetch: true, WarmRestart: true,
+		CacheCapacity: 4 << 20, MetaStore: store2, LazyFetch: true,
 	})
 	if err != nil {
 		t.Fatalf("engine must start over a quarantined store, got %v", err)
@@ -672,7 +712,7 @@ func warmRestartUnderTraffic(t *testing.T, shards int, capacity int64) {
 	eng2, err := NewConcurrent(ConcurrentConfig{
 		Clock: tb.clock, OPFS: tb.opfs, CPFS: tb.cpfs, Model: model,
 		CacheCapacity: capacity, Concurrency: shards,
-		MetaStore: openMetaStore(t, backend), WarmRestart: true,
+		MetaStore:    openMetaStore(t, backend),
 		RecoverBatch: 1, // tiny batches widen the recovery window the traffic races
 	})
 	if err != nil {

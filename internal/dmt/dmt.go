@@ -156,9 +156,9 @@ type Table struct {
 
 	store *kvstore.Store
 	// seq is the highest issued persist-log sequence number, shared by
-	// every table over the same store (OpenShards) so their log keys never
-	// collide and replay order is well defined. Baseline records stamp it
-	// as the sequence they supersede.
+	// every table over the same store (NewPersistedShards) so their log
+	// keys never collide and replay order is well defined. Baseline
+	// records stamp it as the sequence they supersede.
 	seq *atomic.Uint64
 
 	budget    int64
@@ -223,41 +223,20 @@ func newShards(store *kvstore.Store, n int, opts []Option) []*Table {
 // before the in-memory state changes, as the paper requires for
 // power-failure safety. Baselines of clean files install spilled (no
 // extents decoded) and fault in on first touch; the budget sweep runs
-// once after replay. Open is OpenShards with one table.
+// once after replay. A store written by any number of tables
+// (NewPersistedShards) opens as one.
 func Open(store *kvstore.Store, opts ...Option) (*Table, error) {
-	ts, err := OpenShards(store, 1, func(string) int { return 0 }, opts...)
+	t, err := NewPersisted(store, 0, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return ts[0], nil
-}
-
-// OpenShards returns n tables persisted in one store, as Open, with each
-// file's baseline record and log ops replayed into ts[route(file)]. The
-// tables share one name arena and one op-log sequence, so the store's
-// format is the same whatever n is: a store written by any number of
-// tables reopens under any other. A caller that mutates the tables from
-// several goroutines guards each table with its own lock and keeps
-// route's answer for a file fixed while the tables are open.
-func OpenShards(store *kvstore.Store, n int, route func(file string) int, opts ...Option) ([]*Table, error) {
-	ts, err := NewPersistedShards(store, 0, n, opts...)
+	maxSeq, _, err := walkState(store, t.installBaseline, t.apply)
 	if err != nil {
 		return nil, err
 	}
-	maxSeq, _, err := walkState(store,
-		func(name string, h staterec.FileMapHeader, total, dirty int64, data []byte) {
-			ts[route(name)].installBaseline(name, h, total, dirty, data)
-		},
-		func(op logOp) { ts[route(op.file)].apply(op) },
-	)
-	if err != nil {
-		return nil, err
-	}
-	ts[0].seq.Store(maxSeq)
-	for _, t := range ts {
-		t.enforceBudget(-1)
-	}
-	return ts, nil
+	t.seq.Store(maxSeq)
+	t.enforceBudget(-1)
+	return t, nil
 }
 
 // Arena returns the table's name-interning arena.
@@ -570,8 +549,8 @@ func (t *Table) MemoryBytes() int64 {
 // baseline gating relies on it staying monotonic.
 func (t *Table) Compact() error { return CompactShards([]*Table{t}) }
 
-// CompactShards compacts the tables of one store (as OpenShards returns
-// them) in one pass, as Table.Compact. Dropping the op log is a
+// CompactShards compacts the tables of one store (as NewPersistedShards
+// returns them) in one pass, as Table.Compact. Dropping the op log is a
 // store-wide step, so the caller must hold every table's lock: no table
 // may log an op between its baseline rewrite and the drop.
 func CompactShards(ts []*Table) error {

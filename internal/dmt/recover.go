@@ -144,7 +144,7 @@ func NewPersisted(store *kvstore.Store, seq uint64, opts ...Option) (*Table, err
 }
 
 // NewPersistedShards is NewPersisted for n tables over one store, sharing
-// one arena and one op-log sequence as OpenShards's do.
+// one arena and one op-log sequence.
 func NewPersistedShards(store *kvstore.Store, seq uint64, n int, opts ...Option) ([]*Table, error) {
 	if store == nil {
 		return nil, fmt.Errorf("dmt: store is required")

@@ -142,17 +142,17 @@ func TestStripedMatchesTable(t *testing.T) {
 }
 
 // TestStripedLogInteroperates proves n tables over one store write the
-// same log a single table reads, and vice versa: a script applied to a
-// 5-table set matches the same script on one table, and each store
-// reopens extent-for-extent identical under the other count, including
-// after the set's one-pass compaction.
+// log a single table reads: a script applied to a 5-table set matches the
+// same script on one table, and the store reopens as one table
+// extent-for-extent identical to the set — before and after the set's
+// one-pass compaction, with more ops logged after the compaction.
 func TestStripedLogInteroperates(t *testing.T) {
 	const files, n = 16, 5
 	script := opScript(files, 500, 23)
+	more := opScript(files, 200, 29)
 
-	// The set writes, one table reopens.
 	backend := kvstore.NewMemBackend()
-	set, err := OpenShards(openStore(t, backend), n, routeBy(n))
+	set, err := NewPersistedShards(openStore(t, backend), 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,26 +166,18 @@ func TestStripedLogInteroperates(t *testing.T) {
 	}
 	expectSameState(t, one, set, files)
 
-	// One table writes, the set reopens — also after the set compacts.
-	backend2 := kvstore.NewMemBackend()
-	one2, err := Open(openStore(t, backend2))
+	// The set compacts and logs on; one table reopens the result.
+	if err := CompactShards(set); err != nil {
+		t.Fatal(err)
+	}
+	applyScript(t, shardsApply(set), more)
+	applyScript(t, tableApply(live), more)
+	expectSameState(t, live, set, files)
+	one2, err := Open(openStore(t, backend))
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyScript(t, tableApply(one2), script)
-	set2, err := OpenShards(openStore(t, backend2), n, routeBy(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectSameState(t, one2, set2, files)
-	if err := CompactShards(set2); err != nil {
-		t.Fatal(err)
-	}
-	set3, err := OpenShards(openStore(t, backend2), n, routeBy(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectSameState(t, one2, set3, files)
+	expectSameState(t, one2, set, files)
 }
 
 // TestShardsConcurrent gives each of 8 goroutines its own table of one
@@ -201,11 +193,7 @@ func TestShardsConcurrent(t *testing.T) {
 		ops     = 150
 	)
 	backend := kvstore.NewMemBackend()
-	set, err := OpenShards(openStore(t, backend), workers, func(file string) int {
-		var g int
-		fmt.Sscanf(file, "/w%d/", &g)
-		return g
-	})
+	set, err := NewPersistedShards(openStore(t, backend), 0, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +285,7 @@ func BenchmarkShardCommitters(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := OpenShards(st, n, routeBy(n))
+	set, err := NewPersistedShards(st, 0, n)
 	if err != nil {
 		b.Fatal(err)
 	}

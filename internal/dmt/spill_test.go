@@ -273,7 +273,7 @@ func TestSpillQuarantineThenMiss(t *testing.T) {
 func TestShardsSpillFaultIn(t *testing.T) {
 	const n = 4
 	route := routeBy(n)
-	set, err := OpenShards(spillStore(t), n, route, WithMetaBudget(75))
+	set, err := NewPersistedShards(spillStore(t), 0, n, WithMetaBudget(75))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,9 @@ func (s *System) Stats() Stats {
 		out.AdmitFailures = st.AdmitFailures
 		out.Flushes = st.Flushes
 		out.Fetches = st.Fetches
-		out.CacheUsedBytes = s4d.Space().UsedBytes()
-		out.CacheDirtyBytes = s4d.Space().DirtyBytes()
+		sp := s4d.Space().Stats()
+		out.CacheUsedBytes = sp.UsedBytes
+		out.CacheDirtyBytes = sp.DirtyBytes
 		out.DMTEntries = s4d.DMT().Entries()
 	} else {
 		fsStats := s.tb.OPFS.Stats()
