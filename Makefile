@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-metascale alloc-check check-run check-experiments check
+.PHONY: all build vet test race bench bench-metascale alloc-check check-run check-experiments perf-module check
 
 all: build
 
@@ -57,4 +57,11 @@ check-run:
 check-experiments:
 	bash scripts/check-experiments.sh
 
-check: vet build check-run check-experiments race bench
+# The repository benchmark is its own module (s4dperf/go.mod replaces
+# s4dcache with ../), so the root `./...` never compiles it: vet, build
+# and test it here, or an API change it relies on breaks only the
+# benchmark.
+perf-module:
+	cd s4dperf && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
+
+check: vet build perf-module check-run check-experiments race bench

@@ -29,7 +29,7 @@ var paperBaseline = map[string][2]string{
 	},
 	"fig6": {
 		"Write gains +51.3% (8 KB), +49.1% (16 KB), +39.2% (32 KB), +32.5% (64 KB), ~0% (4 MB); read gains larger, up to +184.1% (8 KB) on second runs.",
-		"Write gains decay from ~+100% (8 KB) through ~+30% (64 KB) to exactly 0% at 4 MB; read gains exceed write gains at 16–64 KB, matching the paper's read>write ordering. The 4 MB row confirms the cost model routes large requests to the DServers.",
+		"Write gains are largest at 8 KB (+89.0%), +52–55% at 16 and 32 KB, +32.4% at 64 KB and exactly 0% at 4 MB; they do not fall monotonically with size (32 KB is slightly above 16 KB). Read gains exceed write gains at every size from 8 to 64 KB, matching the paper's read>write ordering. At 4 MB stock and S4D are identical: the cost model routes large requests to the DServers.",
 	},
 	"table3": {
 		"At 16 KB: 16.3% DServers / 83.7% CServers. At 4 MB: 100% / 0%. DServers mostly see sequential requests.",

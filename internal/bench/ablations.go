@@ -6,6 +6,7 @@ import (
 
 	"s4dcache/internal/cluster"
 	"s4dcache/internal/core"
+	"s4dcache/internal/dmt"
 	"s4dcache/internal/mpiio"
 	"s4dcache/internal/workload"
 )
@@ -291,7 +292,7 @@ func runAblationDMTSync(cfg Config) (*Table, error) {
 	for _, row := range rows {
 		t.AddRow(row...)
 	}
-	t.AddNote("metadata writes are %d bytes per mapping change; the cost stays small", 24)
+	t.AddNote("metadata writes are %d bytes per mapping change; the cost stays small", dmt.EntryBytes)
 	return t, nil
 }
 
@@ -388,7 +389,7 @@ func runAblationCollective(cfg Config) (*Table, error) {
 				if err := f.SetView(r, tile.View(r)); err != nil {
 					return workload.Result{}, err
 				}
-				if err := f.WriteStrided(r, int64(tile.ElementsY), mpiio.DataSieving, func(error) { remaining-- }); err != nil {
+				if err := f.WriteStrided(r, int64(tile.ElementsY), func(error) { remaining-- }); err != nil {
 					return workload.Result{}, err
 				}
 			}

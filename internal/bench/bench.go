@@ -162,16 +162,6 @@ func All() []Experiment {
 	return out
 }
 
-// IDs returns the sorted experiment identifiers.
-func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ByID finds an experiment.
 func ByID(id string) (Experiment, bool) {
 	for _, e := range registry {

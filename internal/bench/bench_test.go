@@ -20,18 +20,17 @@ func TestRegistryComplete(t *testing.T) {
 		"ext-memcache", "faults", "hitrate", "hitrate-shift", "recovery",
 		"metascale",
 	}
-	ids := IDs()
-	have := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		have[id] = true
+	have := make(map[string]bool, len(registry))
+	for _, e := range registry {
+		have[e.ID] = true
 	}
 	for _, id := range want {
 		if !have[id] {
 			t.Errorf("experiment %q not registered", id)
 		}
 	}
-	if len(ids) != len(want) {
-		t.Errorf("registered %d experiments, DESIGN.md indexes %d", len(ids), len(want))
+	if len(registry) != len(want) {
+		t.Errorf("registered %d experiments, DESIGN.md indexes %d", len(registry), len(want))
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 type LatencyHist struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
-	sum     atomic.Int64
 	max     atomic.Int64
 }
 
@@ -60,7 +59,6 @@ func (h *LatencyHist) Record(d time.Duration) {
 	}
 	h.buckets[histIndex(ns)].Add(1)
 	h.count.Add(1)
-	h.sum.Add(ns)
 	for {
 		m := h.max.Load()
 		if ns <= m || h.max.CompareAndSwap(m, ns) {
@@ -71,15 +69,6 @@ func (h *LatencyHist) Record(d time.Duration) {
 
 // Count returns the number of recorded observations.
 func (h *LatencyHist) Count() uint64 { return h.count.Load() }
-
-// Mean returns the mean recorded latency (0 when empty).
-func (h *LatencyHist) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / int64(n))
-}
 
 // Max returns the largest recorded latency.
 func (h *LatencyHist) Max() time.Duration { return time.Duration(h.max.Load()) }
@@ -134,7 +123,6 @@ func (h *LatencyHist) Reset() {
 		h.buckets[i].Store(0)
 	}
 	h.count.Store(0)
-	h.sum.Store(0)
 	h.max.Store(0)
 }
 
@@ -146,7 +134,6 @@ func (h *LatencyHist) Merge(other *LatencyHist) {
 		}
 	}
 	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
 	for {
 		m, om := h.max.Load(), other.max.Load()
 		if om <= m || h.max.CompareAndSwap(m, om) {

@@ -336,7 +336,7 @@ func packedCell(names []string, extPerFile, lookups int, budgetFrac float64, bud
 	before := captureMem()
 	var tbl *dmt.Table
 	if budgetBytes > 0 {
-		st, err := kvstore.Open(kvstore.NewMemBackend(), "dmt", kvstore.Options{Sync: kvstore.SyncEvery})
+		st, err := kvstore.Open(kvstore.NewMemBackend(), "dmt", kvstore.Options{})
 		if err != nil {
 			return MetaScaleRow{}, err
 		}

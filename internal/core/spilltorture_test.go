@@ -94,9 +94,6 @@ func TestSpillTortureCutsAndBitflips(t *testing.T) {
 	if _, err := snap.write(store, table, cdt.New(0), 1, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Oracles. Global: the canonical state after every prefix of the
 	// mutation sequence. Per-file: each file's state after every prefix,

@@ -281,7 +281,7 @@ func TestShardsConcurrent(t *testing.T) {
 func BenchmarkShardCommitters(b *testing.B) {
 	const n = 4
 	st, err := kvstore.Open(kvstore.NewDelayBackend(kvstore.NewMemBackend(), 20*time.Microsecond),
-		"dmt", kvstore.Options{Sync: kvstore.SyncEvery})
+		"dmt", kvstore.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

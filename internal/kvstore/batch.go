@@ -75,7 +75,7 @@ func (b *Batch) Commit() error {
 
 	w := newWaiter()
 	w.buf = appendRecord(w.buf, opBatch, "", b.payload)
-	if err := s.commitRecord(w); err != nil {
+	if err := s.groupCommit(w); err != nil {
 		return fmt.Errorf("kvstore: batch commit: %w", err)
 	}
 	for _, op := range b.ops {

@@ -16,12 +16,12 @@ func benchKeys(n int) []string {
 	return keys
 }
 
-// BenchmarkCommit measures the synchronous (SyncEvery) WAL commit path:
+// BenchmarkCommit measures the synchronous WAL commit path:
 // one durable Put per iteration, the DMT's per-mapping-change pattern.
 // Keys are precomputed and cycled so the benchmark measures the store,
 // not fmt.Sprintf, and the steady state is the overwrite path.
 func BenchmarkCommit(b *testing.B) {
-	s, err := Open(NewMemBackend(), "bench", Options{Sync: SyncEvery})
+	s, err := Open(NewMemBackend(), "bench", Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func BenchmarkCommit(b *testing.B) {
 // BenchmarkCommitBatch measures the atomic multi-fragment commit path used
 // by dmt.InsertBatch (4 puts per batch).
 func BenchmarkCommitBatch(b *testing.B) {
-	s, err := Open(NewMemBackend(), "bench", Options{Sync: SyncEvery})
+	s, err := Open(NewMemBackend(), "bench", Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func BenchmarkCommitBatch(b *testing.B) {
 func BenchmarkCommitters(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("c%d", n), func(b *testing.B) {
-			s, err := Open(NewDelayBackend(NewMemBackend(), 20*time.Microsecond), "bench", Options{Sync: SyncEvery})
+			s, err := Open(NewDelayBackend(NewMemBackend(), 20*time.Microsecond), "bench", Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -111,11 +111,11 @@ func (discardBackend) Append(string, []byte) error    { return nil }
 func (discardBackend) Replace(string, []byte) error   { return nil }
 func (discardBackend) Remove(string) error            { return nil }
 
-// TestCommitZeroAllocs pins the steady-state SyncEvery Put path — encode,
+// TestCommitZeroAllocs pins the steady-state durable Put path — encode,
 // group commit (solo leader), in-place overwrite apply — at zero heap
 // allocations per operation. Run by `make alloc-check` and CI.
 func TestCommitZeroAllocs(t *testing.T) {
-	s, err := Open(discardBackend{}, "pin", Options{Sync: SyncEvery})
+	s, err := Open(discardBackend{}, "pin", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +136,6 @@ func TestCommitZeroAllocs(t *testing.T) {
 		i++
 	})
 	if got != 0 {
-		t.Fatalf("SyncEvery Put path allocates %.2f allocs/op, want 0", got)
+		t.Fatalf("Put path allocates %.2f allocs/op, want 0", got)
 	}
 }

@@ -160,9 +160,9 @@ func minInt(a, b int) int {
 }
 
 // TestDirBackendSyncEveryReopen runs the durable store on a real
-// directory: SyncEvery commits (file sync per append), a compaction
+// directory: durable commits (file sync per append), a compaction
 // (synced snapshot renamed into place, WAL reset), more commits and a
-// delete, then Close and reopen from the same directory with exactly the
+// delete, then a reopen from the same directory with exactly the
 // committed contents.
 func TestDirBackendSyncEveryReopen(t *testing.T) {
 	dir := t.TempDir()
@@ -170,7 +170,7 @@ func TestDirBackendSyncEveryReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(b, "dmt", Options{Sync: SyncEvery})
+	s, err := Open(b, "dmt", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,15 +195,12 @@ func TestDirBackendSyncEveryReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(want, "k05")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	b2, err := NewDirBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(b2, "dmt", Options{Sync: SyncEvery})
+	s2, err := Open(b2, "dmt", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@ package kvstore
 
 // Leader/follower group commit.
 //
-// A SyncEvery committer encodes its record into a pooled waiter, enqueues
-// it, and elects itself leader if no leader is active; otherwise it blocks
-// on its waiter channel. The leader drains the whole queue as one group,
+// A committer encodes its record into a pooled waiter, enqueues it, and
+// elects itself leader if no leader is active; otherwise it blocks on its
+// waiter channel. The leader drains the whole queue as one group,
 // appends a single WAL frame — the raw record when the group has one
 // member (byte-identical to a sequential commit, which keeps the
 // single-threaded simulation's WAL unchanged), or one opBatch frame

@@ -8,32 +8,13 @@ import (
 	"sync/atomic"
 )
 
-// SyncMode selects commit durability.
-type SyncMode int
-
-const (
-	// SyncEvery makes every mutation durable before returning — the
-	// paper's choice: "changes to the mapping table are synchronously
-	// written to the storage in order to survive power failures" (§III.D).
-	// Concurrent committers are merged by a group commit (see
-	// groupcommit.go): a committer still never returns before its record
-	// is durable, but one WAL append can carry a whole group.
-	SyncEvery SyncMode = iota + 1
-	// SyncBatched buffers mutations and flushes them on Flush/Compact/
-	// Close, trading durability for latency (used by ablations).
-	SyncBatched
-)
-
-// Options configures a Store.
-type Options struct {
-	// Sync selects the commit mode; the zero value means SyncEvery.
-	Sync SyncMode
-	// CommitHook, if non-nil, observes the byte size of every durable
-	// append. The S4D core uses it to charge DMT persistence I/O to the
-	// simulated CServers. The hook runs under the store's WAL mutex, so
-	// invocations are serialized even with concurrent committers.
-	CommitHook func(bytes int)
-}
+// Options configures a Store. It has no fields: every mutation is durable
+// before it returns — the paper's choice: "changes to the mapping table
+// are synchronously written to the storage in order to survive power
+// failures" (§III.D). Concurrent committers are merged by a group commit
+// (see groupcommit.go): a committer still never returns before its record
+// is durable, but one WAL append can carry a whole group.
+type Options struct{}
 
 // numShards stripes the key space. Must be a power of two.
 const numShards = 16
@@ -80,8 +61,6 @@ type Store struct {
 	// the commit hot path does not concatenate strings per append.
 	walFile  string
 	snapFile string
-	opts     Options
-	locks    *LockManager
 
 	shards [numShards]shard
 
@@ -106,10 +85,6 @@ type Store struct {
 	sideActive bool
 	side       []byte
 
-	// pendMu guards the SyncBatched buffer.
-	pendMu  sync.Mutex
-	pending []byte
-
 	// compactMu serializes Compact calls.
 	compactMu sync.Mutex
 
@@ -130,20 +105,15 @@ func snapName(name string) string { return name + ".snap" }
 
 // Open loads (or creates) the named store on backend: the snapshot is read
 // first, then the write-ahead log is replayed over it.
-func Open(backend Backend, name string, opts Options) (*Store, error) {
+func Open(backend Backend, name string, _ Options) (*Store, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("kvstore: backend is required")
-	}
-	if opts.Sync == 0 {
-		opts.Sync = SyncEvery
 	}
 	s := &Store{
 		backend:  backend,
 		name:     name,
 		walFile:  walName(name),
 		snapFile: snapName(name),
-		opts:     opts,
-		locks:    NewLockManager(),
 	}
 	for i := range s.shards {
 		s.shards[i].data = make(map[string][]byte)
@@ -205,15 +175,15 @@ func (s *Store) applyRecord(op byte, key string, val []byte) {
 	}
 }
 
-// Put stores val under key. With SyncEvery the call does not return until
-// the record is durable.
+// Put stores val under key. The call does not return until the record is
+// durable.
 func (s *Store) Put(key string, val []byte) error {
 	sh := &s.shards[shardIndex(key)]
 	sh.mu.Lock()
 	sh.puts++
 	w := sh.getWaiter()
 	w.buf = appendRecord(w.buf[:0], opPut, key, val)
-	if err := s.commitRecord(w); err != nil {
+	if err := s.groupCommit(w); err != nil {
 		sh.putWaiter(w)
 		sh.mu.Unlock()
 		return err
@@ -257,7 +227,7 @@ func (s *Store) Delete(key string) error {
 	}
 	w := sh.getWaiter()
 	w.buf = appendRecord(w.buf[:0], opDel, key, nil)
-	if err := s.commitRecord(w); err != nil {
+	if err := s.groupCommit(w); err != nil {
 		sh.putWaiter(w)
 		sh.mu.Unlock()
 		return err
@@ -314,18 +284,6 @@ func (s *Store) Scan(prefix string, fn func(key string, val []byte) bool) {
 	}
 }
 
-// Flush forces buffered (SyncBatched) mutations to the backend.
-func (s *Store) Flush() error {
-	s.pendMu.Lock()
-	rec := s.pending
-	s.pending = nil
-	s.pendMu.Unlock()
-	if len(rec) == 0 {
-		return nil
-	}
-	return s.appendFrame(rec)
-}
-
 // Compact writes a full snapshot and truncates the write-ahead log. Only
 // the caller waits: concurrent readers and writers proceed while the
 // snapshot is encoded. The shards are cloned copy-on-write under their
@@ -336,9 +294,6 @@ func (s *Store) Flush() error {
 func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	if err := s.Flush(); err != nil {
-		return err
-	}
 
 	// Start the side capture before cloning: a frame committed after this
 	// point lands in the side log; one committed before a shard's clone is
@@ -406,14 +361,6 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// Close flushes pending mutations. The store must not be used afterwards.
-func (s *Store) Close() error { return s.Flush() }
-
-// Locks returns the store's per-key lock manager (the paper leverages
-// Berkeley DB "to perform metadata operations and address lock
-// contentions", §III.D).
-func (s *Store) Locks() *LockManager { return s.locks }
-
 // StoreStats is a snapshot of store counters.
 type StoreStats struct {
 	Puts, Gets, Deletes uint64
@@ -454,21 +401,8 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// commitRecord makes one waiter's encoded record durable according to the
-// sync mode. Called with the waiter's shard lock (or, for batches, every
-// involved shard lock) held.
-func (s *Store) commitRecord(w *commitWaiter) error {
-	if s.opts.Sync == SyncBatched {
-		s.pendMu.Lock()
-		s.pending = append(s.pending, w.buf...)
-		s.pendMu.Unlock()
-		return nil
-	}
-	return s.groupCommit(w)
-}
-
 // appendFrame durably appends one WAL frame, feeding the compaction side
-// log and the commit hook under the WAL mutex.
+// log under the WAL mutex.
 func (s *Store) appendFrame(frame []byte) error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
@@ -478,9 +412,6 @@ func (s *Store) appendFrame(frame []byte) error {
 	s.walBytes.Add(int64(len(frame)))
 	if s.sideActive {
 		s.side = append(s.side, frame...)
-	}
-	if s.opts.CommitHook != nil {
-		s.opts.CommitHook(len(frame))
 	}
 	return nil
 }

@@ -69,7 +69,7 @@ func TestRecoveryFromWAL(t *testing.T) {
 	if err := s.Delete("key050"); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen: "crash" without Close.
+	// Reopen as after a crash.
 	s2, err := Open(b, "dmt", Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -157,54 +157,18 @@ func TestCompactPreservesDataAndTruncatesWAL(t *testing.T) {
 	}
 }
 
-func TestBatchedModeBuffersUntilFlush(t *testing.T) {
-	b := NewMemBackend()
-	s, _ := Open(b, "dmt", Options{Sync: SyncBatched})
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	wal, _ := b.ReadAll("dmt.wal")
-	if len(wal) != 0 {
-		t.Fatal("batched put hit the backend before Flush")
-	}
-	// A crash now loses the put.
-	s2, _ := Open(b, "dmt", Options{})
-	if s2.Len() != 0 {
-		t.Fatal("unflushed batched put survived crash — not batched")
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s3, _ := Open(b, "dmt", Options{})
-	if s3.Len() != 1 {
-		t.Fatal("flushed put did not survive")
-	}
-}
-
 func TestSyncEveryDurableImmediately(t *testing.T) {
 	b := NewMemBackend()
-	s, _ := Open(b, "dmt", Options{Sync: SyncEvery})
+	s, _ := Open(b, "dmt", Options{})
 	if err := s.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := s.Stats().WALBytes, int64(len(encodeRecord(opPut, "k", []byte("v")))); got != want {
+		t.Fatalf("WAL holds %d bytes after one put, want %d", got, want)
 	}
 	s2, _ := Open(b, "dmt", Options{})
 	if s2.Len() != 1 {
-		t.Fatal("SyncEvery put not durable without Close")
-	}
-}
-
-func TestCommitHookObservesBytes(t *testing.T) {
-	var total int
-	s, _ := Open(NewMemBackend(), "dmt", Options{CommitHook: func(n int) { total += n }})
-	if err := s.Put("key", []byte("value")); err != nil {
-		t.Fatal(err)
-	}
-	if total == 0 {
-		t.Fatal("commit hook not called")
-	}
-	want := len(encodeRecord(opPut, "key", []byte("value")))
-	if total != want {
-		t.Fatalf("hook saw %d bytes, want %d", total, want)
+		t.Fatal("put not durable when Put returned")
 	}
 }
 
@@ -359,69 +323,6 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 800 {
 		t.Fatalf("Len = %d, want 800", s.Len())
-	}
-}
-
-func TestLockManagerExclusive(t *testing.T) {
-	lm := NewLockManager()
-	lm.Lock("a")
-	if lm.TryLock("a") {
-		t.Fatal("TryLock succeeded on held lock")
-	}
-	if !lm.TryLock("b") {
-		t.Fatal("TryLock failed on free lock")
-	}
-	lm.Unlock("a")
-	if !lm.TryLock("a") {
-		t.Fatal("TryLock failed after Unlock")
-	}
-	if lm.Held() != 2 {
-		t.Fatalf("Held = %d, want 2", lm.Held())
-	}
-	lm.Unlock("missing") // no-op
-}
-
-func TestLockManagerBlocksAndWakes(t *testing.T) {
-	lm := NewLockManager()
-	lm.Lock("k")
-	acquired := make(chan struct{})
-	go func() {
-		lm.Lock("k")
-		close(acquired)
-	}()
-	// Wait until the goroutine is provably blocked (wait counter moved).
-	for lm.Waits() == 0 {
-		select {
-		case <-acquired:
-			t.Fatal("second Lock acquired while held")
-		default:
-		}
-	}
-	lm.Unlock("k")
-	<-acquired // must complete
-	if lm.Waits() == 0 {
-		t.Fatal("contention not counted")
-	}
-}
-
-func TestLockManagerMutualExclusionStress(t *testing.T) {
-	lm := NewLockManager()
-	var counter int
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				lm.Lock("ctr")
-				counter++
-				lm.Unlock("ctr")
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != 16*200 {
-		t.Fatalf("counter = %d, want %d (lost updates)", counter, 16*200)
 	}
 }
 

@@ -26,19 +26,6 @@ type CollectiveConfig struct {
 //
 // perRank[r] holds rank r's spans; ranks with no data pass nil.
 func (f *File) CollectiveWrite(perRank [][]Span, cfg CollectiveConfig, done func(error)) error {
-	return f.collective(perRank, cfg, done, true)
-}
-
-// CollectiveRead is the read-side two-phase operation: aggregators read
-// contiguous runs, then scatter to ranks (exchange cost charged).
-func (f *File) CollectiveRead(perRank [][]Span, cfg CollectiveConfig, done func(error)) error {
-	return f.collective(perRank, cfg, done, false)
-}
-
-func (f *File) collective(perRank [][]Span, cfg CollectiveConfig, done func(error), isWrite bool) error {
-	if f.comm.eng == nil {
-		return fmt.Errorf("mpiio: collective I/O requires a virtual-time communicator (NewComm)")
-	}
 	f.mu.Lock()
 	open := f.open
 	f.mu.Unlock()
@@ -80,27 +67,17 @@ func (f *File) collective(perRank [][]Span, cfg CollectiveConfig, done func(erro
 	join := sim.NewErrJoin(len(runs), done)
 	for d, domain := range domains {
 		aggregator := d // aggregator rank index
-		// Exchange phase: the aggregator gathers (write) or scatters
-		// (read) its domain's bytes over the network before/after the I/O
-		// phase; modeled as a fixed delay before issuing.
+		// Exchange phase: the aggregator gathers its domain's bytes over
+		// the network before the I/O phase; modeled as a fixed delay
+		// before issuing.
 		var domainBytes int64
 		for _, run := range domain {
 			domainBytes += run.Len
 		}
-		delay := cfg.Shuffle.TransferTime(domainBytes)
-		if cfg.Shuffle == (netmodel.Params{}) {
-			delay = 0
-		}
 		domain := domain
-		f.comm.eng.After(delay, func() {
+		f.comm.eng.After(exchangeCost(cfg.Shuffle, domainBytes), func() {
 			for _, run := range domain {
-				var err error
-				if isWrite {
-					err = f.comm.transport.Write(aggregator, f.name, run.Off, run.Len, nil, join.Done)
-				} else {
-					err = f.comm.transport.Read(aggregator, f.name, run.Off, run.Len, nil, join.Done)
-				}
-				if err != nil {
+				if err := f.comm.transport.Write(aggregator, f.name, run.Off, run.Len, nil, join.Done); err != nil {
 					// Transport validation failed; count the run done so
 					// the collective still terminates.
 					join.Done(err)
@@ -111,7 +88,8 @@ func (f *File) collective(perRank [][]Span, cfg CollectiveConfig, done func(erro
 	return nil
 }
 
-// exchangeCost is exported for tests documenting the shuffle model.
+// exchangeCost is the exchange-phase delay for gathering bytes over net;
+// the zero network charges nothing.
 func exchangeCost(net netmodel.Params, bytes int64) time.Duration {
 	if net == (netmodel.Params{}) {
 		return 0

@@ -1,7 +1,7 @@
 // Package mpiio is the I/O middleware layer of the reproduction: an
-// MPI-IO-like interface with communicators and ranks, per-rank file
-// pointers, independent contiguous I/O, strided (vector-datatype) I/O with
-// optional data sieving, and two-phase collective I/O.
+// MPI-IO-like interface with communicators and ranks, independent
+// contiguous I/O, strided (vector-datatype) writes by data sieving, and
+// two-phase collective writes.
 //
 // S4D-Cache is positioned as "an augmented module to the MPI-IO library"
 // (paper §III.A): every file operation goes through a Transport, and
@@ -72,90 +72,24 @@ func NewComm(eng *sim.Engine, size int, transport Transport) (*Comm, error) {
 	return &Comm{eng: eng, size: size, transport: transport}, nil
 }
 
-// NewConcurrentComm builds an engine-free communicator whose ranks run as
-// real goroutines against a wall-clock transport (core.Concurrent over
-// pfs.WallFS). All independent operations — ReadAt/WriteAt, the pointer
-// and shared-pointer variants, strided and span I/O — are goroutine-safe
-// per rank (MPI semantics: one goroutine per rank; ranks share File
-// handles freely). Collective I/O needs the virtual-time engine for its
-// exchange-phase modeling and returns an error on an engine-free
-// communicator.
-func NewConcurrentComm(size int, transport Transport) (*Comm, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("mpiio: communicator size must be positive, got %d", size)
-	}
-	if transport == nil {
-		return nil, fmt.Errorf("mpiio: transport is required")
-	}
-	return &Comm{size: size, transport: transport}, nil
-}
-
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.size }
 
-// Engine returns the shared virtual clock (nil for an engine-free
-// communicator from NewConcurrentComm).
+// Engine returns the shared virtual clock.
 func (c *Comm) Engine() *sim.Engine { return c.eng }
 
-// after0 schedules a zero-work completion asynchronously: on the engine in
-// virtual time, or on a fresh goroutine for engine-free communicators (the
-// completion must never run synchronously from the issuing call).
-func (c *Comm) after0(fn func()) {
-	if c.eng != nil {
-		c.eng.After(0, fn)
-		return
-	}
-	go fn()
-}
-
-// errJoin returns a completion-counting callback joining n segment
-// completions into done with the first error. Virtual-time communicators
-// use the engine's single-threaded latch; engine-free ones a mutex-based
-// equivalent, since segment completions arrive on timer goroutines.
-func (c *Comm) errJoin(n int, done func(error)) func(error) {
-	if c.eng != nil {
-		return sim.NewErrJoin(n, done).Done
-	}
-	j := &tsErrJoin{n: n, done: done}
-	return j.Done
-}
-
-// tsErrJoin is the goroutine-safe counterpart of sim.ErrJoin.
-type tsErrJoin struct {
-	mu   sync.Mutex
-	n    int
-	err  error
-	done func(error)
-}
-
-func (j *tsErrJoin) Done(err error) {
-	j.mu.Lock()
-	if err != nil && j.err == nil {
-		j.err = err
-	}
-	j.n--
-	fire := j.n == 0
-	err = j.err
-	j.mu.Unlock()
-	if fire && j.done != nil {
-		j.done(err)
-	}
-}
-
-// File is an open shared file with per-rank file pointers and views
-// (MPI_File semantics). The handle is safe for concurrent use by multiple
-// goroutines driving different ranks; each rank's individual pointer and
-// view remain single-owner, as in MPI.
+// File is an open shared file with per-rank views (MPI_File semantics).
+// The handle is safe for concurrent use by multiple goroutines driving
+// different ranks; each rank's view remains single-owner, as in MPI.
 type File struct {
 	comm *Comm
 	name string
 
 	// mu guards the maps and scalar state below across ranks on different
-	// goroutines.
+	// goroutines. offset is each rank's position in its view, in blocks.
 	mu     sync.Mutex
 	offset map[int]int64
 	view   map[int]View
-	shared int64
 	open   bool
 }
 
@@ -189,27 +123,6 @@ func (f *File) Close() error {
 	return nil
 }
 
-// Seek sets rank's individual file pointer (MPI_File_seek).
-func (f *File) Seek(rank int, off int64) error {
-	if err := f.check(rank); err != nil {
-		return err
-	}
-	if off < 0 {
-		return fmt.Errorf("mpiio: seek to negative offset %d", off)
-	}
-	f.mu.Lock()
-	f.offset[rank] = off
-	f.mu.Unlock()
-	return nil
-}
-
-// Tell returns rank's individual file pointer.
-func (f *File) Tell(rank int) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.offset[rank]
-}
-
 // ReadAt reads at an explicit offset (MPI_File_read_at).
 func (f *File) ReadAt(rank int, off, size int64, buf []byte, done func(error)) error {
 	if err := f.check(rank); err != nil {
@@ -224,36 +137,6 @@ func (f *File) WriteAt(rank int, off, size int64, data []byte, done func(error))
 		return err
 	}
 	return f.comm.transport.Write(rank, f.name, off, size, data, done)
-}
-
-// Read reads size bytes at rank's file pointer and advances it
-// (MPI_File_read).
-func (f *File) Read(rank int, size int64, buf []byte, done func(error)) error {
-	f.mu.Lock()
-	off := f.offset[rank]
-	f.mu.Unlock()
-	if err := f.ReadAt(rank, off, size, buf, done); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.offset[rank] = off + size
-	f.mu.Unlock()
-	return nil
-}
-
-// Write writes size bytes at rank's file pointer and advances it
-// (MPI_File_write).
-func (f *File) Write(rank int, size int64, data []byte, done func(error)) error {
-	f.mu.Lock()
-	off := f.offset[rank]
-	f.mu.Unlock()
-	if err := f.WriteAt(rank, off, size, data, done); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.offset[rank] = off + size
-	f.mu.Unlock()
-	return nil
 }
 
 func (f *File) check(rank int) error {

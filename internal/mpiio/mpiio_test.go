@@ -68,43 +68,11 @@ func TestWriteAtReadAtRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFilePointerSemantics(t *testing.T) {
-	comm, _, eng := newStockComm(t, 2)
-	f := comm.Open("data")
-	// Rank 0 writes two records via the implicit pointer.
-	if err := f.Write(0, 10, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Write(0, 10, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.Tell(0) != 20 {
-		t.Fatalf("Tell(0) = %d, want 20", f.Tell(0))
-	}
-	// Rank 1's pointer is independent.
-	if f.Tell(1) != 0 {
-		t.Fatalf("Tell(1) = %d, want 0", f.Tell(1))
-	}
-	if err := f.Seek(0, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Read(0, 5, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.Tell(0) != 105 {
-		t.Fatalf("Tell after seek+read = %d, want 105", f.Tell(0))
-	}
-	eng.Run()
-}
-
 func TestFileValidation(t *testing.T) {
 	comm, _, _ := newStockComm(t, 2)
 	f := comm.Open("data")
 	if err := f.WriteAt(5, 0, 10, nil, nil); err == nil {
 		t.Fatal("out-of-range rank accepted")
-	}
-	if err := f.Seek(0, -1); err == nil {
-		t.Fatal("negative seek accepted")
 	}
 	f.Close()
 	if err := f.WriteAt(0, 0, 10, nil, nil); err == nil {
@@ -124,8 +92,8 @@ func TestViewValidation(t *testing.T) {
 	if err := f.SetView(0, View{Disp: -1, BlockLen: 5, Stride: 10}); err == nil {
 		t.Fatal("negative disp accepted")
 	}
-	if err := f.ReadStrided(0, 4, ListIO, nil); err == nil {
-		t.Fatal("strided read without view accepted")
+	if err := f.WriteStrided(0, 4, nil); err == nil {
+		t.Fatal("strided write without view accepted")
 	}
 }
 
@@ -149,90 +117,53 @@ func TestViewSpans(t *testing.T) {
 	}
 }
 
-func TestStridedListIO(t *testing.T) {
-	comm, fs, eng := newStockComm(t, 1)
-	f := comm.Open("data")
-	if err := f.SetView(0, View{Disp: 0, BlockLen: 8 << 10, Stride: 12 << 10}); err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	if err := f.WriteStrided(0, 4, ListIO, func(error) { done = true }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if !done {
-		t.Fatal("strided write never completed")
-	}
-	st := fs.Stats()
-	if st.Requests != 4 {
-		t.Fatalf("ListIO issued %d requests, want 4", st.Requests)
-	}
-	if st.BytesWritten != 4*8<<10 {
-		t.Fatalf("ListIO wrote %d bytes, want %d", st.BytesWritten, 4*8<<10)
-	}
-	// View position advanced.
-	if f.Tell(0) != 4 {
-		t.Fatalf("view position = %d, want 4", f.Tell(0))
-	}
-}
-
-func TestStridedDataSievingRead(t *testing.T) {
-	comm, fs, eng := newStockComm(t, 1)
-	f := comm.Open("data")
-	if err := f.SetView(0, View{Disp: 0, BlockLen: 8 << 10, Stride: 12 << 10}); err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	if err := f.ReadStrided(0, 4, DataSieving, func(error) { done = true }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if !done {
-		t.Fatal("sieving read never completed")
-	}
-	st := fs.Stats()
-	if st.Requests != 1 {
-		t.Fatalf("sieving issued %d requests, want 1", st.Requests)
-	}
-	// Span = 3 strides + final block = 3*12K + 8K = 44K, including holes.
-	if st.BytesRead != 44<<10 {
-		t.Fatalf("sieving read %d bytes, want %d (holes included)", st.BytesRead, 44<<10)
-	}
-}
-
 func TestStridedDataSievingWriteIsRMW(t *testing.T) {
 	comm, fs, eng := newStockComm(t, 1)
 	f := comm.Open("data")
 	if err := f.SetView(0, View{Disp: 0, BlockLen: 8 << 10, Stride: 12 << 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WriteStrided(0, 4, DataSieving, nil); err != nil {
+	if err := f.WriteStrided(0, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
+	// Span = 3 strides + final block = 3*12K + 8K = 44K, holes included,
+	// read once and written back once.
 	st := fs.Stats()
 	if st.BytesRead != 44<<10 || st.BytesWritten != 44<<10 {
 		t.Fatalf("RMW traffic read=%d written=%d, want 44K each", st.BytesRead, st.BytesWritten)
 	}
+	if st.Requests != 2 {
+		t.Fatalf("data sieving issued %d requests, want 2 (one read, one write)", st.Requests)
+	}
 }
 
 func TestStridedZeroBlocksCompletes(t *testing.T) {
-	comm, _, eng := newStockComm(t, 1)
+	comm, fs, eng := newStockComm(t, 1)
 	f := comm.Open("data")
 	if err := f.SetView(0, View{BlockLen: 8, Stride: 16, Count: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// Consume the whole view, then request more: must complete immediately.
-	if err := f.ReadStrided(0, 2, ListIO, nil); err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	if err := f.ReadStrided(0, 2, ListIO, func(error) { done = true }); err != nil {
+	// Consume the whole view, then request more: the empty request must
+	// complete through the engine, never inside the call.
+	if err := f.WriteStrided(0, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
+	issued := fs.Stats().Requests
+	done := false
+	if err := f.WriteStrided(0, 2, func(error) { done = true }); err != nil {
+		t.Fatal(err)
+	}
+	if done {
+		t.Fatal("exhausted-view write completed inside the call")
+	}
+	eng.Run()
 	if !done {
-		t.Fatal("exhausted-view read never completed")
+		t.Fatal("exhausted-view write never completed")
+	}
+	if got := fs.Stats().Requests; got != issued {
+		t.Fatalf("exhausted-view write issued %d requests", got-issued)
 	}
 }
 
@@ -282,20 +213,21 @@ func TestCollectiveWriteAggregates(t *testing.T) {
 	}
 }
 
-func TestCollectiveReadWithHoles(t *testing.T) {
+func TestCollectiveWriteWithHoles(t *testing.T) {
 	comm, fs, eng := newStockComm(t, 2)
 	f := comm.Open("data")
 	perRank := [][]Span{
 		{{0, 100}, {300, 100}},
 		{{100, 100}, {600, 100}},
 	}
-	// Merged runs: [0,200), [300,400), [600,700) → 3 requests, 400 bytes.
-	if err := f.CollectiveRead(perRank, CollectiveConfig{}, nil); err != nil {
+	// Merged runs: [0,200), [300,400), [600,700) → 3 requests, 400 bytes;
+	// the holes are never written.
+	if err := f.CollectiveWrite(perRank, CollectiveConfig{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if st := fs.Stats(); st.Requests != 3 || st.BytesRead != 400 {
-		t.Fatalf("collective read stats = %+v", st)
+	if st := fs.Stats(); st.Requests != 3 || st.BytesWritten != 400 || st.BytesRead != 0 {
+		t.Fatalf("collective write stats = %+v", st)
 	}
 }
 

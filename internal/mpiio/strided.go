@@ -64,52 +64,12 @@ func (f *File) SetView(rank int, v View) error {
 	return nil
 }
 
-// StridedMethod selects how noncontiguous requests are issued.
-type StridedMethod int
-
-const (
-	// ListIO issues one request per block (reference [19]).
-	ListIO StridedMethod = iota + 1
-	// DataSieving issues one large request covering the span and
-	// discards (reads) or read-modify-writes (writes) the holes
-	// (reference [6]).
-	DataSieving
-)
-
-// ReadStrided reads n blocks of rank's view from its current view
-// position, using the given method. done runs when all data has arrived,
-// with the first I/O error.
-func (f *File) ReadStrided(rank int, n int64, method StridedMethod, done func(error)) error {
-	spans, err := f.takeViewSpans(rank, n)
-	if err != nil {
-		return err
-	}
-	if len(spans) == 0 {
-		f.completeEmpty(done)
-		return nil
-	}
-	switch method {
-	case DataSieving:
-		// One large contiguous read covering all blocks; holes discarded.
-		lo := spans[0].Off
-		hi := spans[len(spans)-1].Off + spans[len(spans)-1].Len
-		return f.comm.transport.Read(rank, f.name, lo, hi-lo, nil, done)
-	default:
-		join := f.comm.errJoin(len(spans), done)
-		for _, sp := range spans {
-			if err := f.comm.transport.Read(rank, f.name, sp.Off, sp.Len, nil, join); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // WriteStrided writes n blocks of rank's view from its current view
-// position. With DataSieving, the span is read, modified and written back
-// (the paper's reference [6] semantics); the read-modify-write is modeled
-// as a read followed by a full-span write.
-func (f *File) WriteStrided(rank int, n int64, method StridedMethod, done func(error)) error {
+// position by data sieving (reference [6]): one request covers the whole
+// span, holes included, and is issued as a read-modify-write — a read of
+// the span followed by a full-span write. done runs when the write-back
+// completes, with the first I/O error.
+func (f *File) WriteStrided(rank int, n int64, done func(error)) error {
 	spans, err := f.takeViewSpans(rank, n)
 	if err != nil {
 		return err
@@ -118,38 +78,27 @@ func (f *File) WriteStrided(rank int, n int64, method StridedMethod, done func(e
 		f.completeEmpty(done)
 		return nil
 	}
-	switch method {
-	case DataSieving:
-		lo := spans[0].Off
-		hi := spans[len(spans)-1].Off + spans[len(spans)-1].Len
-		// Read-modify-write: fetch the span, then write it back whole. A
-		// failed fetch still writes back (the modification is issued), but
-		// the first error is the one reported.
-		return f.comm.transport.Read(rank, f.name, lo, hi-lo, nil, func(rerr error) {
-			_ = f.comm.transport.Write(rank, f.name, lo, hi-lo, nil, func(werr error) {
-				if rerr == nil {
-					rerr = werr
-				}
-				if done != nil {
-					done(rerr)
-				}
-			})
-		})
-	default:
-		join := f.comm.errJoin(len(spans), done)
-		for _, sp := range spans {
-			if err := f.comm.transport.Write(rank, f.name, sp.Off, sp.Len, nil, join); err != nil {
-				return err
+	lo := spans[0].Off
+	hi := spans[len(spans)-1].Off + spans[len(spans)-1].Len
+	// A failed fetch still writes back (the modification is issued), but
+	// the first error is the one reported.
+	return f.comm.transport.Read(rank, f.name, lo, hi-lo, nil, func(rerr error) {
+		_ = f.comm.transport.Write(rank, f.name, lo, hi-lo, nil, func(werr error) {
+			if rerr == nil {
+				rerr = werr
 			}
-		}
-		return nil
-	}
+			if done != nil {
+				done(rerr)
+			}
+		})
+	})
 }
 
-// completeEmpty reports a zero-work operation complete asynchronously.
+// completeEmpty reports a zero-work operation complete through the
+// engine, never from inside the issuing call.
 func (f *File) completeEmpty(done func(error)) {
 	if done != nil {
-		f.comm.after0(func() { done(nil) })
+		f.comm.eng.After(0, func() { done(nil) })
 	}
 }
 

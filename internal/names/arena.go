@@ -58,7 +58,6 @@ type arenaIndex struct {
 	// the last chunk (earlier chunks are never appended to again).
 	chunks [][]byte
 	fill   uint32
-	bytes  int64 // interned name bytes
 }
 
 // Arena is a concurrent string-interning arena. Use NewArena.
@@ -139,11 +138,10 @@ func (a *Arena) Intern(s string) uint32 {
 	}
 	next := &arenaIndex{
 		table: old.table, mask: old.mask,
-		locs: old.locs, chunks: old.chunks, fill: old.fill, bytes: old.bytes,
+		locs: old.locs, chunks: old.chunks, fill: old.fill,
 	}
 	id = uint32(len(next.locs))
 	next.locs = append(next.locs, next.store(s))
-	next.bytes += int64(len(s))
 	if uint32(len(next.locs))*4 >= uint32(len(next.table))*3 {
 		next.grow()
 	} else {
@@ -220,10 +218,4 @@ func (a *Arena) Bytes() int64 {
 		n += int64(len(c))
 	}
 	return n
-}
-
-// NameBytes returns the total interned name bytes (without index or
-// slack overhead) — the irreducible cost of the name set.
-func (a *Arena) NameBytes() int64 {
-	return a.idx.Load().bytes
 }

@@ -268,14 +268,6 @@ func EncodeFileMap(file string, baseSeq uint64, n int, at func(i int) (off, leng
 	return seal(KindFileMap, payload)
 }
 
-// DecodeFileMapHeader unseals a baseline record and parses only its
-// header — the cheap open-time path that defers extent decoding until
-// the file faults in.
-func DecodeFileMapHeader(data []byte) (FileMapHeader, error) {
-	h, _, err := unsealFileMap(data)
-	return h, err
-}
-
 // DecodeFileMap unseals a baseline record and streams its extents
 // through fn in stored (ascending-offset) order.
 func DecodeFileMap(data []byte, fn func(off, length int64, val uint64)) (FileMapHeader, error) {

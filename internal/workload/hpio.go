@@ -61,7 +61,7 @@ func (c HPIOConfig) Spans() ([][]mpiio.Span, error) {
 }
 
 // View returns rank p's strided file view of the same pattern, for use
-// with the mpiio strided operations (ListIO or DataSieving).
+// with mpiio's strided (data-sieving) write.
 func (c HPIOConfig) View(rank int) mpiio.View {
 	cell := c.RegionSize + c.RegionSpacing
 	return mpiio.View{
