@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -9,16 +10,16 @@ import (
 	"s4dcache/internal/sim"
 )
 
-// Concurrent Rebuilder: each cycle's flush/fetch extents fan out to a
-// fixed pool of worker goroutines. Tasks route to workers by file hash, so
-// all data movement for one file runs on one worker in submission order —
-// the per-file ordering the epoch checks assume. Workers execute one task
-// at a time, blocking on its asynchronous I/O chain before taking the
-// next; cross-file parallelism comes from the pool width.
+// Concurrent Rebuilder: each cycle's flush/fetch extents fan out to
+// RebuildWorkers lanes by file hash, so all data movement for one file
+// runs in submission order — the per-file ordering the epoch checks
+// assume. A lane runs one task at a time as a chain of clock events: a
+// task's completion starts the next through Clock.After(0), never inline
+// on the backend's completion stack.
 
 // crTask is one unit of Rebuilder data movement — or, with recover set,
 // one file's warm-restart re-admission (concrecovery.go), which rides the
-// same per-file worker routing for ordering and carries no cycle.
+// same per-file lane routing for ordering and carries no cycle.
 type crTask struct {
 	flush    bool
 	recover  bool
@@ -27,6 +28,15 @@ type crTask struct {
 	length   int64
 	cacheOff int64
 	cy       *crCycle
+}
+
+// rlane is one Rebuilder lane: a FIFO of the tasks dispatched to it and
+// whether one of them is running. The queue drops its backing array when
+// the lane goes idle.
+type rlane struct {
+	mu    sync.Mutex
+	busy  bool
+	queue []crTask
 }
 
 // crCycle counts one cycle's outstanding tasks.
@@ -41,20 +51,19 @@ func (cy *crCycle) taskDone() {
 	}
 }
 
-// armRebuild schedules the next periodic cycle; it re-arms itself until
-// Close.
-func (c *Concurrent) armRebuild(period time.Duration) {
+// every runs fn each period, on the clock, until Close: the periodic
+// Rebuilder, adaptation and snapshot triggers.
+func (c *Concurrent) every(period time.Duration, fn func()) {
 	c.clock.After(period, func() {
-		if c.closed.Load() {
-			return
+		if !c.closed.Load() {
+			fn()
+			c.every(period, fn)
 		}
-		c.RebuildNow(nil)
-		c.armRebuild(period)
 	})
 }
 
 // RebuildNow runs one Rebuilder cycle, as S4D.RebuildNow but fanned across
-// the worker pool. Safe from any goroutine; overlapping calls join the
+// the lanes. Safe from any goroutine; overlapping calls join the
 // in-flight cycle.
 func (c *Concurrent) RebuildNow(done func()) {
 	if c.closed.Load() {
@@ -62,18 +71,15 @@ func (c *Concurrent) RebuildNow(done func()) {
 		return
 	}
 	c.rebuildMu.Lock()
-	if c.rebuildBusy {
-		if done != nil {
-			c.rebuildWaiters = append(c.rebuildWaiters, done)
-		}
-		c.rebuildMu.Unlock()
-		return
-	}
-	c.rebuildBusy = true
 	if done != nil {
 		c.rebuildWaiters = append(c.rebuildWaiters, done)
 	}
+	busy := c.rebuildBusy
+	c.rebuildBusy = true
 	c.rebuildMu.Unlock()
+	if busy {
+		return
+	}
 	c.rebuildCycles.Add(1)
 
 	flushes := c.DMT().DirtyExtents(c.rebuildBatch)
@@ -98,31 +104,49 @@ func (c *Concurrent) RebuildNow(done func()) {
 	}
 }
 
-// dispatch routes a task to its file's worker. Channels are sized for a
-// full cycle (2×batch), and cycles never overlap, so the send does not
-// block on worker progress.
+// dispatch queues a task on its file's lane and starts the lane if it is
+// idle.
 func (c *Concurrent) dispatch(t crTask) {
-	c.workerCh[lane(t.file, len(c.workerCh))] <- t
+	l := &c.lanes[lane(t.file, len(c.lanes))]
+	l.mu.Lock()
+	l.queue = append(l.queue, t)
+	idle := !l.busy
+	l.busy = true
+	l.mu.Unlock()
+	if idle {
+		c.clock.After(0, func() { c.runLane(l) })
+	}
 }
 
-func (c *Concurrent) rebuildWorker(ch chan crTask) {
-	for {
-		select {
-		case <-c.quit:
-			return
-		case t := <-ch:
-			switch {
-			case t.recover:
-				c.recoverFile(t.file)
-			case t.flush:
-				c.flushOne(t.file, t.off, t.length, t.cacheOff)
-			default:
-				c.fetchOne(t.file, t.off, t.length)
-			}
+// runLane starts the lane's head task, or marks the lane idle when its
+// queue is empty. The task's completion schedules runLane again.
+func (c *Concurrent) runLane(l *rlane) {
+	l.mu.Lock()
+	if len(l.queue) == 0 {
+		l.busy = false
+		l.queue = nil
+		l.mu.Unlock()
+		return
+	}
+	t := l.queue[0]
+	l.queue[0] = crTask{}
+	l.queue = l.queue[1:]
+	l.mu.Unlock()
+	next := func() {
+		c.clock.After(0, func() {
 			if t.cy != nil {
 				t.cy.taskDone()
 			}
-		}
+			c.runLane(l)
+		})
+	}
+	switch {
+	case t.recover:
+		c.recoverFile(t.file, next)
+	case t.flush:
+		c.flushOne(t.file, t.off, t.length, t.cacheOff, next)
+	default:
+		c.fetchOne(t.file, t.off, t.length, next)
 	}
 }
 
@@ -140,15 +164,19 @@ func (c *Concurrent) finishCycle() {
 	}
 }
 
-// flushOne writes one dirty cache extent back to the DServers and blocks
-// until its I/O chain completes. The file's write epoch is captured under
-// the shard mutex before the cache read and re-checked under it at the
-// disk-write completion: any client write to the file in between bumps the
-// epoch (under the same mutex) and the extent stays dirty for the next
+// flushOne writes one dirty cache extent back to the DServers and calls
+// next once its I/O chain completes. The file's write epoch is captured
+// under the shard mutex before the cache read and re-checked under it at
+// the disk-write completion: any client write to the file in between bumps
+// the epoch (under the same mutex) and the extent stays dirty for the next
 // cycle.
-func (c *Concurrent) flushOne(file string, off, length, cacheOff int64) {
-	if c.faulty.Load() && c.cpfs.RangeDown(cacheOff, length) {
+func (c *Concurrent) flushOne(file string, off, length, cacheOff int64, next func()) {
+	retry := func() {
 		c.flushRetries.Add(1)
+		next()
+	}
+	if c.faulty.Load() && c.cpfs.RangeDown(cacheOff, length) {
+		retry()
 		return
 	}
 	sh, shardIdx := c.shard(file)
@@ -159,18 +187,16 @@ func (c *Concurrent) flushOne(file string, off, length, cacheOff int64) {
 	sh.mu.Unlock()
 	if busy {
 		// A client write's bytes may not have reached cacheOff yet.
-		c.flushRetries.Add(1)
+		retry()
 		return
 	}
 	// Dirty space is never reclaimed and dirty mappings only move through
-	// this worker (per-file ordering), so cacheOff stays valid for the
-	// whole flight unless the epoch check fails.
+	// this lane (per-file ordering), so cacheOff stays valid for the whole
+	// flight unless the epoch check fails.
 	buf := c.flushBuf(length)
-	done := make(chan struct{})
 	err := c.cpfs.Read(CacheFileName, cacheOff, length, sim.PriorityLow, buf, func(rerr error) {
 		if rerr != nil {
-			c.flushRetries.Add(1)
-			close(done)
+			retry()
 			return
 		}
 		werr := c.opfs.Write(file, off, length, sim.PriorityLow, buf, func(werr error) {
@@ -198,18 +224,15 @@ func (c *Concurrent) flushOne(file string, off, length, cacheOff int64) {
 				c.flushRetries.Add(1)
 			}
 			sh.mu.Unlock()
-			close(done)
+			next()
 		})
 		if werr != nil {
-			c.flushRetries.Add(1)
-			close(done)
+			retry()
 		}
 	})
 	if err != nil {
-		c.flushRetries.Add(1)
-		return
+		retry()
 	}
-	<-done
 }
 
 // dropFlushed unmaps and frees a flushed dirty extent instead of marking
@@ -227,45 +250,52 @@ func (c *Concurrent) dropFlushed(sh *cshard, file string, off, length, cacheOff 
 }
 
 // fetchOne reads one C_flag-marked range from the DServers into the
-// CServers, gap by gap, and blocks until done. Allocation and the final
+// CServers, gap by gap, and calls next once done. Allocation and the final
 // mapping insert run under the shard mutex; the epoch captured at
 // allocation is re-checked before the insert so a client write racing the
 // fetch wins and the stale disk bytes are dropped.
-func (c *Concurrent) fetchOne(file string, off, length int64) {
+func (c *Concurrent) fetchOne(file string, off, length int64, next func()) {
 	sh, shardIdx := c.shard(file)
 	sh.mu.Lock()
 	_, gaps := sh.dmt.Lookup(file, off, length)
 	if len(gaps) == 0 {
 		sh.cdt.ClearCFlag(file, off, length)
 		sh.mu.Unlock()
+		next()
 		return
 	}
-	todo := make([]struct{ off, length int64 }, len(gaps))
-	for i, g := range gaps {
-		todo[i] = struct{ off, length int64 }{g.Off, g.Len}
-	}
 	sh.mu.Unlock()
 
-	for _, g := range todo {
-		c.fetchGap(sh, shardIdx, file, g.off, g.length)
+	var step func(i int)
+	step = func(i int) {
+		c.fetchGap(sh, shardIdx, file, gaps[i].Off, gaps[i].Len, func() {
+			if i+1 < len(gaps) {
+				// The next gap's allocation runs through the clock, off
+				// the backend's completion stack.
+				c.clock.After(0, func() { step(i + 1) })
+				return
+			}
+			sh.mu.Lock()
+			if sh.dmt.Contains(file, off, length) {
+				sh.cdt.ClearCFlag(file, off, length)
+			}
+			sh.mu.Unlock()
+			next()
+		})
 	}
-
-	sh.mu.Lock()
-	if sh.dmt.Contains(file, off, length) {
-		sh.cdt.ClearCFlag(file, off, length)
-	}
-	sh.mu.Unlock()
+	step(0)
 }
 
 // fetchGap moves one unmapped gap from the DServers into the cache and
-// blocks until its I/O chain completes.
-func (c *Concurrent) fetchGap(sh *cshard, shardIdx int, file string, off, length int64) {
+// calls done once its I/O chain completes.
+func (c *Concurrent) fetchGap(sh *cshard, shardIdx int, file string, off, length int64, done func()) {
 	sh.mu.Lock()
 	// The gap may have been filled (or partially filled) by a client write
 	// since the cycle snapshot; only still-unmapped bytes are fetched, and
 	// a partially-filled gap is simply skipped until the next cycle.
 	if hits, _ := sh.dmt.Lookup(file, off, length); len(hits) > 0 {
 		sh.mu.Unlock()
+		done()
 		return
 	}
 	fid := c.arena.Intern(file)
@@ -275,6 +305,7 @@ func (c *Concurrent) fetchGap(sh *cshard, shardIdx int, file string, off, length
 		// bytes it replaces. Retry next cycle, as flushOne does.
 		c.fetchRetries.Add(1)
 		sh.mu.Unlock()
+		done()
 		return
 	}
 	// Eviction victims are unmapped by the cachespace eviction hook, under
@@ -283,18 +314,18 @@ func (c *Concurrent) fetchGap(sh *cshard, shardIdx int, file string, off, length
 	if err != nil {
 		c.fetchFailures.Add(1)
 		sh.mu.Unlock()
+		done()
 		return
 	}
 	epoch := sh.fileEpoch[fid]
 	sh.mu.Unlock()
 
 	buf := c.flushBuf(length)
-	done := make(chan struct{})
 	abort := func() {
 		for _, fr := range frags {
 			c.space.FreeRange(fr.CacheOff, fr.Len)
 		}
-		close(done)
+		done()
 	}
 	rerr := c.opfs.Read(file, off, length, sim.PriorityLow, buf, func(rerr error) {
 		if rerr != nil {
@@ -305,7 +336,7 @@ func (c *Concurrent) fetchGap(sh *cshard, shardIdx int, file string, off, length
 		sub := &segJoin{parent: func(error) {
 			c.fetches.Add(1)
 			c.bytesFetched.Add(length)
-			close(done)
+			done()
 		}}
 		sub.n.Store(int32(len(frags)))
 		pos := off
@@ -337,5 +368,4 @@ func (c *Concurrent) fetchGap(sh *cshard, shardIdx int, file string, off, length
 	if rerr != nil {
 		abort()
 	}
-	<-done
 }

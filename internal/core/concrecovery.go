@@ -1,38 +1,31 @@
 package core
 
-import "time"
-
 // Warm restart on the concurrent engine: the shared staging
-// (stageRecovery), then clean-extent re-admission fanned out per file
-// through the Rebuilder worker channels, so all recovery for one file runs
-// on one worker — serialized, under the file's shard mutex, against both
-// writer supersedes and the worker's own adopts. A dedicated dispatcher
-// goroutine feeds the channels so construction never blocks on their
-// bounded capacity.
+// (stageRecovery), then clean-extent re-admission as one task per file on
+// the Rebuilder lanes, so all recovery for one file runs on one lane —
+// serialized, under the file's shard mutex, against both writer supersedes
+// and the lane's own adopts.
 
-// beginRecovery stages the warm restart and hands the pending files to
-// the workers. Called from NewConcurrent after the workers start and
-// before the instance is returned, so no client goroutine can race the
-// synchronous dirty installs.
+// beginRecovery stages the warm restart and queues the pending files on
+// the lanes. Called from NewConcurrent before the instance is returned, so
+// no client goroutine can race the synchronous dirty installs.
 func (c *Concurrent) beginRecovery() error {
 	files, err := c.stageRecovery()
 	if err != nil || len(files) == 0 {
 		return err
 	}
 	c.recoverLeft.Store(int32(len(files)))
-	go func() {
-		for _, f := range files {
-			c.dispatch(crTask{recover: true, file: f})
-		}
-	}()
+	for _, f := range files {
+		c.dispatch(crTask{recover: true, file: f})
+	}
 	return nil
 }
 
 // recoverFile re-admits one file's pending clean extents in batches,
 // releasing the shard mutex between batches so foreground writers (and
-// their supersede checks) interleave. Runs on the file's Rebuilder worker;
-// the last file to drain finishes the recovery.
-func (c *Concurrent) recoverFile(file string) {
+// their supersede checks) interleave, then calls next. Runs on the file's
+// Rebuilder lane; the last file to drain finishes the recovery.
+func (c *Concurrent) recoverFile(file string, next func()) {
 	sh, shardIdx := c.shard(file)
 	for {
 		sh.mu.Lock()
@@ -54,16 +47,5 @@ func (c *Concurrent) recoverFile(file string) {
 	if c.recoverLeft.Add(-1) == 0 {
 		c.finishRecovery()
 	}
-}
-
-// armSnapshot schedules the next snapshot tick; self-rearming like
-// armRebuild, stopped by Close.
-func (c *Concurrent) armSnapshot(period time.Duration) {
-	c.clock.After(period, func() {
-		if c.closed.Load() {
-			return
-		}
-		c.snapshotTick()
-		c.armSnapshot(period)
-	})
+	next()
 }

@@ -66,13 +66,14 @@ type ConcurrentConfig struct {
 	RebuildPeriod time.Duration
 	// RebuildBatch caps extents flushed and fetched per cycle; 0 means 64.
 	RebuildBatch int
-	// RebuildWorkers sizes the Rebuilder's worker pool; 0 means 4.
+	// RebuildWorkers is the Rebuilder's lane count: at most this many
+	// flush/fetch tasks are in flight, one per lane; 0 means 4.
 	RebuildWorkers int
 	// MetaStore, if non-nil, persists the DMT through this store (each
 	// shard's table logs into the same store). The engine recovers the
 	// cache residency the store records at construction (DESIGN.md §14):
 	// dirty extents re-admit synchronously, clean extents incrementally on
-	// the Rebuilder workers while the engine serves degraded
+	// the Rebuilder lanes while the engine serves degraded
 	// (read-around). A fresh store starts cold.
 	MetaStore *kvstore.Store
 	// MetaBudget bounds the DMT's resident metadata bytes across all
@@ -116,8 +117,11 @@ type ConcurrentConfig struct {
 // Algorithm-1 routing as S4D but routes every request by file hash onto
 // one of Concurrency shards, each with its own mutex, cost-model tracker,
 // file epochs, cache-space region and DMT/CDT tables holding exactly its
-// files. The Rebuilder fans flush/fetch work across a bounded worker pool
-// with per-file ordering.
+// files. The Rebuilder fans flush/fetch work across RebuildWorkers lanes
+// with per-file ordering. Every timed or deferred action, Rebuilder and
+// warm-restart work included, is a Clock.After callback, so the engine
+// starts no goroutine of its own: on sim.Engine it runs in virtual time,
+// on the wall clock its callbacks run on the clock's goroutines.
 //
 // The engine is always lazy-fetch (the paper's behaviour) and never
 // charges metadata I/O; those ablations stay on the deterministic S4D
@@ -139,11 +143,10 @@ type Concurrent struct {
 	rebuildMu      sync.Mutex
 	rebuildBusy    bool
 	rebuildWaiters []func()
-	workerCh       []chan crTask
-	quit           chan struct{}
+	lanes          []rlane
 	closed         atomic.Bool
 
-	// recoverLeft counts files still queued on the workers during a warm
+	// recoverLeft counts files still queued on the lanes during a warm
 	// restart (concrecovery.go).
 	recoverLeft atomic.Int32
 }
@@ -156,7 +159,7 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 	if cfg.RebuildWorkers <= 0 {
 		cfg.RebuildWorkers = 4
 	}
-	c := &Concurrent{quit: make(chan struct{})}
+	c := &Concurrent{lanes: make([]rlane, cfg.RebuildWorkers)}
 	err := c.init(engineConfig{
 		clock:        cfg.Clock,
 		opfs:         cfg.OPFS,
@@ -179,51 +182,32 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.workerCh = make([]chan crTask, cfg.RebuildWorkers)
-	for i := range c.workerCh {
-		c.workerCh[i] = make(chan crTask, 2*c.rebuildBatch)
-		go c.rebuildWorker(c.workerCh[i])
-	}
 	if cfg.MetaStore != nil {
-		// After the workers: clean-extent re-admission rides their
-		// channels. Before any ticker: the synchronous dirty installs must
-		// finish before other goroutines touch the engine.
+		// Before any ticker: the synchronous dirty installs must finish
+		// before other goroutines touch the engine.
 		if err := c.beginRecovery(); err != nil {
 			c.Close()
 			return nil, err
 		}
 	}
 	if cfg.RebuildPeriod > 0 {
-		c.armRebuild(cfg.RebuildPeriod)
+		c.every(cfg.RebuildPeriod, func() { c.RebuildNow(nil) })
 	}
 	if cfg.AdaptivePeriod > 0 {
-		c.armAdapt(cfg.AdaptivePeriod)
+		c.every(cfg.AdaptivePeriod, c.adaptTick)
 	}
 	if cfg.SnapshotPeriod > 0 {
-		c.armSnapshot(cfg.SnapshotPeriod)
+		c.every(cfg.SnapshotPeriod, c.snapshotTick)
 	}
 	return c, nil
 }
 
-// armAdapt schedules the next adaptation step; self-rearming like
-// armRebuild, stopped by Close.
-func (c *Concurrent) armAdapt(period time.Duration) {
-	c.clock.After(period, func() {
-		if c.closed.Load() {
-			return
-		}
-		c.adaptTick()
-		c.armAdapt(period)
-	})
-}
-
-// Close stops the periodic Rebuilder trigger and the worker pool. Call
-// after draining (DrainRebuild): tasks of an in-flight cycle may be
-// dropped once workers exit, leaving that cycle's callbacks unfired.
+// Close stops the periodic Rebuilder, adaptation and snapshot triggers;
+// a later RebuildNow completes at once without running a cycle. Tasks
+// already queued on the lanes, an in-flight cycle's included, run to
+// completion, so that cycle's callbacks still fire.
 func (c *Concurrent) Close() {
-	if c.closed.CompareAndSwap(false, true) {
-		close(c.quit)
-	}
+	c.closed.Store(true)
 }
 
 // countdown is a join's outstanding-reference count and first error.

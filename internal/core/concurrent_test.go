@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"s4dcache/internal/device"
 	"s4dcache/internal/dmt"
 	"s4dcache/internal/extent"
+	"s4dcache/internal/kvstore"
 	"s4dcache/internal/netmodel"
 	"s4dcache/internal/pfs"
 	"s4dcache/internal/sim"
@@ -294,24 +296,31 @@ func TestConcurrentEquivalence(t *testing.T) {
 }
 
 // TestDriverEquivalence runs the equivalence script, one op outstanding
-// at a time, through S4D on a virtual-time testbed and through a
-// one-shard Concurrent on the wall clock. The two drivers share the
-// engine's state and rules but keep their own event order (joins,
-// Rebuilder cycle, fetch fan-out); quiesced, they must agree on DMT
-// coverage, CDT contents and every byte read back.
+// at a time, through S4D on a virtual-time testbed, through a one-shard
+// Concurrent on the same virtual-time testbed, and through a one-shard
+// Concurrent on the wall clock. The drivers share the engine's state and
+// rules but keep their own event order (joins, Rebuilder cycle, fetch
+// fan-out); quiesced, they must agree on DMT coverage, CDT contents and
+// every byte read back.
 func TestDriverEquivalence(t *testing.T) {
 	conState, expect := runEquivalenceWorkload(t, newConcTestbed(t, 1, true, false).target(), false)
 	simState, _ := runEquivalenceWorkload(t, newEqSimTarget(t), false)
+	simConState, _ := runEquivalenceWorkload(t, newEqSimConcTarget(t), false)
 	if len(simState.dmtExtents) == 0 || len(simState.cdtExtents) == 0 {
 		t.Fatal("the script left no DMT mappings or CDT extents to compare")
 	}
 	compareEqState(t, "Concurrent", conState, "S4D", simState, expect)
+	compareEqState(t, "Concurrent on sim.Engine", simConState, "S4D", simState, expect)
 }
 
-// newEqSimTarget is S4D on a virtual-time testbed shaped like
-// newConcTestbed's: 8 DServers and 4 CServers with 16 KiB stripes, payload
-// stores, the same cost model and cache capacity, lazy fetch.
-func newEqSimTarget(t *testing.T) eqTarget {
+// eqSimBed is a virtual-time testbed shaped like newConcTestbed's: 8
+// DServers and 4 CServers with 16 KiB stripes and payload stores.
+type eqSimBed struct {
+	eng        *sim.Engine
+	opfs, cpfs *pfs.FS
+}
+
+func newEqSimBed(t *testing.T) eqSimBed {
 	t.Helper()
 	eng := sim.NewEngine()
 	mkFS := func(label string, servers int, dev func(int) device.Device) *pfs.FS {
@@ -334,28 +343,141 @@ func newEqSimTarget(t *testing.T) eqTarget {
 		return device.NewHDD(p)
 	})
 	cpfs := mkFS("CPFS", 4, func(int) device.Device { return device.NewSSD(device.DefaultSSDParams()) })
+	return eqSimBed{eng: eng, opfs: opfs, cpfs: cpfs}
+}
+
+// await issues fn and runs the engine until it is idle.
+func (b eqSimBed) await(t *testing.T, fn func(done func(error)) error) {
+	t.Helper()
+	var got error
+	fired := false
+	if err := fn(func(err error) { got, fired = err, true }); err != nil {
+		t.Fatal(err)
+	}
+	b.eng.Run()
+	if !fired {
+		t.Fatal("request never completed")
+	}
+	if got != nil {
+		t.Fatal(got)
+	}
+}
+
+// concurrent builds a one-shard Concurrent on the testbed's clock and
+// backends, warm-restarting from store when it is non-nil.
+func (b eqSimBed) concurrent(t *testing.T, store *kvstore.Store) *Concurrent {
+	t.Helper()
+	c, err := NewConcurrent(ConcurrentConfig{
+		Clock: b.eng, OPFS: b.opfs, CPFS: b.cpfs, Model: concModel(t),
+		CacheCapacity: 256 << 20, Concurrency: 1, MetaStore: store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// newEqSimTarget is S4D on an eqSimBed with newConcTestbed's cost model
+// and cache capacity, lazy fetch.
+func newEqSimTarget(t *testing.T) eqTarget {
+	t.Helper()
+	b := newEqSimBed(t)
 	s, err := New(Config{
-		Engine: eng, OPFS: opfs, CPFS: cpfs, Model: concModel(t),
+		Engine: b.eng, OPFS: b.opfs, CPFS: b.cpfs, Model: concModel(t),
 		CacheCapacity: 256 << 20, LazyFetch: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eqTarget{eng: s, core: &s.engine, opfs: opfs, await: func(t *testing.T, fn func(done func(error)) error) {
-		t.Helper()
-		var got error
-		fired := false
-		if err := fn(func(err error) { got, fired = err, true }); err != nil {
-			t.Fatal(err)
+	return eqTarget{eng: s, core: &s.engine, opfs: b.opfs, await: b.await}
+}
+
+// newEqSimConcTarget is a one-shard Concurrent on an eqSimBed: the same
+// deployment as newEqSimTarget's S4D, driven by sim.Engine as its Clock.
+func newEqSimConcTarget(t *testing.T) eqTarget {
+	t.Helper()
+	b := newEqSimBed(t)
+	return b.target(b.concurrent(t, nil))
+}
+
+// target is a Concurrent built on the testbed as an equivalence-oracle
+// driver.
+func (b eqSimBed) target(c *Concurrent) eqTarget {
+	return eqTarget{eng: c, core: &c.engine, opfs: b.opfs, await: b.await}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once three reads 5 ms
+// apart agree (at most about a second), so goroutines an earlier test
+// left finishing do not count.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for i := 0; i < 200 && same < 2; i++ {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
 		}
-		eng.Run()
-		if !fired {
-			t.Fatal("request never completed")
-		}
-		if got != nil {
-			t.Fatal(got)
-		}
-	}}
+	}
+	return n
+}
+
+// TestConcurrentStartsNoGoroutine runs Concurrent on sim.Engine through a
+// cold start, the equivalence script, a warm restart whose staged recovery
+// re-admits clean extents, the script again and a drain: every Rebuilder
+// and recovery task is a clock event, so the goroutine count ends where it
+// started.
+func TestConcurrentStartsNoGoroutine(t *testing.T) {
+	before := settledGoroutines()
+	b := newEqSimBed(t)
+	backend := kvstore.NewMemBackend()
+	cold := b.concurrent(t, openMetaStore(t, backend))
+	runEquivalenceWorkload(t, b.target(cold), false)
+	cold.Close()
+
+	warm := b.concurrent(t, openMetaStore(t, backend))
+	if st := warm.Stats(); !st.Recovering || st.RecoveredClean != 0 {
+		t.Fatalf("warm restart staged no clean extents: recovering=%v recoveredClean=%d", st.Recovering, st.RecoveredClean)
+	}
+	runEquivalenceWorkload(t, b.target(warm), false)
+	warm.DrainRebuild(nil)
+	b.eng.Run()
+	if st := warm.Stats(); st.Recovering || st.RecoveredClean == 0 || st.Flushes+st.Fetches == 0 {
+		t.Fatalf("warm engine did no work: recovering=%v recoveredClean=%d flushes=%d fetches=%d",
+			st.Recovering, st.RecoveredClean, st.Flushes, st.Fetches)
+	}
+	if after := settledGoroutines(); after != before {
+		t.Fatalf("goroutines: %d before construction, %d after the run", before, after)
+	}
+}
+
+// TestCloseFinishesQueuedCycle closes the engine right after starting a
+// cycle with flushes and fetches queued on several lanes: the queued tasks
+// still run, and the cycle's callback fires.
+func TestCloseFinishesQueuedCycle(t *testing.T) {
+	tb := newConcTestbed(t, 4, true, false)
+	const size = int64(4 << 10)
+	for i := 0; i < 16; i++ {
+		file := fmt.Sprintf("close%02d", i)
+		data := bytes.Repeat([]byte{byte(i + 1)}, int(size))
+		await(t, func(done func(error)) error { return tb.eng.Write(0, file, 1<<20, size, data, done) })
+		buf := make([]byte, size)
+		await(t, func(done func(error)) error { return tb.eng.Read(0, file, 4<<20, size, buf, done) })
+	}
+	if !tb.eng.DMT().HasDirty() || !tb.eng.CDT().HasPending() {
+		t.Fatal("setup queued no flush or no fetch")
+	}
+	fired := make(chan struct{})
+	tb.eng.RebuildNow(func() { close(fired) })
+	tb.eng.Close()
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close stranded the in-flight cycle: its callback never fired")
+	}
+	if st := tb.eng.Stats(); st.Flushes == 0 || st.Fetches == 0 {
+		t.Fatalf("cycle finished without running its tasks: flushes=%d fetches=%d", st.Flushes, st.Fetches)
+	}
 }
 
 // compareEqState requires two final states to agree with each other and

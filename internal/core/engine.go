@@ -332,7 +332,7 @@ func ceilShare(total int64, n int) int64 {
 }
 
 // lane picks which of n lanes owns file, by FNV-1a hash: the serve shard
-// (with its tables and cache region) and the Rebuilder worker both route
+// (with its tables and cache region) and the Rebuilder lane both route
 // through it.
 func lane(file string, n int) int {
 	h := uint32(2166136261)

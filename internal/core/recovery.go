@@ -14,7 +14,7 @@ import (
 // request, and clean extents queue for incremental background
 // re-admission so the engine serves immediately in degraded (read-around)
 // mode. S4D paces re-admission in virtual-time batches (recoverStep);
-// Concurrent fans it out per file on its Rebuilder workers
+// Concurrent queues it per file on its Rebuilder lanes
 // (concrecovery.go). Any extent that fails verification is quarantined:
 // counted, durably unmapped, and treated as a miss from then on — never a
 // wrong answer, never a startup failure.

@@ -637,7 +637,7 @@ func TestRecoveryTortureCutsAndBitflips(t *testing.T) {
 func wrFile(r int) string { return fmt.Sprintf("wr%02d", r) }
 
 // TestConcurrentWarmRestartUnderTraffic restarts the concurrent engine warm
-// while real client goroutines race the recovery workers: readers of
+// while real client goroutines race the recovery tasks: readers of
 // recovered ranges, writers to fresh files, and one writer superseding a
 // still-pending extent. Every read must be correct at every moment; run
 // under -race this doubles as the recovery path's race check.

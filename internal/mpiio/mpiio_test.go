@@ -97,23 +97,71 @@ func TestViewValidation(t *testing.T) {
 	}
 }
 
-func TestViewSpans(t *testing.T) {
+// rangeTransport records the [lo, hi) of every request and completes it
+// through the engine.
+type rangeTransport struct {
+	eng  *sim.Engine
+	reqs []Span
+}
+
+func (t *rangeTransport) Read(rank int, file string, off, size int64, buf []byte, done func(error)) error {
+	return t.Write(rank, file, off, size, buf, done)
+}
+
+func (t *rangeTransport) Write(_ int, _ string, off, size int64, _ []byte, done func(error)) error {
+	t.reqs = append(t.reqs, Span{Off: off, Len: size})
+	t.eng.After(0, func() { done(nil) })
+	return nil
+}
+
+// TestWriteStridedRange checks the data-sieving span WriteStrided issues
+// and the view position it leaves: n capped at the view's Count, a
+// nonzero first block, and n = 0.
+func TestWriteStridedRange(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := &rangeTransport{eng: eng}
+	comm, err := NewComm(eng, 1, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := comm.Open("data")
 	v := View{Disp: 100, BlockLen: 8, Stride: 32, Count: 3}
-	spans := v.Spans(0, 5) // capped at Count
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(spans))
-	}
-	want := []Span{{100, 8}, {132, 8}, {164, 8}}
-	for i := range want {
-		if spans[i] != want[i] {
-			t.Fatalf("span %d = %+v, want %+v", i, spans[i], want[i])
+	for _, c := range []struct {
+		name   string
+		reset  bool
+		n      int64
+		lo, hi int64 // lo == hi: no request
+		pos    int64
+	}{
+		{"capped at Count", true, 5, 100, 172, 3},
+		{"first two blocks", true, 2, 100, 140, 2},
+		{"nonzero first block", false, 5, 164, 172, 3},
+		{"zero blocks", true, 0, 0, 0, 0},
+	} {
+		if c.reset {
+			if err := f.SetView(0, v); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got := v.Spans(2, 5); len(got) != 1 || got[0].Off != 164 {
-		t.Fatalf("offset spans = %+v", got)
-	}
-	if got := v.Spans(0, 0); got != nil {
-		t.Fatal("zero-count spans not nil")
+		tr.reqs = nil
+		fired := false
+		if err := f.WriteStrided(0, c.n, func(error) { fired = true }); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if !fired {
+			t.Fatalf("%s: done never ran", c.name)
+		}
+		want := []Span{{c.lo, c.hi - c.lo}, {c.lo, c.hi - c.lo}}
+		if c.lo == c.hi {
+			want = nil
+		}
+		if len(tr.reqs) != len(want) || (want != nil && (tr.reqs[0] != want[0] || tr.reqs[1] != want[1])) {
+			t.Fatalf("%s: requests %+v, want %+v (read then write-back)", c.name, tr.reqs, want)
+		}
+		if got := f.offset[0]; got != c.pos {
+			t.Fatalf("%s: view position %d, want %d", c.name, got, c.pos)
+		}
 	}
 }
 

@@ -32,22 +32,6 @@ func (v View) Validate() error {
 	return nil
 }
 
-// Spans materializes the first n blocks of the view starting from block
-// index first.
-func (v View) Spans(first, n int64) []Span {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]Span, 0, n)
-	for i := int64(0); i < n; i++ {
-		if v.Count > 0 && first+i >= v.Count {
-			break
-		}
-		out = append(out, Span{Off: v.Disp + (first+i)*v.Stride, Len: v.BlockLen})
-	}
-	return out
-}
-
 // SetView installs a strided view for rank (MPI_File_set_view) and resets
 // the rank's view position.
 func (f *File) SetView(rank int, v View) error {
@@ -70,16 +54,14 @@ func (f *File) SetView(rank int, v View) error {
 // the span followed by a full-span write. done runs when the write-back
 // completes, with the first I/O error.
 func (f *File) WriteStrided(rank int, n int64, done func(error)) error {
-	spans, err := f.takeViewSpans(rank, n)
+	lo, hi, err := f.takeViewRange(rank, n)
 	if err != nil {
 		return err
 	}
-	if len(spans) == 0 {
+	if lo == hi {
 		f.completeEmpty(done)
 		return nil
 	}
-	lo := spans[0].Off
-	hi := spans[len(spans)-1].Off + spans[len(spans)-1].Len
 	// A failed fetch still writes back (the modification is issued), but
 	// the first error is the one reported.
 	return f.comm.transport.Read(rank, f.name, lo, hi-lo, nil, func(rerr error) {
@@ -102,20 +84,27 @@ func (f *File) completeEmpty(done func(error)) {
 	}
 }
 
-// takeViewSpans materializes n blocks at the rank's view position and
-// advances the position.
-func (f *File) takeViewSpans(rank int, n int64) ([]Span, error) {
+// takeViewRange takes up to n blocks at the rank's view position, capped
+// at the view's Count, advances the position past them and returns the
+// byte range [lo, hi) they span; lo == hi when it takes no block.
+func (f *File) takeViewRange(rank int, n int64) (lo, hi int64, err error) {
 	if err := f.check(rank); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	v, ok := f.view[rank]
 	if !ok {
-		return nil, fmt.Errorf("mpiio: rank %d has no view on %q", rank, f.name)
+		return 0, 0, fmt.Errorf("mpiio: rank %d has no view on %q", rank, f.name)
 	}
 	pos := f.offset[rank]
-	spans := v.Spans(pos, n)
-	f.offset[rank] = pos + int64(len(spans))
-	return spans, nil
+	if v.Count > 0 {
+		n = min(n, v.Count-pos)
+	}
+	if n <= 0 {
+		return 0, 0, nil
+	}
+	f.offset[rank] = pos + n
+	lo = v.Disp + pos*v.Stride
+	return lo, lo + (n-1)*v.Stride + v.BlockLen, nil
 }

@@ -20,12 +20,6 @@ func Gigabit() Params {
 	return Params{Latency: 100 * time.Microsecond, Bandwidth: 117e6}
 }
 
-// TenGigabit returns parameters for a 10 GbE fabric, used in sensitivity
-// ablations.
-func TenGigabit() Params {
-	return Params{Latency: 30 * time.Microsecond, Bandwidth: 1.17e9}
-}
-
 // Zero returns a free network (no latency, infinite bandwidth), useful for
 // isolating device behaviour in unit tests.
 func Zero() Params { return Params{} }

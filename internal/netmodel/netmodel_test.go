@@ -35,13 +35,6 @@ func TestZeroNetworkIsFree(t *testing.T) {
 	}
 }
 
-func TestTenGigabitFasterThanGigabit(t *testing.T) {
-	size := int64(10 << 20)
-	if TenGigabit().TransferTime(size) >= Gigabit().TransferTime(size) {
-		t.Fatal("10GbE should be faster than 1GbE")
-	}
-}
-
 func TestTransferTimeMonotonic(t *testing.T) {
 	p := Gigabit()
 	prev := time.Duration(-1)

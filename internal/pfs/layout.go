@@ -160,15 +160,3 @@ func (l Layout) MaxSubRequest(off, size int64) int64 {
 	}
 	return m
 }
-
-// LocalSize returns the number of bytes server holds of a file of the given
-// total size.
-func (l Layout) LocalSize(server int, fileSize int64) int64 {
-	var total int64
-	for _, sr := range l.Split(0, fileSize) {
-		if sr.Server == server {
-			total += sr.Size
-		}
-	}
-	return total
-}

@@ -200,14 +200,3 @@ func TestMaxSubRequest(t *testing.T) {
 		t.Fatalf("MaxSubRequest = %d, want 20", got)
 	}
 }
-
-func TestLocalSize(t *testing.T) {
-	l := Layout{Servers: 2, StripeSize: 10}
-	// 35 bytes: server0 stripes 0,2 → 20; server1 stripes 1,3(partial 5) → 15.
-	if got := l.LocalSize(0, 35); got != 20 {
-		t.Fatalf("LocalSize(0) = %d, want 20", got)
-	}
-	if got := l.LocalSize(1, 35); got != 15 {
-		t.Fatalf("LocalSize(1) = %d, want 15", got)
-	}
-}
