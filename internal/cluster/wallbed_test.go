@@ -261,11 +261,11 @@ func (c *stuckConn) Write(b []byte) (int, error) {
 }
 
 // TestWallStalledClientIsolation: a client that floods past its window and
-// never reads its responses stalls only itself. Its requests complete on
-// the same WallFS drainers as every other connection's and the
-// Rebuilder's, so their completions must not wait for its socket: another
-// tenant's requests on the same servers keep completing, and a Rebuilder
-// drain finishes.
+// never reads its responses stalls only itself. Its requests share the
+// WallFS servers with every other connection's and the Rebuilder's, and
+// their completions must not wait for its socket: another tenant's
+// requests on the same servers keep completing, and a Rebuilder drain
+// finishes.
 func TestWallStalledClientIsolation(t *testing.T) {
 	const (
 		window  = 4

@@ -13,9 +13,9 @@ import (
 // Concurrent Rebuilder: each cycle's flush/fetch extents fan out to
 // RebuildWorkers lanes by file hash, so all data movement for one file
 // runs in submission order — the per-file ordering the epoch checks
-// assume. A lane runs one task at a time as a chain of clock events: a
-// task's completion starts the next through Clock.After(0), never inline
-// on the backend's completion stack.
+// assume. A lane runs one task at a time: a task that finishes without
+// I/O hands the lane back to runLane's loop, and one that waits on the
+// backend continues the lane on the goroutine or event that completed it.
 
 // crTask is one unit of Rebuilder data movement — or, with recover set,
 // one file's warm-restart re-admission (concrecovery.go), which rides the
@@ -38,6 +38,20 @@ type rlane struct {
 	busy  bool
 	queue []crTask
 }
+
+// handoff tells a continuation-style step and the loop that ran it which
+// of them continues: if the step's continuation runs before the step
+// returns, the loop does (no recursion for steps that finish without
+// I/O); otherwise the continuation does, on the completing goroutine.
+type handoff struct{ state atomic.Int32 }
+
+// inline is called by the continuation; true means the step has not
+// returned yet and the loop continues.
+func (h *handoff) inline() bool { return h.state.CompareAndSwap(0, 1) }
+
+// deferred is called by the loop once the step returns; true means the
+// continuation has not run yet and will continue itself.
+func (h *handoff) deferred() bool { return h.state.CompareAndSwap(0, 2) }
 
 // crCycle counts one cycle's outstanding tasks.
 type crCycle struct {
@@ -118,35 +132,42 @@ func (c *Concurrent) dispatch(t crTask) {
 	}
 }
 
-// runLane starts the lane's head task, or marks the lane idle when its
-// queue is empty. The task's completion schedules runLane again.
+// runLane runs the lane's tasks in order until its queue is empty, then
+// marks the lane idle. A task still waiting on I/O when it returns ends
+// the loop; its completion calls runLane again.
 func (c *Concurrent) runLane(l *rlane) {
-	l.mu.Lock()
-	if len(l.queue) == 0 {
-		l.busy = false
-		l.queue = nil
+	for {
+		l.mu.Lock()
+		if len(l.queue) == 0 {
+			l.busy = false
+			l.queue = nil
+			l.mu.Unlock()
+			return
+		}
+		t := l.queue[0]
+		l.queue[0] = crTask{}
+		l.queue = l.queue[1:]
 		l.mu.Unlock()
-		return
-	}
-	t := l.queue[0]
-	l.queue[0] = crTask{}
-	l.queue = l.queue[1:]
-	l.mu.Unlock()
-	next := func() {
-		c.clock.After(0, func() {
+		h := new(handoff)
+		next := func() {
 			if t.cy != nil {
 				t.cy.taskDone()
 			}
-			c.runLane(l)
-		})
-	}
-	switch {
-	case t.recover:
-		c.recoverFile(t.file, next)
-	case t.flush:
-		c.flushOne(t.file, t.off, t.length, t.cacheOff, next)
-	default:
-		c.fetchOne(t.file, t.off, t.length, next)
+			if !h.inline() {
+				c.runLane(l)
+			}
+		}
+		switch {
+		case t.recover:
+			c.recoverFile(t.file, next)
+		case t.flush:
+			c.flushOne(t.file, t.off, t.length, t.cacheOff, next)
+		default:
+			c.fetchOne(t.file, t.off, t.length, next)
+		}
+		if h.deferred() {
+			return
+		}
 	}
 }
 
@@ -266,22 +287,28 @@ func (c *Concurrent) fetchOne(file string, off, length int64, next func()) {
 	}
 	sh.mu.Unlock()
 
+	// step fetches gaps[i:] one after another, then clears the range's
+	// C_flag if it is now fully mapped.
 	var step func(i int)
 	step = func(i int) {
-		c.fetchGap(sh, shardIdx, file, gaps[i].Off, gaps[i].Len, func() {
-			if i+1 < len(gaps) {
-				// The next gap's allocation runs through the clock, off
-				// the backend's completion stack.
-				c.clock.After(0, func() { step(i + 1) })
+		for ; i < len(gaps); i++ {
+			h := new(handoff)
+			k := i
+			c.fetchGap(sh, shardIdx, file, gaps[k].Off, gaps[k].Len, func() {
+				if !h.inline() {
+					step(k + 1)
+				}
+			})
+			if h.deferred() {
 				return
 			}
-			sh.mu.Lock()
-			if sh.dmt.Contains(file, off, length) {
-				sh.cdt.ClearCFlag(file, off, length)
-			}
-			sh.mu.Unlock()
-			next()
-		})
+		}
+		sh.mu.Lock()
+		if sh.dmt.Contains(file, off, length) {
+			sh.cdt.ClearCFlag(file, off, length)
+		}
+		sh.mu.Unlock()
+		next()
 	}
 	step(0)
 }

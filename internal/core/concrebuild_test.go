@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"s4dcache/internal/sim"
 )
@@ -128,5 +131,54 @@ func TestFetchSkipsFileWithWriteInFlight(t *testing.T) {
 	})
 	if !bytes.Equal(buf, fresh[off:off+size]) {
 		t.Fatalf("cached read returned byte %#x, want %#x", buf[0], fresh[0])
+	}
+}
+
+// afterCounter is a Clock that counts the callbacks scheduled through it.
+type afterCounter struct {
+	sim.Clock
+	n atomic.Int64
+}
+
+func (a *afterCounter) After(d time.Duration, fn func()) {
+	a.n.Add(1)
+	a.Clock.After(d, fn)
+}
+
+// TestLaneStepsTakeNoClockHop runs a Rebuilder cycle of 16 flushes and
+// 16 fetches, each fetch of two gaps, and counts the callbacks it
+// schedules on the engine's clock: one per lane it starts and one for its
+// waiter. A task continues its lane on the goroutine that completed its
+// I/O, or in runLane's loop when it did none, and a fetch's next gap
+// starts where the previous one finished — neither takes a clock hop.
+func TestLaneStepsTakeNoClockHop(t *testing.T) {
+	clock := &afterCounter{Clock: sim.NewWallClock()}
+	tb := newConcTestbedCfg(t, 4, true, false, func(c *ConcurrentConfig) { c.Clock = clock })
+	const size = int64(4 << 10)
+	for i := 0; i < 16; i++ {
+		file := fmt.Sprintf("hop%02d", i)
+		data := bytes.Repeat([]byte{byte(i + 1)}, int(size))
+		await(t, func(done func(error)) error { return tb.eng.Write(0, file, 1<<20, size, data, done) })
+		buf := make([]byte, 3*size)
+		await(t, func(done func(error)) error { return tb.eng.Read(0, file, 4<<20, 3*size, buf, done) })
+		// A cached middle splits the flagged range into two gaps.
+		await(t, func(done func(error)) error { return tb.eng.Write(0, file, 4<<20+size, size, data, done) })
+	}
+	before := tb.eng.Stats()
+	clock.n.Store(0)
+	fired := make(chan struct{})
+	tb.eng.RebuildNow(func() { close(fired) })
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Rebuilder cycle did not finish")
+	}
+	st := tb.eng.Stats()
+	if st.Flushes-before.Flushes < 16 || st.Fetches-before.Fetches < 32 {
+		t.Fatalf("cycle moved %d flushes and %d gaps, want 16 and 32",
+			st.Flushes-before.Flushes, st.Fetches-before.Fetches)
+	}
+	if n, most := clock.n.Load(), int64(len(tb.eng.lanes)+1); n > most {
+		t.Fatalf("cycle scheduled %d clock callbacks, want at most %d (one per lane and the waiter)", n, most)
 	}
 }

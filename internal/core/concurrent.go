@@ -20,10 +20,11 @@ import (
 // concurrent engine only requires that Write/Read never run their
 // completion synchronously (the sim.Clock invariant) and that all methods
 // are safe for the callers the instance is built for. In turn, a done
-// passed to Write/Read must not block: a backend may run it on a
-// goroutine that completes other requests too (WallFS's per-server
-// drainer), so it may take briefly held locks but must never wait for
-// another completion or a peer.
+// passed to Write/Read must not block: a backend may run it where other
+// completions wait for it (pfs.FS runs it on the virtual-time event
+// loop; WallFS runs it on the request's own goroutine), so it may take
+// briefly held locks but must never wait for another completion or a
+// peer.
 type Backend interface {
 	Write(file string, off, size int64, pri sim.Priority, data []byte, done func(error)) error
 	Read(file string, off, size int64, pri sim.Priority, buf []byte, done func(error)) error
@@ -305,8 +306,7 @@ func (j *segJoin) releaseVia(clock sim.Clock) {
 // Write intercepts an application write of file[off, off+size) by rank.
 // Safe to call from any goroutine; done runs asynchronously when all
 // segments complete, with the first segment error. done must not block:
-// it may run on a backend goroutine that completes other requests too
-// (see Backend).
+// it may run where other completions wait for it (see Backend).
 func (c *Concurrent) Write(rank int, file string, off, size int64, data []byte, done func(error)) error {
 	if err := checkRange(off, size, data); err != nil {
 		return err

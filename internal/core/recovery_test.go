@@ -2,11 +2,8 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -21,7 +18,6 @@ import (
 	"s4dcache/internal/faults"
 	"s4dcache/internal/kvstore"
 	"s4dcache/internal/netmodel"
-	"s4dcache/internal/staterec"
 )
 
 // Warm-restart tests (DESIGN.md §14): durability, incremental recovery,
@@ -382,85 +378,6 @@ func TestWarmRestartQuarantinesCorruptRecords(t *testing.T) {
 	}
 	if s2.Stats().SegReadsDisk != 0 {
 		t.Fatal("recovered extents did not serve from cache")
-	}
-}
-
-// legacyCriticalFrame encodes one framed CDT bundle record in the layout
-// written before the CDT dropped its per-range benefit: an 8-byte benefit
-// between Len and the flag, under the same CRC32C seal.
-func legacyCriticalFrame(c staterec.Critical, benefit time.Duration) []byte {
-	rec := []byte{staterec.KindCritical}
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(c.File)))
-	rec = append(rec, c.File...)
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(c.Off))
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(c.Len))
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(benefit))
-	if c.CFlag {
-		rec = append(rec, 1)
-	} else {
-		rec = append(rec, 0)
-	}
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, crc32.MakeTable(crc32.Castagnoli)))
-	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(rec))), rec...)
-}
-
-// TestWarmRestartLegacyCDTBundles: a snapshot whose CDT bundles were
-// written before the per-range benefit was dropped — every record
-// carrying the old benefit field — restores the same CDT, C_flags
-// included, and quarantines nothing.
-func TestWarmRestartLegacyCDTBundles(t *testing.T) {
-	backend := kvstore.NewMemBackend()
-	tb := newTestbed(t, func(c *Config) { c.MetaStore = openMetaStore(t, backend) })
-	tb.write(t, 0, "fa", critOff, pattern(1, 16<<10))
-	tb.write(t, 0, "fb", critOff, pattern(2, 16<<10))
-	tb.write(t, 0, "fb", 3*critOff, pattern(3, 16<<10))
-	tb.s4d.CDT().SetCFlag("fb", critOff, 16<<10)
-	tb.s4d.snapshotTick()
-	want := tb.s4d.CDT().Extents()
-	if len(want) < 3 || !want[1].CFlag && !want[2].CFlag {
-		t.Fatalf("CDT before the crash: %+v, want three records, one flagged", want)
-	}
-
-	// Rewrite every CDT bundle in the old record layout, through the
-	// store so the rewrite is durable.
-	old := openMetaStore(t, backend)
-	keys := old.Keys(cdtPrefix)
-	for i, key := range keys {
-		val, _ := old.Get(key)
-		var crits []staterec.Critical
-		sc := staterec.WalkBundle(val, func(rec []byte) {
-			c, err := staterec.DecodeCritical(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			crits = append(crits, c)
-		})
-		if !sc.HeaderOK || sc.Torn {
-			t.Fatalf("%s: bundle scanned as %+v", key, sc)
-		}
-		legacy := staterec.AppendBundleHeader(nil, sc.Header)
-		for _, c := range crits {
-			legacy = append(legacy, legacyCriticalFrame(c, time.Duration(i+1)*time.Millisecond)...)
-		}
-		if bytes.Equal(legacy, val) {
-			t.Fatalf("%s: legacy bundle equals the current one", key)
-		}
-		if err := old.Put(key, legacy); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s2 := restartWarm(t, tb, backend, nil)
-	tb.eng.Run()
-	st := s2.Stats()
-	if st.QuarantinedRecords != 0 {
-		t.Fatalf("legacy bundles quarantined %d records", st.QuarantinedRecords)
-	}
-	if st.CDTRestored != uint64(len(want)) {
-		t.Fatalf("CDTRestored = %d, want %d", st.CDTRestored, len(want))
-	}
-	if got := s2.CDT().Extents(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored CDT:\n got %+v\nwant %+v", got, want)
 	}
 }
 

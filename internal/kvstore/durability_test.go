@@ -131,24 +131,31 @@ func TestCorruptSnapshotQuarantined(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotReplay keeps pre-frame snapshots readable: a raw record
-// stream without the magic header replays as before.
-func TestLegacySnapshotReplay(t *testing.T) {
+// TestUnframedSnapshotQuarantines: a snapshot that is a bare, well-formed
+// record stream without the frame's magic is damaged like any other — Open
+// quarantines it instead of replaying it, and the WAL still replays.
+func TestUnframedSnapshotQuarantines(t *testing.T) {
 	b := NewMemBackend()
 	var raw []byte
-	raw = appendRecord(raw, opPut, "legacy", []byte("snapshot"))
+	raw = appendRecord(raw, opPut, "unframed", []byte("snapshot"))
 	if err := b.Replace("dmt.snap", raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Append("dmt.wal", appendRecord(nil, opPut, "wal", []byte("record"))); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(b, "dmt", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := s.Get("legacy"); !ok || string(v) != "snapshot" {
-		t.Fatalf("legacy snapshot not replayed: %q, %v", v, ok)
+	if !s.Stats().SnapQuarantined {
+		t.Fatal("unframed snapshot not quarantined")
 	}
-	if s.Stats().SnapQuarantined {
-		t.Fatal("legacy snapshot reported quarantined")
+	if v, ok := s.Get("unframed"); ok {
+		t.Fatalf("key served from an unframed snapshot: %q", v)
+	}
+	if v, ok := s.Get("wal"); !ok || string(v) != "record" {
+		t.Fatalf("WAL record lost behind the quarantined snapshot: %q, %v", v, ok)
 	}
 }
 

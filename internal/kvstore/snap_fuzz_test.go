@@ -6,11 +6,10 @@ import (
 )
 
 // FuzzSnapshot checks the snapshot frame's integrity contract on arbitrary
-// input: openSnapshot never panics; a framed image with any byte changed is
-// rejected wholesale (ok=false) or falls to the legacy path where replay
-// must stop short of the damaged byte — either way Open quarantines, and a
-// damaged image can never replay to a record sequence that is not a strict
-// prefix of the original.
+// input: openSnapshot never panics, and a framed image with any byte
+// changed, the magic included, is rejected wholesale (ok=false), so Open
+// quarantines it. The unframed record-stream seed exercises the rejection
+// of an image without the magic.
 func FuzzSnapshot(f *testing.F) {
 	base, _ := fuzzBaseLog()
 	framed := appendSnapshotCRC(append(append([]byte(nil), snapMagic...), base...))
@@ -19,7 +18,7 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(append([]byte(nil), framed...), uint16(0), byte(1))
 	f.Add(append([]byte(nil), framed...), uint16(3), byte(0x80)) // damage inside the magic
 	f.Add(append([]byte(nil), framed...), uint16(uint16(len(framed)-1)), byte(0x40))
-	f.Add(append([]byte(nil), base...), uint16(5), byte(0)) // legacy raw stream
+	f.Add(append([]byte(nil), base...), uint16(5), byte(0)) // unframed record stream
 	f.Fuzz(func(t *testing.T, data []byte, pos uint16, xor byte) {
 		collect := func(data []byte) []fuzzRec {
 			var out []fuzzRec
@@ -31,57 +30,32 @@ func FuzzSnapshot(f *testing.F) {
 
 		// Arbitrary bytes: clean termination, coherent result. A verified
 		// frame must round-trip its payload through replay without panic.
-		payload, ok, legacy := openSnapshot(data)
-		if ok && !legacy {
+		if payload, ok := openSnapshot(data); ok {
 			collect(payload)
 		}
 
 		// A well-formed frame opens, and one damaged byte never slips
-		// through: it either fails the frame CRC outright, or (when the
-		// damage hits the magic itself) demotes the image to legacy, where
-		// replay must refuse to consume it to the end — the condition Open
-		// uses to quarantine legacy images wholesale.
-		base, want := fuzzBaseLog()
+		// through: it fails the magic check or the frame CRC.
+		base, _ := fuzzBaseLog()
 		framed := appendSnapshotCRC(append(append([]byte(nil), snapMagic...), base...))
-		payload, ok, legacy = openSnapshot(framed)
-		if !ok || legacy || !bytes.Equal(payload, base) {
-			t.Fatalf("pristine frame rejected: ok=%t legacy=%t", ok, legacy)
+		if payload, ok := openSnapshot(framed); !ok || !bytes.Equal(payload, base) {
+			t.Fatalf("pristine frame rejected: ok=%t", ok)
 		}
 		if xor == 0 {
 			return
 		}
 		corrupt := append([]byte(nil), framed...)
 		corrupt[int(pos)%len(corrupt)] ^= xor
-		payload, ok, legacy = openSnapshot(corrupt)
-		switch {
-		case ok && !legacy:
+		if _, ok := openSnapshot(corrupt); ok {
 			t.Fatalf("damaged frame (byte %d xor %#x) passed verification", int(pos)%len(framed), xor)
-		case ok && legacy:
-			var got []fuzzRec
-			n, consumed := replayConsumed(payload, func(op byte, key string, val []byte) {
-				got = append(got, fuzzRec{op, key, string(val)})
-			})
-			if consumed == len(payload) {
-				t.Fatalf("damaged frame (byte %d xor %#x) replayed as legacy to its last byte", int(pos)%len(framed), xor)
-			}
-			// Whatever partial records did apply must be a prefix of the
-			// original sequence — a mangled record never applies.
-			if n > len(want) {
-				t.Fatalf("legacy replay applied %d records, original had %d", n, len(want))
-			}
-			for i, r := range got {
-				if r != want[i] {
-					t.Fatalf("legacy replay applied mangled record %d: %+v != %+v", i, r, want[i])
-				}
-			}
 		}
 	})
 }
 
 // TestSnapshotMagicDamageQuarantines pins the wholesale-quarantine path:
-// a framed store snapshot whose magic bytes are damaged must not be
-// trusted as a legacy record stream — Open quarantines it and comes up
-// empty rather than replaying a torn prefix.
+// a framed store snapshot whose magic bytes are damaged is not trusted as
+// a bare record stream — Open quarantines it and comes up empty rather
+// than replaying a torn prefix.
 func TestSnapshotMagicDamageQuarantines(t *testing.T) {
 	be := NewMemBackend()
 	s, err := Open(be, "q", Options{})

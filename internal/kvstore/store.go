@@ -122,22 +122,9 @@ func Open(backend Backend, name string, _ Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: read snapshot: %w", err)
 	}
-	payload, ok, legacy := openSnapshot(snap)
-	switch {
-	case ok && !legacy:
+	if payload, ok := openSnapshot(snap); ok {
 		replay(payload, s.applyRecord)
-	case ok && legacy:
-		// Pre-frame snapshot: no whole-file checksum, but a well-formed one
-		// replays to its last byte. Anything short of that — including a
-		// framed snapshot whose magic itself was damaged — is quarantined
-		// wholesale, never trusted as a prefix.
-		if _, consumed := replayConsumed(payload, s.applyRecord); consumed < len(payload) {
-			for i := range s.shards {
-				s.shards[i].data = make(map[string][]byte)
-			}
-			s.snapQuarantined = true
-		}
-	default:
+	} else {
 		// Damaged frame: quarantine the whole snapshot — a prefix of a
 		// corrupt snapshot could silently miss keys that later WAL records
 		// assume exist. The store still opens and replays the WAL; the

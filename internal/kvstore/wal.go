@@ -146,8 +146,8 @@ func replayDepth(data []byte, apply func(op byte, key string, val []byte), depth
 // The whole-file checksum catches damage anywhere in the snapshot — a torn
 // rename, a flipped bit in a key that an individual record CRC would only
 // catch at that record, truncation — and lets Open quarantine the entire
-// snapshot rather than trust a prefix of it. Snapshots written before the
-// frame existed (no magic) replay as a raw record stream.
+// snapshot rather than trust a prefix of it. An image without the magic
+// is damaged like any other.
 var snapMagic = []byte("S4DSNAP\x01")
 
 const snapFrameOverhead = 12 // 8B magic + 4B trailer CRC
@@ -159,20 +159,20 @@ func appendSnapshotCRC(snap []byte) []byte {
 }
 
 // openSnapshot validates a snapshot file image. It returns the record
-// stream payload and ok=true when the frame checks out; legacy=true (with
-// the full image as payload) for pre-frame snapshots; ok=false when the
-// frame is present but damaged — the caller must quarantine the whole file.
-func openSnapshot(data []byte) (payload []byte, ok, legacy bool) {
-	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != string(snapMagic) {
-		return data, true, true
+// stream payload and ok=true when the frame checks out or there is no
+// snapshot yet (an empty image); ok=false when the image is damaged —
+// the caller must quarantine the whole file.
+func openSnapshot(data []byte) (payload []byte, ok bool) {
+	if len(data) == 0 {
+		return nil, true
 	}
-	if len(data) < snapFrameOverhead {
-		return nil, false, false
+	if len(data) < snapFrameOverhead || string(data[:len(snapMagic)]) != string(snapMagic) {
+		return nil, false
 	}
 	body := data[: len(data)-4 : len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, crcTable) != want {
-		return nil, false, false
+		return nil, false
 	}
-	return body[len(snapMagic):], true, false
+	return body[len(snapMagic):], true
 }

@@ -150,8 +150,8 @@ func TestZeroSizeRequestNilDoneZeroAllocs(t *testing.T) {
 
 // TestWallFSIssueZeroAllocs pins the wall-clock backend's performance-mode
 // Read and Write, queueing and completion included, at zero steady-state
-// allocations with a hoisted done: joins are recycled, the rings reuse
-// their buffers and a drainer starts without a closure.
+// allocations with a hoisted done: joins are recycled and a request's
+// goroutine starts without a closure.
 func TestWallFSIssueZeroAllocs(t *testing.T) {
 	w, err := NewWallFS(WallConfig{
 		Label:       "wall",
@@ -179,7 +179,7 @@ func TestWallFSIssueZeroAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		issue() // warm the join free list, rings and drainer goroutines
+		issue() // warm the join free lists
 	}
 	if got := testing.AllocsPerRun(200, issue); got != 0 {
 		t.Fatalf("wall perf-mode Read+Write allocate %v per op, want 0", got)

@@ -16,20 +16,22 @@ import (
 // concurrent use from many goroutines and timed against a real clock
 // instead of the virtual-time engine. Each server is an FCFS queue, as
 // the virtual-time servers are: a sub-request reserves the interval after
-// the server's busy horizon (a fixed per-op cost plus a bandwidth term)
-// and joins the server's due-ordered ring, so concurrent clients overlap
-// their waits exactly as they would against real storage — this is what
-// the multi-client throughput harness scales against. Priorities do not
-// reorder the queue; they choose where a completion runs (see drain).
+// the server's busy horizon (a fixed per-op cost plus a bandwidth term),
+// so concurrent clients overlap their waits exactly as they would against
+// real storage — this is what the multi-client throughput harness scales
+// against. A request is priced by its slowest sub-request: it completes,
+// once, no earlier than the latest due time of its sub-requests, on a
+// goroutine of its own. Completions of different requests are not
+// ordered, and priorities play no part.
 //
 // Completions are always delivered asynchronously (never inline from
 // Write/Read), the invariant the concurrent core's locking relies on: a
-// busy server's drainer goroutine completes each sub-request once its due
-// time has passed, and a request that finishes inside the issuing call
-// (zero-size, or every sub-request refused) completes through the clock.
-// Crash/restart is modeled with a per-server down flag: while down, new
-// sub-requests abort with ErrServerDown and queued ones abort when they
-// come due inside the outage.
+// request's goroutine completes it once it is due, and a request that
+// finishes inside the issuing call (zero-size, or every sub-request
+// refused) completes through the clock. Crash/restart is modeled with a
+// per-server down flag: while down, new sub-requests abort with
+// ErrServerDown, and an accepted one aborts when its request comes due
+// inside the outage.
 type WallFS struct {
 	label      string
 	layout     Layout
@@ -46,27 +48,21 @@ type WallFS struct {
 }
 
 // wallServer is one server's FCFS service queue. mu guards the busy
-// horizon, the ring and the drainer flag; it is a leaf, never held while
-// a completion runs. The fields are grouped by who writes them, each
-// group on its own cache lines: the queue (issuers and the drainer), the
-// read-mostly identity and down flag, and the home-request state (the
-// issuers of requests whose first byte is on this server, and the
-// drainers that finish them).
+// horizon; it is a leaf, held only to reserve an interval. The fields are
+// grouped by who writes them, each group on its own cache lines: the
+// queue (issuers and completing requests), the read-mostly identity and
+// down flag, and the home-request state (the issuers of requests whose
+// first byte is on this server, and the goroutines that finish them).
 type wallServer struct {
 	mu sync.Mutex
 	// busyUntil is the server's reserved-service horizon in clock time:
-	// each sub-request's service starts at max(now, busyUntil), so due
-	// times are non-decreasing and ring order is deadline order.
+	// each sub-request's service starts at max(now, busyUntil), so the
+	// horizon is the server's queue.
 	busyUntil time.Duration
-	ring      subRing
-	// draining is set while a drainer goroutine owns the ring; it exits,
-	// clearing the flag, when the ring is empty.
-	draining bool
-	subs     atomic.Uint64
-	_        [64]byte
+	subs      atomic.Uint64
+	_         [64]byte
 
 	id     int
-	drain  func() // bound once, so starting a drainer does not allocate
 	down   atomic.Bool
 	aborts atomic.Uint64
 	_      [64]byte
@@ -89,47 +85,8 @@ type wallServer struct {
 	stores  map[string]*chunkstore.Sparse
 }
 
-// wallSub is one queued sub-request: its due time and its request.
-type wallSub struct {
-	due time.Duration
-	j   *wallJoin
-}
-
-// subRing is a FIFO of queued sub-requests over a power-of-two buffer.
-type subRing struct {
-	buf  []wallSub
-	head int
-	n    int
-}
-
 // joinKeep bounds the finished joins a server keeps for reuse.
 const joinKeep = 64
-
-// ringKeep is the ring capacity a drainer keeps when it finds the ring
-// empty; a burst's larger buffer is dropped so it does not stay live.
-const ringKeep = 256
-
-func (r *subRing) push(s wallSub) {
-	if r.n == len(r.buf) {
-		grown := make([]wallSub, max(16, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = s
-	r.n++
-}
-
-func (r *subRing) front() *wallSub { return &r.buf[r.head] }
-
-func (r *subRing) pop() wallSub {
-	s := r.buf[r.head]
-	r.buf[r.head] = wallSub{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return s
-}
 
 // WallConfig assembles a WallFS.
 type WallConfig struct {
@@ -138,7 +95,7 @@ type WallConfig struct {
 	// Layout is the striping function.
 	Layout Layout
 	// Clock supplies time and the zero-delay completions of requests that
-	// finish inside the issuing call. Drainers wait for due times in real
+	// finish inside the issuing call. Requests wait for due times in real
 	// time, so it must advance with the wall clock: use sim.NewWallClock.
 	Clock sim.Clock
 	// Functional stores real payload bytes per server; false is
@@ -179,7 +136,6 @@ func NewWallFS(cfg WallConfig) (*WallFS, error) {
 		sv := &w.servers[i]
 		sv.id = i
 		sv.stores = make(map[string]*chunkstore.Sparse)
-		sv.drain = func() { w.drain(sv) }
 	}
 	return w, nil
 }
@@ -255,35 +211,33 @@ func (w *WallFS) RangeDown(off, size int64) bool {
 }
 
 // Write issues a striped write of file[off, off+size). data may be nil in
-// performance mode. done (optional) runs asynchronously when every
-// sub-request completes, with the first sub-request error. A PriorityHigh
-// request's done runs on the drainer of the server that completed it
-// last, so it must not block: every sub-request queued behind on that
-// server waits for it.
+// performance mode. done (optional) runs asynchronously, once, when the
+// request's slowest sub-request is due, with the first sub-request error.
+// It runs on the request's own goroutine, so a done that blocks delays no
+// other request; pri is accepted for the Backend surface and ignored.
 func (w *WallFS) Write(file string, off, size int64, pri sim.Priority, data []byte, done func(error)) error {
-	return w.issue(true, file, off, size, pri, data, done)
+	return w.issue(true, file, off, size, data, done)
 }
 
 // Read issues a striped read of file[off, off+size) into buf (may be nil
 // in performance mode).
 func (w *WallFS) Read(file string, off, size int64, pri sim.Priority, buf []byte, done func(error)) error {
-	return w.issue(false, file, off, size, pri, buf, done)
+	return w.issue(false, file, off, size, buf, done)
 }
 
-// wallJoin is one request in service: its sub-request count, first error
-// and completion, plus what the drainers need to move its payload. Joins
+// wallJoin is one request in service: its due time, refusal error and
+// completion, plus what its goroutine needs to move the payload. Joins
 // are recycled (wallServer.free); the split and piece buffers are reused
 // with them.
 type wallJoin struct {
 	w *WallFS
-	// n counts queued sub-requests plus one reference the issuing call
-	// holds until it has queued them all, so a request whose every
-	// sub-request completes before issue returns is finished by issue.
-	n    atomic.Int32
-	mu   sync.Mutex // guards err until n reaches zero
-	err  error
+	// run is serve, bound once when the join is allocated, so starting a
+	// request's goroutine does not allocate.
+	run func()
+	// due is the latest due time of the accepted sub-requests.
+	due  time.Duration
+	err  error // ErrServerDown if a sub-request was refused at issue
 	done func(error)
-	low  bool
 	home int // server whose free list the join returns to
 
 	write   bool
@@ -291,27 +245,14 @@ type wallJoin struct {
 	off     int64
 	payload []byte
 	pieces  []Piece
-	split   []SubRequest
-}
-
-// sub drops one reference, recording a sub-request error, and reports
-// whether it was the last. The atomic decrement orders every recorded
-// error before the last reference's read of err.
-func (j *wallJoin) sub(err error) bool {
-	if err != nil {
-		j.mu.Lock()
-		if j.err == nil {
-			j.err = err
-		}
-		j.mu.Unlock()
-	}
-	return j.n.Add(-1) == 0
+	// split holds the accepted sub-requests only.
+	split []SubRequest
 }
 
 // finish recycles the finished join and hands its completion back; the
 // join must not be touched after.
-func (j *wallJoin) finish() (func(error), error) {
-	done, err := j.done, j.err
+func (j *wallJoin) finish() func(error) {
+	done := j.done
 	j.done, j.err, j.file, j.payload = nil, nil, "", nil
 	j.pieces = j.pieces[:0]
 	sv := &j.w.servers[j.home]
@@ -320,10 +261,10 @@ func (j *wallJoin) finish() (func(error), error) {
 		sv.free = append(sv.free, j)
 	}
 	sv.freeMu.Unlock()
-	return done, err
+	return done
 }
 
-func (w *WallFS) issue(write bool, file string, off, size int64, pri sim.Priority, payload []byte, done func(error)) error {
+func (w *WallFS) issue(write bool, file string, off, size int64, payload []byte, done func(error)) error {
 	if off < 0 {
 		return fmt.Errorf("pfs: %s: negative offset %d", w.label, off)
 	}
@@ -365,112 +306,86 @@ func (w *WallFS) issue(write bool, file string, off, size int64, pri sim.Priorit
 	hs.freeMu.Unlock()
 	if j == nil {
 		j = &wallJoin{w: w}
+		j.run = j.serve
 	}
 	j.home = home
-	j.done, j.low = done, pri == sim.PriorityLow
+	j.done = done
 	j.write, j.file, j.off = write, file, off
 	if w.functional && payload != nil {
 		j.payload = payload
 		j.pieces = w.layout.AppendPieces(j.pieces[:0], off, size)
 	}
-	j.split = w.layout.AppendSplit(j.split[:0], off, size)
-	j.n.Store(int32(len(j.split)) + 1)
+	split := w.layout.AppendSplit(j.split[:0], off, size)
+	j.split, j.due = split[:0], 0
 	now := w.clock.Now()
-	for _, sub := range j.split {
+	for _, sub := range split {
 		sv := &w.servers[sub.Server]
 		if sv.down.Load() {
-			// Refused at the door. Never the last reference: the issuing
-			// call's own is still held.
 			sv.aborts.Add(1)
-			j.sub(ErrServerDown)
+			j.err = ErrServerDown
 			continue
 		}
 		hold := w.perOp + time.Duration(float64(sub.Size)/w.bytesPerNs)
 		sv.mu.Lock()
 		start := max(now, sv.busyUntil)
 		sv.busyUntil = start + hold
-		sv.ring.push(wallSub{due: start + hold, j: j})
-		idle := !sv.draining
-		sv.draining = true
 		sv.mu.Unlock()
-		if idle {
-			go sv.drain()
-		}
+		j.due = max(j.due, start+hold)
+		j.split = append(j.split, sub)
 	}
-	if j.sub(nil) {
-		// Every sub-request finished (or was refused) before issue got
-		// here: complete through the clock, never inside Write/Read.
-		done, err := j.finish()
-		if done != nil {
+	if len(j.split) == 0 {
+		// Every sub-request was refused: complete through the clock,
+		// never inside Write/Read.
+		err := j.err
+		if done := j.finish(); done != nil {
 			w.clock.After(0, func() { done(err) })
 		}
+		return nil
 	}
+	go j.run()
 	return nil
 }
 
-// spinWait is the longest wait a drainer spends yielding the processor
+// spinWait is the longest wait a request spends yielding the processor
 // rather than sleeping: short waits are the common case and a sleep would
 // arm a runtime timer and wake late, while long waits (a slow modeled
 // device or a deep queue) sleep until spinWait before their due time.
 const spinWait = 50 * time.Microsecond
 
-// drain is a server's drainer: it completes queued sub-requests in ring
-// (deadline) order, each no earlier than its due time, and exits when the
-// ring is empty. The down flag is checked at completion time, so a
-// sub-request queued before a crash aborts when it comes due inside the
-// outage. Completions run outside mu: a foreground (PriorityHigh)
-// request's done runs inline here, a background (PriorityLow) request's
-// on its own goroutine, since the Rebuilder's flush and fetch callbacks
-// take shard mutexes and commit metadata and would hold up the
-// foreground completions queued behind them.
-func (w *WallFS) drain(sv *wallServer) {
-	sv.mu.Lock()
-	for sv.ring.n > 0 {
-		if wait := sv.ring.front().due - w.clock.Now(); wait > 0 {
-			sv.mu.Unlock()
-			if wait > spinWait {
-				time.Sleep(wait - spinWait)
-			} else {
-				runtime.Gosched()
+// serve is a request's goroutine: it waits until the request is due,
+// then finishes each accepted sub-request and runs done. The down flags
+// are read at completion time, so a sub-request accepted before a crash
+// aborts when its request comes due inside the outage.
+func (j *wallJoin) serve() {
+	w := j.w
+	for {
+		wait := j.due - w.clock.Now()
+		if wait <= 0 {
+			break
+		}
+		if wait > spinWait {
+			time.Sleep(wait - spinWait)
+		} else {
+			runtime.Gosched()
+		}
+	}
+	err := j.err
+	for _, sub := range j.split {
+		sv := &w.servers[sub.Server]
+		if sv.down.Load() {
+			// Crashed while the sub-request was in service.
+			sv.aborts.Add(1)
+			if err == nil {
+				err = ErrServerDown
 			}
-			sv.mu.Lock()
 			continue
 		}
-		j := sv.ring.pop().j
-		sv.mu.Unlock()
-		w.complete(sv, j)
-		sv.mu.Lock()
-	}
-	sv.draining = false
-	if len(sv.ring.buf) > ringKeep {
-		sv.ring = subRing{}
-	}
-	sv.mu.Unlock()
-}
-
-// complete finishes one due sub-request of j on the drainer.
-func (w *WallFS) complete(sv *wallServer, j *wallJoin) {
-	var err error
-	if sv.down.Load() {
-		// Crashed while the sub-request was in service.
-		sv.aborts.Add(1)
-		err = ErrServerDown
-	} else {
 		sv.subs.Add(1)
 		if j.payload != nil {
 			sv.movePayload(j.write, j.file, j.pieces, j.payload, j.off)
 		}
 	}
-	if !j.sub(err) {
-		return
-	}
-	low := j.low
-	done, err := j.finish()
-	switch {
-	case done == nil:
-	case low:
-		go done(err)
-	default:
+	if done := j.finish(); done != nil {
 		done(err)
 	}
 }

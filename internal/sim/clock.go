@@ -72,7 +72,7 @@ func (w *WallClock) After(d time.Duration, fn func()) {
 
 // Pending returns the number of scheduled callbacks that have not finished
 // running, for shutdown diagnostics. It counts only callbacks passed to
-// After: a pfs.WallFS sub-request waiting in its server's queue, and the
-// completion a drainer runs for it, are not clock callbacks, so a zero
-// Pending does not mean the wall backend is idle.
+// After: a pfs.WallFS request waiting for its due time on its own
+// goroutine, and the completion that goroutine runs, are not clock
+// callbacks, so a zero Pending does not mean the wall backend is idle.
 func (w *WallClock) Pending() int64 { return w.pending.Load() }

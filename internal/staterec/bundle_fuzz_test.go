@@ -20,7 +20,7 @@ func fuzzBundle(n int) ([]byte, []Extent) {
 }
 
 // legacyCritBundle builds a CDT bundle of n records in the layout written
-// before the per-range benefit was dropped.
+// before the per-range benefit was dropped, which DecodeCritical rejects.
 func legacyCritBundle(n int) []byte {
 	b := AppendBundleHeader(nil, BundleHeader{Ord: 1, Count: uint32(n)})
 	for i := 0; i < n; i++ {

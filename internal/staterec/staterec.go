@@ -175,13 +175,7 @@ func AppendCritical(dst []byte, c Critical) []byte {
 	return closeSeal(dst, start)
 }
 
-// legacyBenefitLen is the size of the benefit field that records written
-// before the CDT dropped its per-range benefit carry between Len and the
-// flag.
-const legacyBenefitLen = 8
-
-// DecodeCritical unseals and parses a CDT record. A legacy record's
-// benefit field is skipped.
+// DecodeCritical unseals and parses a CDT record.
 func DecodeCritical(data []byte) (Critical, error) {
 	kind, payload, err := Unseal(data)
 	if err != nil {
@@ -191,10 +185,10 @@ func DecodeCritical(data []byte) (Critical, error) {
 		return Critical{}, fmt.Errorf("%w: kind %d, want critical", ErrCorrupt, kind)
 	}
 	file, rest, ok := takeString(payload)
-	if !ok || (len(rest) != 8*2+1 && len(rest) != 8*2+legacyBenefitLen+1) {
+	if !ok || len(rest) != 8*2+1 {
 		return Critical{}, fmt.Errorf("%w: critical payload shape", ErrCorrupt)
 	}
-	flag := rest[len(rest)-1]
+	flag := rest[16]
 	c := Critical{
 		File:  file,
 		Off:   int64(binary.LittleEndian.Uint64(rest)),

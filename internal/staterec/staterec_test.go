@@ -9,7 +9,8 @@ import (
 
 // appendLegacyCritical appends a CDT record in the layout written before
 // the CDT dropped its per-range benefit: an 8-byte benefit between Len
-// and the flag.
+// and the flag. DecodeCritical rejects it; the fuzz seeds built from it
+// exercise that rejection.
 func appendLegacyCritical(dst []byte, c Critical, benefit time.Duration) []byte {
 	start := len(dst)
 	dst = append(dst, KindCritical)
@@ -52,31 +53,17 @@ func TestCriticalRoundtrip(t *testing.T) {
 	}
 }
 
-// TestLegacyCriticalDecodes: a record written with the old benefit field
-// still decodes, to the same entry with the benefit ignored, and a flag
-// byte out of range is still rejected in either layout.
-func TestLegacyCriticalDecodes(t *testing.T) {
-	for _, c := range []Critical{
-		{File: "f", Off: 0, Len: 1, CFlag: false},
-		{File: "hot", Off: 1 << 33, Len: 65536, CFlag: true},
-	} {
-		got, err := DecodeCritical(appendLegacyCritical(nil, c, 950*time.Microsecond))
-		if err != nil {
-			t.Fatalf("legacy %+v: %v", c, err)
-		}
-		if got != c {
-			t.Fatalf("legacy %+v -> %+v", c, got)
-		}
+// TestCriticalShapeRejected: a flag byte out of range, or a record in the
+// old layout with the benefit field, is corrupt even under a valid seal.
+func TestCriticalShapeRejected(t *testing.T) {
+	rec := AppendCritical(nil, Critical{File: "f", Len: 1})
+	rec[len(rec)-5] = 2 // the flag byte, before the CRC
+	rec = closeSeal(rec[:len(rec)-4], 0)
+	if _, err := DecodeCritical(rec); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flag byte 2 accepted: %v", err)
 	}
-	for _, rec := range [][]byte{
-		AppendCritical(nil, Critical{File: "f", Len: 1}),
-		appendLegacyCritical(nil, Critical{File: "f", Len: 1}, time.Millisecond),
-	} {
-		rec[len(rec)-5] = 2 // the flag byte, before the CRC
-		rec = closeSeal(rec[:len(rec)-4], 0)
-		if _, err := DecodeCritical(rec); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("flag byte 2 accepted: %v", err)
-		}
+	if _, err := DecodeCritical(appendLegacyCritical(nil, Critical{File: "f", Len: 1}, time.Millisecond)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("old-layout record accepted: %v", err)
 	}
 }
 
@@ -99,12 +86,10 @@ func TestEveryBitFlipDetected(t *testing.T) {
 	recs := [][]byte{
 		AppendExtent(nil, Extent{File: "victim", Off: 4096, Len: 8192, CacheOff: 1 << 20, Dirty: true}),
 		AppendCritical(nil, Critical{File: "victim", Off: 0, Len: 4096, CFlag: true}),
-		appendLegacyCritical(nil, Critical{File: "victim", Off: 0, Len: 4096, CFlag: true}, time.Millisecond),
 		EncodeMeta(Meta{Epoch: 7, Extents: 3, Criticals: 1, CapacityBytes: 1 << 30}),
 	}
 	decoders := []func([]byte) error{
 		func(b []byte) error { _, err := DecodeExtent(b); return err },
-		func(b []byte) error { _, err := DecodeCritical(b); return err },
 		func(b []byte) error { _, err := DecodeCritical(b); return err },
 		func(b []byte) error { _, err := DecodeMeta(b); return err },
 	}
