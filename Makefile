@@ -20,7 +20,7 @@ race:
 
 # One pass over every microbenchmark — compile + smoke, not a measurement.
 # Wall-clock performance is measured by the repository benchmark
-# (s4dperf/README.md); the paper's tables by s4dbench/s4dreport.
+# (s4dperf/README.md); the paper's tables by s4dbench.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -43,7 +43,7 @@ bench-metascale:
 # allocs/op; and the concurrent engine's covered read hit at its
 # measured count (join + completion closure).
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|TestConcurrentReadHitAllocs' ./internal/pfs/ ./internal/core/ ./internal/iotrace/ ./internal/kvstore/ ./internal/dmt/ ./internal/cdt/ ./internal/cachespace/ ./internal/netserve/ ./internal/bench/ -v
+	$(GO) test -run 'ZeroAllocs|TestConcurrentReadHitAllocs' ./internal/pfs/ ./internal/core/ ./internal/kvstore/ ./internal/dmt/ ./internal/cdt/ ./internal/cachespace/ ./internal/netserve/ ./internal/bench/ -v
 
 # Test-selection guard: every -run regex in this Makefile and the CI
 # workflow must still select tests (a renamed test would otherwise leave

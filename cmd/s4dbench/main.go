@@ -4,7 +4,7 @@
 // Usage:
 //
 //	s4dbench [-exp id[,id...]] [-scale f] [-ranks n] [-parallel n] [-full] [-list]
-//	         [-faults plan] [-fault-seed n]
+//	         [-o file] [-faults plan] [-fault-seed n]
 //	         [-bench-metascale file] [-meta-files list] [-meta-extents n] [-meta-lookups n]
 //	         [-cpuprofile file] [-memprofile file] [-trace file]
 //	         [-mutexprofile file] [-blockprofile file]
@@ -12,6 +12,11 @@
 // By default every experiment runs at the quick scale (~1/250 of the
 // paper's data volume, all ratios preserved). -full uses the published
 // sizes and process counts; expect a long runtime.
+//
+// The tables go to stdout. -o instead writes them as the markdown report
+// EXPERIMENTS.md holds (go run ./cmd/s4dbench -o EXPERIMENTS.md): each
+// experiment's table between what the paper reports and how the
+// reproduction compares, with progress on stderr.
 //
 // -faults injects a deterministic failure schedule (transient I/O
 // errors, CServer crash/restart, see internal/faults for the plan
@@ -53,6 +58,7 @@ func run() int {
 		parallel    = flag.Int("parallel", 0, "experiment cells simulated concurrently (0 = GOMAXPROCS)")
 		full        = flag.Bool("full", false, "use the paper's published sizes (slow)")
 		listOnly    = flag.Bool("list", false, "list experiment ids and exit")
+		out         = flag.String("o", "", "write the selected experiments as a markdown report to this file")
 		faultPlan   = flag.String("faults", "", "fault-injection plan for the 'faults' experiment (see internal/faults)")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault plan's random streams")
 		benchMeta   = flag.String("bench-metascale", "", "run the metadata-at-scale family (100k/1M files, resident-budget sweep) and write its JSON report to this file")
@@ -168,7 +174,14 @@ func run() int {
 		}
 	}
 
-	fmt.Printf("s4dbench: scale=%.4g ranks=%d experiments=%d\n\n", cfg.Scale, cfg.Ranks, len(selected))
+	var report *strings.Builder
+	if *out != "" {
+		report = new(strings.Builder)
+		writeReportHeader(report, cfg)
+	} else {
+		fmt.Printf("s4dbench: scale=%.4g ranks=%d experiments=%d\n\n", cfg.Scale, cfg.Ranks, len(selected))
+	}
+	suiteStart := time.Now()
 	for _, e := range selected {
 		start := time.Now()
 		table, err := e.Run(cfg)
@@ -176,8 +189,23 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "s4dbench: %s: %v\n", e.ID, err)
 			return 1
 		}
+		elapsed := time.Since(start).Round(time.Millisecond)
+		if report != nil {
+			writeReportSection(report, e, table, elapsed)
+			fmt.Fprintf(os.Stderr, "s4dbench: %s done in %v\n", e.ID, elapsed)
+			continue
+		}
 		fmt.Println(table.String())
-		fmt.Printf("(%s finished in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s finished in %v)\n\n", e.ID, elapsed)
 	}
+	if report == nil {
+		return 0
+	}
+	writeReportFooter(report, cfg, time.Since(suiteStart))
+	if err := os.WriteFile(*out, []byte(report.String()), 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "s4dbench: write %s: %v\n", *out, err)
+		return 1
+	}
+	fmt.Printf("s4dbench: wrote %s\n", *out)
 	return 0
 }

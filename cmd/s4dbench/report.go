@@ -1,23 +1,12 @@
-// Command s4dreport runs every experiment and writes EXPERIMENTS.md: the
-// paper-vs-measured record for each table and figure, at the chosen scale.
-//
-// Usage:
-//
-//	s4dreport [-o EXPERIMENTS.md] [-scale f] [-ranks n] [-parallel n] [-full]
-//	          [-cpuprofile file] [-memprofile file] [-trace file]
-//	          [-mutexprofile file] [-blockprofile file]
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
-	"strings"
 	"time"
 
 	"s4dcache/internal/bench"
-	"s4dcache/internal/profiling"
 )
 
 // paperBaseline records, per experiment, what the paper reports and how
@@ -109,104 +98,53 @@ var paperBaseline = map[string][2]string{
 	},
 }
 
-func main() {
-	os.Exit(run())
+// writeReportHeader starts the EXPERIMENTS.md report: what it records, the
+// run configuration and the worker count.
+func writeReportHeader(w io.Writer, cfg bench.Config) {
+	fmt.Fprintf(w, "# EXPERIMENTS — paper vs. measured\n\n")
+	fmt.Fprintf(w, "Reproduction record for *S4D-Cache: Smart Selective SSD Cache for\n")
+	fmt.Fprintf(w, "Parallel I/O Systems* (He, Sun, Feng — ICDCS 2014). Every table and\n")
+	fmt.Fprintf(w, "figure of the paper's evaluation (§V) is regenerated on the simulated\n")
+	fmt.Fprintf(w, "testbed by `cmd/s4dbench`; this file is written by\n")
+	fmt.Fprintf(w, "`go run ./cmd/s4dbench -o EXPERIMENTS.md`.\n\n")
+	fmt.Fprintf(w, "Run configuration: scale=%.4g (fraction of the paper's file sizes, all\n", cfg.Scale)
+	fmt.Fprintf(w, "request:stripe:file:cache ratios preserved), base processes=%d.\n", cfg.Ranks)
+	fmt.Fprintf(w, "Hardware models and calibration are described in DESIGN.md §5. The\n")
+	fmt.Fprintf(w, "simulation is deterministic: identical runs reproduce identical numbers.\n")
+	fmt.Fprintf(w, "Absolute MB/s are *not* expected to match the 2014 testbed; the shapes\n")
+	fmt.Fprintf(w, "(who wins, by what factor, where crossovers/plateaus fall) are the\n")
+	fmt.Fprintf(w, "reproduction target.\n\n")
+	fmt.Fprintf(w, "Experiment cells run on a worker pool (`-parallel`, default\n")
+	fmt.Fprintf(w, "`GOMAXPROCS`; this run used %d worker(s)). The tables are\n", workers(cfg))
+	fmt.Fprintf(w, "byte-identical for every `-parallel` setting — only the wall-clock\n")
+	fmt.Fprintf(w, "noted per experiment changes.\n\n---\n\n")
 }
 
-func run() int {
-	var (
-		out       = flag.String("o", "EXPERIMENTS.md", "output file")
-		scale     = flag.Float64("scale", 0, "file-size scale factor (0 = quick default)")
-		ranks     = flag.Int("ranks", 0, "base process count")
-		parallel  = flag.Int("parallel", 0, "experiment cells simulated concurrently (0 = GOMAXPROCS)")
-		full      = flag.Bool("full", false, "use the paper's published sizes (slow)")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		tracePath = flag.String("trace", "", "write a runtime execution trace to this file")
-		mutexProf = flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file at exit")
-		blockProf = flag.String("blockprofile", "", "write a pprof goroutine-blocking profile to this file at exit")
-	)
-	flag.Parse()
+// writeReportSection records one experiment: the paper's claim, the
+// regenerated table and how the reproduction compares.
+func writeReportSection(w io.Writer, e bench.Experiment, table *bench.Table, elapsed time.Duration) {
+	base, ok := paperBaseline[e.ID]
+	fmt.Fprintf(w, "## %s — %s\n\n", e.ID, e.Title)
+	if ok {
+		fmt.Fprintf(w, "**Paper:** %s\n\n", base[0])
+	}
+	fmt.Fprintf(w, "```\n%s```\n\n", table.String())
+	if ok {
+		fmt.Fprintf(w, "**Measured:** %s\n\n", base[1])
+	}
+	fmt.Fprintf(w, "*(regenerated in %v; `go run ./cmd/s4dbench -exp %s`)*\n\n", elapsed, e.ID)
+}
 
-	stopProf, err := profiling.Config{
-		CPUProfile:   *cpuProf,
-		MemProfile:   *memProf,
-		Trace:        *tracePath,
-		MutexProfile: *mutexProf,
-		BlockProfile: *blockProf,
-	}.Start()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "s4dreport: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dreport: %v\n", err)
-		}
-	}()
+// writeReportFooter closes the report with the suite's wall-clock time.
+func writeReportFooter(w io.Writer, cfg bench.Config, total time.Duration) {
+	fmt.Fprintf(w, "---\n\nFull suite wall-clock: %v with %d worker(s).\n",
+		total.Round(time.Second), workers(cfg))
+}
 
-	cfg := bench.Quick()
-	if *full {
-		cfg = bench.Paper()
+// workers is the worker count a run with cfg uses.
+func workers(cfg bench.Config) int {
+	if cfg.Parallel > 0 {
+		return cfg.Parallel
 	}
-	if *scale > 0 {
-		cfg.Scale = *scale
-	}
-	if *ranks > 0 {
-		cfg.Ranks = *ranks
-	}
-	cfg.Parallel = *parallel
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "# EXPERIMENTS — paper vs. measured\n\n")
-	fmt.Fprintf(&b, "Reproduction record for *S4D-Cache: Smart Selective SSD Cache for\n")
-	fmt.Fprintf(&b, "Parallel I/O Systems* (He, Sun, Feng — ICDCS 2014). Every table and\n")
-	fmt.Fprintf(&b, "figure of the paper's evaluation (§V) is regenerated on the simulated\n")
-	fmt.Fprintf(&b, "testbed by `cmd/s4dbench` / `go test -bench . -benchtime=1x`; this file\n")
-	fmt.Fprintf(&b, "is written by `cmd/s4dreport`.\n\n")
-	fmt.Fprintf(&b, "Run configuration: scale=%.4g (fraction of the paper's file sizes, all\n", cfg.Scale)
-	fmt.Fprintf(&b, "request:stripe:file:cache ratios preserved), base processes=%d.\n", cfg.Ranks)
-	fmt.Fprintf(&b, "Hardware models and calibration are described in DESIGN.md §5. The\n")
-	fmt.Fprintf(&b, "simulation is deterministic: identical runs reproduce identical numbers.\n")
-	fmt.Fprintf(&b, "Absolute MB/s are *not* expected to match the 2014 testbed; the shapes\n")
-	fmt.Fprintf(&b, "(who wins, by what factor, where crossovers/plateaus fall) are the\n")
-	fmt.Fprintf(&b, "reproduction target.\n\n")
-	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Fprintf(&b, "Experiment cells run on a worker pool (`-parallel`, default\n")
-	fmt.Fprintf(&b, "`GOMAXPROCS`; this run used %d worker(s)). The tables are\n", workers)
-	fmt.Fprintf(&b, "byte-identical for every `-parallel` setting — only the wall-clock\n")
-	fmt.Fprintf(&b, "noted per experiment changes.\n\n---\n\n")
-
-	suiteStart := time.Now()
-	for _, e := range bench.All() {
-		start := time.Now()
-		table, err := e.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "s4dreport: %s: %v\n", e.ID, err)
-			return 1
-		}
-		elapsed := time.Since(start).Round(time.Millisecond)
-		fmt.Fprintf(&b, "## %s — %s\n\n", e.ID, e.Title)
-		if base, ok := paperBaseline[e.ID]; ok {
-			fmt.Fprintf(&b, "**Paper:** %s\n\n", base[0])
-		}
-		fmt.Fprintf(&b, "```\n%s```\n\n", table.String())
-		if base, ok := paperBaseline[e.ID]; ok {
-			fmt.Fprintf(&b, "**Measured:** %s\n\n", base[1])
-		}
-		fmt.Fprintf(&b, "*(regenerated in %v; `go run ./cmd/s4dbench -exp %s`)*\n\n", elapsed, e.ID)
-		fmt.Fprintf(os.Stderr, "s4dreport: %s done in %v\n", e.ID, elapsed)
-	}
-	fmt.Fprintf(&b, "---\n\nFull suite wall-clock: %v with %d worker(s).\n",
-		time.Since(suiteStart).Round(time.Second), workers)
-
-	if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "s4dreport: write %s: %v\n", *out, err)
-		return 1
-	}
-	fmt.Printf("s4dreport: wrote %s\n", *out)
-	return 0
+	return runtime.GOMAXPROCS(0)
 }

@@ -223,8 +223,11 @@ func (c *Concurrent) flushOne(file string, off, length, cacheOff int64, next fun
 		werr := c.opfs.Write(file, off, length, sim.PriorityLow, buf, func(werr error) {
 			sh.mu.Lock()
 			switch {
-			case werr != nil || sh.fileEpoch[fid] != epoch:
+			case werr != nil:
 				c.flushRetries.Add(1)
+			case sh.fileEpoch[fid] != epoch:
+				c.flushRetries.Add(1)
+				c.lostFlushes.Add(1)
 			case !c.space.InRegion(shardIdx, cacheOff, length):
 				// A dirty extent a warm restart adopted outside its file's
 				// region: clean, it could be evicted under another shard's

@@ -377,11 +377,10 @@ func (b eqSimBed) concurrent(t *testing.T, store *kvstore.Store) *Concurrent {
 	return c
 }
 
-// newEqSimTarget is S4D on an eqSimBed with newConcTestbed's cost model
-// and cache capacity, lazy fetch.
-func newEqSimTarget(t *testing.T) eqTarget {
+// s4d builds S4D on the testbed with newConcTestbed's cost model and
+// cache capacity, lazy fetch, as an equivalence-oracle driver.
+func (b eqSimBed) s4d(t *testing.T) eqTarget {
 	t.Helper()
-	b := newEqSimBed(t)
 	s, err := New(Config{
 		Engine: b.eng, OPFS: b.opfs, CPFS: b.cpfs, Model: concModel(t),
 		CacheCapacity: 256 << 20, LazyFetch: true,
@@ -390,6 +389,12 @@ func newEqSimTarget(t *testing.T) eqTarget {
 		t.Fatal(err)
 	}
 	return eqTarget{eng: s, core: &s.engine, opfs: b.opfs, await: b.await}
+}
+
+// newEqSimTarget is S4D on a fresh eqSimBed.
+func newEqSimTarget(t *testing.T) eqTarget {
+	t.Helper()
+	return newEqSimBed(t).s4d(t)
 }
 
 // newEqSimConcTarget is a one-shard Concurrent on an eqSimBed: the same

@@ -65,6 +65,10 @@ type engine struct {
 	fetches, fetchFailures, fetchRetries atomic.Uint64
 	bytesFlushed, bytesFetched           atomic.Int64
 	epochsPruned                         atomic.Uint64
+	// lostFlushes counts write-backs that landed but lost the epoch check
+	// to a newer client write. They move no data yet take virtual time, so
+	// DrainRebuild counts them as progress; not reported in Stats.
+	lostFlushes atomic.Uint64
 
 	// Degraded-mode state (faulty.go). downMu is a leaf mutex: never held
 	// while taking a shard or region lock.
@@ -516,18 +520,21 @@ func (e *engine) RebuildPending() bool {
 
 // DrainRebuild runs Rebuilder cycles until no dirty data or pending
 // fetches remain, then calls done. Used between benchmark phases (e.g.
-// before the "second run" read measurements) and at shutdown. If a cycle
-// completes without moving any data (e.g. every pending fetch fails for
-// lack of reclaimable space), the drain stops rather than spinning; the
-// leftover work retries on later cycles.
+// before the "second run" read measurements) and at shutdown. A cycle
+// makes progress when it flushes, fetches, or completes a write-back that
+// a newer client write superseded. If a cycle makes none (every pending
+// fetch fails for lack of reclaimable space, or every flush skipped a down
+// server, failed or met a write in flight), the drain stops rather than
+// spinning at one instant; the leftover work retries on later cycles.
 func (e *engine) DrainRebuild(done func()) {
 	if !e.RebuildPending() {
 		e.complete(done)
 		return
 	}
-	before := e.flushes.Load() + e.fetches.Load()
+	progress := func() uint64 { return e.flushes.Load() + e.fetches.Load() + e.lostFlushes.Load() }
+	before := progress()
 	e.drv.RebuildNow(func() {
-		if e.RebuildPending() && e.flushes.Load()+e.fetches.Load() > before {
+		if e.RebuildPending() && progress() > before {
 			e.DrainRebuild(done)
 			return
 		}

@@ -133,6 +133,57 @@ func TestDrainRebuildNoProgress(t *testing.T) {
 	}
 }
 
+// TestDrainRebuildOutlastsLostFlush: a client write that lands while a
+// file's only dirty extent is being flushed makes the flush lose its epoch
+// check. That cycle moved no data but took virtual time, so the drain must
+// go on and flush the newer bytes: one DrainRebuild leaves nothing pending.
+func TestDrainRebuildOutlastsLostFlush(t *testing.T) {
+	for _, d := range []struct {
+		name  string
+		build func(t *testing.T, b eqSimBed) eqTarget
+	}{
+		{"S4D", func(t *testing.T, b eqSimBed) eqTarget { return b.s4d(t) }},
+		{"Concurrent", func(t *testing.T, b eqSimBed) eqTarget { return b.target(b.concurrent(t, nil)) }},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			b := newEqSimBed(t)
+			tb := d.build(t, b)
+			const size = 16 << 10
+			tb.await(t, func(done func(error)) error {
+				return tb.eng.Write(0, "f", critOff, size, pattern(1, size), done)
+			})
+			if !tb.eng.RebuildPending() {
+				t.Fatal("the critical write left no dirty data")
+			}
+
+			drained := false
+			tb.eng.DrainRebuild(func() { drained = true })
+			// The flush captured the file's epoch when it started; this
+			// write lands while the flush's I/O is in flight.
+			b.eng.After(time.Microsecond, func() {
+				err := tb.eng.Write(0, "f", critOff, size, pattern(2, size), func(err error) {
+					if err != nil {
+						t.Error(err)
+					}
+				})
+				if err != nil {
+					t.Error(err)
+				}
+			})
+			b.eng.RunWhile(func() bool { return !drained })
+			if !drained {
+				t.Fatal("DrainRebuild never completed")
+			}
+			if tb.core.flushRetries.Load() == 0 {
+				t.Fatal("no flush lost its epoch check; the write did not land mid-flush")
+			}
+			if tb.eng.RebuildPending() {
+				t.Error("dirty data left after a drain whose first flush lost to a newer write")
+			}
+		})
+	}
+}
+
 // TestDrainRebuildFetchRetriesAfterSpaceFrees is the companion property:
 // a fetch that fails while the cache is wholly dirty succeeds on a later
 // cycle of the same drain, once flushes have freed space.

@@ -88,6 +88,9 @@ func (s *S4D) flushExtent(file string, off, length, cacheOff int64, join *sim.Jo
 				}
 			} else {
 				s.flushRetries.Add(1)
+				if werr == nil {
+					s.lostFlushes.Add(1)
+				}
 			}
 			join.Done()
 		}); err != nil {

@@ -21,8 +21,7 @@ import (
 )
 
 // Chunk geometry: 1<<chunkShift events per chunk. Chunks are allocated
-// whole and kept across Clear, so steady-state recording only allocates
-// when the trace grows past its previous high-water mark.
+// whole, so recording allocates once per chunkLen events.
 const (
 	chunkShift = 12
 	chunkLen   = 1 << chunkShift
@@ -45,8 +44,6 @@ type chunk struct {
 // Recorder collects trace events from any number of FS instances. Install
 // it with Hook() as the pfs.Config.Trace of each instance.
 type Recorder struct {
-	enabled bool
-
 	// Interning tables: label/file strings to dense IDs and back.
 	labels  []string
 	labelID map[string]uint32
@@ -57,19 +54,18 @@ type Recorder struct {
 	n      int
 
 	// sorted tracks whether End times are nondecreasing in record order.
-	// Live traces always are — events are recorded at completion on one
-	// shared virtual clock — which turns windowed queries into binary
-	// searches. Load'ed traces may not be; they fall back to full scans
-	// and a lazily built End-order permutation.
+	// Traces of one virtual clock always are — events are recorded at
+	// completion — which turns windowed queries into binary searches.
+	// Events that arrive out of End order fall back to full scans and a
+	// lazily built End-order permutation.
 	sorted  bool
 	lastEnd time.Duration
 	byEnd   []int32 // cached End-order permutation (valid when len == n)
 }
 
-// NewRecorder returns an enabled recorder.
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		enabled: true,
 		sorted:  true,
 		labelID: make(map[string]uint32),
 		fileID:  make(map[string]uint32),
@@ -80,14 +76,6 @@ func NewRecorder() *Recorder {
 func (r *Recorder) Hook() pfs.TraceFunc { return r.record }
 
 func (r *Recorder) record(ev pfs.TraceEvent) {
-	if !r.enabled {
-		return
-	}
-	r.append(ev)
-}
-
-// append stores one event, bypassing the enabled gate (Load uses it too).
-func (r *Recorder) append(ev pfs.TraceEvent) {
 	ci, slot := r.n>>chunkShift, r.n&chunkMask
 	if ci == len(r.chunks) {
 		r.chunks = append(r.chunks, &chunk{})
@@ -142,9 +130,6 @@ func (r *Recorder) event(i int) pfs.TraceEvent {
 	}
 }
 
-// Enable toggles recording.
-func (r *Recorder) Enable(on bool) { r.enabled = on }
-
 // Events materializes the recorded events in record order. It copies out
 // of the columnar log; use the query methods for anything hot.
 func (r *Recorder) Events() []pfs.TraceEvent {
@@ -160,15 +145,6 @@ func (r *Recorder) Events() []pfs.TraceEvent {
 
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int { return r.n }
-
-// Clear drops all recorded events. Chunks and interning tables are kept,
-// so a cleared recorder records without reallocating.
-func (r *Recorder) Clear() {
-	r.n = 0
-	r.sorted = true
-	r.lastEnd = 0
-	r.byEnd = r.byEnd[:0]
-}
 
 // searchEnd returns the first index whose End is >= t. Valid only when the
 // log is sorted by End.
@@ -201,8 +177,6 @@ func (r *Recorder) endOrder() []int32 {
 // Distribution is the request split across FS instances within a window —
 // the paper's Table III.
 type Distribution struct {
-	// Requests counts sub-requests per FS label.
-	Requests map[string]uint64
 	// Bytes counts payload bytes per FS label.
 	Bytes map[string]int64
 }
@@ -211,7 +185,7 @@ type Distribution struct {
 // no upper bound. On a live (End-sorted) trace the window is located by
 // binary search instead of scanning every event.
 func (r *Recorder) Distribute(from, to time.Duration) Distribution {
-	d := Distribution{Requests: make(map[string]uint64), Bytes: make(map[string]int64)}
+	d := Distribution{Bytes: make(map[string]int64)}
 	lo, hi := 0, r.n
 	filter := true
 	if r.sorted {
@@ -221,7 +195,6 @@ func (r *Recorder) Distribute(from, to time.Duration) Distribution {
 		}
 		filter = false
 	}
-	reqs := make([]uint64, len(r.labels))
 	bytes := make([]int64, len(r.labels))
 	for i := lo; i < hi; i++ {
 		c, s := r.at(i)
@@ -231,29 +204,14 @@ func (r *Recorder) Distribute(from, to time.Duration) Distribution {
 				continue
 			}
 		}
-		reqs[c.fsID[s]]++
 		bytes[c.fsID[s]] += c.size[s]
 	}
 	for id, label := range r.labels {
-		if reqs[id] != 0 {
-			d.Requests[label] = reqs[id]
+		if bytes[id] != 0 {
 			d.Bytes[label] = bytes[id]
 		}
 	}
 	return d
-}
-
-// RequestShare returns the fraction of sub-requests served by the given
-// FS label, in [0, 1].
-func (d Distribution) RequestShare(label string) float64 {
-	var total uint64
-	for _, n := range d.Requests {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(d.Requests[label]) / float64(total)
 }
 
 // ByteShare returns the fraction of bytes served by the given FS label.
@@ -311,75 +269,4 @@ func (r *Recorder) Sequentiality(label string) float64 {
 		return 0
 	}
 	return float64(seq) / float64(total)
-}
-
-// OpMix returns the read/write sub-request counts for a label.
-func (r *Recorder) OpMix(label string) (reads, writes uint64) {
-	id, ok := r.labelID[label]
-	if !ok {
-		return 0, 0
-	}
-	for i := 0; i < r.n; i++ {
-		c, s := r.at(i)
-		if c.fsID[s] != id {
-			continue
-		}
-		if device.Op(c.op[s]) == device.OpRead {
-			reads++
-		} else {
-			writes++
-		}
-	}
-	return reads, writes
-}
-
-// Bin is one slot of a throughput time series.
-type Bin struct {
-	// Start is the bin's start time.
-	Start time.Duration
-	// Bytes is the payload moved in the bin.
-	Bytes int64
-	// Requests is the sub-request count in the bin.
-	Requests uint64
-}
-
-// Throughput builds a time series of per-bin bytes for the labeled FS (""
-// matches all). Events are binned by completion time.
-func (r *Recorder) Throughput(label string, width time.Duration) []Bin {
-	if width <= 0 || r.n == 0 {
-		return nil
-	}
-	maxEnd := r.lastEnd
-	if !r.sorted {
-		maxEnd = 0
-		for i := 0; i < r.n; i++ {
-			c, s := r.at(i)
-			if e := time.Duration(c.end[s]); e > maxEnd {
-				maxEnd = e
-			}
-		}
-	}
-	id := uint32(0)
-	matchAll := label == ""
-	if !matchAll {
-		var ok bool
-		if id, ok = r.labelID[label]; !ok {
-			// Unknown label: all bins stay empty.
-			id = ^uint32(0)
-		}
-	}
-	bins := make([]Bin, maxEnd/width+1)
-	for i := range bins {
-		bins[i].Start = time.Duration(i) * width
-	}
-	for i := 0; i < r.n; i++ {
-		c, s := r.at(i)
-		if !matchAll && c.fsID[s] != id {
-			continue
-		}
-		b := int(time.Duration(c.end[s]) / width)
-		bins[b].Bytes += c.size[s]
-		bins[b].Requests++
-	}
-	return bins
 }

@@ -12,25 +12,6 @@ func ev(fs string, server int, file string, op device.Op, off, size int64, end t
 	return pfs.TraceEvent{FS: fs, Server: server, File: file, Op: op, LocalOff: off, Size: size, Start: end - 1, End: end}
 }
 
-func TestRecorderCollectsAndClears(t *testing.T) {
-	r := NewRecorder()
-	hook := r.Hook()
-	hook(ev("OPFS", 0, "f", device.OpWrite, 0, 100, 10))
-	hook(ev("CPFS", 0, "f", device.OpWrite, 0, 100, 20))
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	r.Enable(false)
-	hook(ev("OPFS", 0, "f", device.OpWrite, 0, 100, 30))
-	if r.Len() != 2 {
-		t.Fatal("disabled recorder still records")
-	}
-	r.Clear()
-	if r.Len() != 0 {
-		t.Fatal("Clear failed")
-	}
-}
-
 func TestDistributionWindowAndShares(t *testing.T) {
 	r := NewRecorder()
 	h := r.Hook()
@@ -41,24 +22,20 @@ func TestDistributionWindowAndShares(t *testing.T) {
 		h(ev("OPFS", 0, "f", device.OpWrite, int64(i)*100, 400, time.Duration(50+i)))
 	}
 	d := r.Distribute(0, 0)
-	if got := d.RequestShare("CPFS"); got != 0.8 {
-		t.Fatalf("RequestShare = %v, want 0.8", got)
-	}
 	if got := d.ByteShare("OPFS"); got != 0.5 {
 		t.Fatalf("ByteShare = %v, want 0.5 (800 vs 800)", got)
 	}
 	// Window excludes everything before t=52.
 	d = r.Distribute(52, 0)
-	if d.Requests["OPFS"] != 0 {
-		t.Fatalf("windowed OPFS requests = %d", d.Requests["OPFS"])
+	if d.Bytes["OPFS"] != 0 {
+		t.Fatalf("windowed OPFS bytes = %d", d.Bytes["OPFS"])
 	}
-	if d.Requests["CPFS"] != 6 {
-		t.Fatalf("windowed CPFS requests = %d, want 6", d.Requests["CPFS"])
+	if d.Bytes["CPFS"] != 600 {
+		t.Fatalf("windowed CPFS bytes = %d, want 600", d.Bytes["CPFS"])
 	}
 	// Empty distribution shares are zero.
-	empty := NewRecorder().Distribute(0, 0)
-	if empty.RequestShare("OPFS") != 0 || empty.ByteShare("OPFS") != 0 {
-		t.Fatal("empty shares not zero")
+	if NewRecorder().Distribute(0, 0).ByteShare("OPFS") != 0 {
+		t.Fatal("empty share not zero")
 	}
 }
 
@@ -93,47 +70,5 @@ func TestSequentialityPerFileCursors(t *testing.T) {
 	h(ev("OPFS", 0, "b", device.OpWrite, 10, 10, 4))
 	if got := r.Sequentiality("OPFS"); got != 1 {
 		t.Fatalf("per-file sequentiality = %v, want 1", got)
-	}
-}
-
-func TestOpMix(t *testing.T) {
-	r := NewRecorder()
-	h := r.Hook()
-	h(ev("CPFS", 0, "f", device.OpRead, 0, 1, 1))
-	h(ev("CPFS", 0, "f", device.OpWrite, 0, 1, 2))
-	h(ev("CPFS", 0, "f", device.OpRead, 0, 1, 3))
-	h(ev("OPFS", 0, "f", device.OpRead, 0, 1, 4))
-	reads, writes := r.OpMix("CPFS")
-	if reads != 2 || writes != 1 {
-		t.Fatalf("OpMix = %d/%d", reads, writes)
-	}
-}
-
-func TestThroughputBins(t *testing.T) {
-	r := NewRecorder()
-	h := r.Hook()
-	h(ev("OPFS", 0, "f", device.OpWrite, 0, 100, 5*time.Second))
-	h(ev("OPFS", 0, "f", device.OpWrite, 0, 200, 5500*time.Millisecond))
-	h(ev("CPFS", 0, "f", device.OpWrite, 0, 400, 11*time.Second))
-	bins := r.Throughput("", time.Second)
-	if len(bins) != 12 {
-		t.Fatalf("got %d bins, want 12", len(bins))
-	}
-	if bins[5].Bytes != 300 || bins[5].Requests != 2 {
-		t.Fatalf("bin 5 = %+v", bins[5])
-	}
-	if bins[11].Bytes != 400 {
-		t.Fatalf("bin 11 = %+v", bins[11])
-	}
-	// Label filter.
-	bins = r.Throughput("CPFS", time.Second)
-	if bins[5].Bytes != 0 || bins[11].Bytes != 400 {
-		t.Fatal("label filter broken")
-	}
-	if r.Throughput("", 0) != nil {
-		t.Fatal("zero width should return nil")
-	}
-	if NewRecorder().Throughput("", time.Second) != nil {
-		t.Fatal("empty recorder should return nil")
 	}
 }
